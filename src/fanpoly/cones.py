@@ -3,9 +3,11 @@
 A cone is built from integer generators in a fixed ambient lattice Z^n.
 Construction canonicalizes aggressively: generators are made primitive,
 deduplicated, reduced to the extremal rays, and sorted, so two descriptions
-of the same cone produce identical objects and identical string ids.  The
-facet description (span equations plus facet inequalities) is derived once
-and drives membership, face enumeration, and intersection.
+of the same cone produce identical objects and identical string ids.  One
+exact double-description routine (Fukuda and Prodon 1996) finds the facet
+normals, as extreme rays of the dual cone inside the span, and the rays of
+intersections.  Faces come from closure over generator-facet incidences
+(Kaibel and Pfetsch 2002), at a cost that grows with the number of faces.
 
 Every cone carries a quotient character lattice M_sigma = M / (sigma^perp
 cap M): a projection matrix with kernel exactly sigma^perp cap M and an
@@ -17,8 +19,6 @@ quotient coordinates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from math import gcd
 
 from .errors import LatticeMismatch, NotAFace, NotPointed, ZeroVector
 from .intlinalg import (
@@ -29,7 +29,6 @@ from .intlinalg import (
     kernel_lattice,
     primitive,
     rank as lattice_rank,
-    saturate,
     solve_left,
 )
 
@@ -80,6 +79,48 @@ def quotient_restriction_matrix(
     return dst.projection * src.section
 
 
+def _extreme_rays(ineqs, e: int):
+    """Sorted primitive extreme rays of the pointed cone {x in Q^e : q.x >= 0}.
+
+    Double description from Q^e, one inequality q at a time.  If q is
+    nonzero on a lineality vector l, l (signed) becomes a ray and the rest
+    shift along l onto q = 0.  Otherwise rays with q < 0 are dropped and
+    each adjacent pair across q = 0 (no third ray is tight everywhere both
+    are, tight sets kept as bit masks) is combined into a ray on it.
+    """
+    lin = [tuple(int(i == j) for j in range(e)) for i in range(e)]
+    rays = []
+    for k, q in enumerate(ineqs):
+        bit = 1 << k
+        i = next((i for i, l in enumerate(lin) if dot(q, l) != 0), None)
+        if i is not None:
+            pivot = lin.pop(i)
+            a = dot(q, pivot)
+            if a < 0:
+                a, pivot = -a, tuple(-x for x in pivot)
+
+            def shift(v):
+                b = dot(q, v)
+                return primitive(tuple(a * x - b * y for x, y in zip(v, pivot)))
+
+            lin = [shift(l) for l in lin]
+            rays = [(shift(r), z | bit) for r, z in rays] + [(pivot, bit - 1)]
+            continue
+        vals = [dot(q, r) for r, _ in rays]
+        kept = [(r, z | bit if v == 0 else z) for (r, z), v in zip(rays, vals) if v >= 0]
+        for i, (rp, zp) in enumerate(rays):
+            for j, (rn, zn) in enumerate(rays):
+                if vals[i] <= 0 or vals[j] >= 0:
+                    continue
+                z = zp & zn
+                if any(w & z == z for h, (_, w) in enumerate(rays) if h != i and h != j):
+                    continue
+                ray = tuple(vals[i] * x - vals[j] * y for x, y in zip(rn, rp))
+                kept.append((primitive(ray), z | bit))
+        rays = kept
+    return sorted(r for r, _ in rays)
+
+
 class Cone:
     """A pointed rational polyhedral cone, canonically presented."""
 
@@ -91,6 +132,7 @@ class Cone:
         "span_perp",
         "facet_normals",
         "_quotient",
+        "_lattice",
         "_faces",
         "_face_keys",
     )
@@ -112,12 +154,14 @@ class Cone:
         gens = sorted(set(gens))
 
         gmat = IntMatrix(gens, cols=ambient_rank)
-        span = saturate(gmat)
+        # the annihilator of the generators is also that of their saturated span
+        perp = kernel_lattice(gmat)
+        span = kernel_lattice(perp)
         d = span.rows
         self.ambient_rank = ambient_rank
         self.dim = d
         self.span_basis = span
-        self.span_perp = kernel_lattice(span)
+        self.span_perp = perp
 
         if d == 0:
             self.generators = ()
@@ -127,28 +171,21 @@ class Cone:
             assert coords is not None, "generators must lie in their own saturated span"
             local_gens = [coords.row(i) for i in range(coords.rows)]
 
-            normals = set()
-            for subset in combinations(range(len(local_gens)), d - 1):
-                sub = IntMatrix([local_gens[i] for i in subset], cols=d)
-                ker = kernel_lattice(sub)
-                if ker.rows != 1:
-                    continue
-                w = ker.row(0)
-                vals = [dot(w, g) for g in local_gens]
-                if all(v >= 0 for v in vals):
-                    normals.add(w)
-                elif all(v <= 0 for v in vals):
-                    normals.add(tuple(-x for x in w))
-            local_normals = sorted(normals)
-
+            # the dual cone inside the span is pointed because the generators span it
+            local_normals = _extreme_rays(local_gens, d)
             if lattice_rank(IntMatrix(local_normals, cols=d)) != d:
                 raise NotPointed(f"cone on {gens!r} contains a line")
 
-            keep = []
-            for g in local_gens:
-                active = [w for w in local_normals if dot(w, g) == 0]
-                if lattice_rank(IntMatrix(active, cols=d)) == d - 1:
-                    keep.append(g)
+            # a generator is extremal unless another is tight on all its facets
+            tight = [
+                sum(1 << i for i, w in enumerate(local_normals) if dot(w, g) == 0)
+                for g in local_gens
+            ]
+            keep = [
+                g
+                for i, (g, z) in enumerate(zip(local_gens, tight))
+                if not any(w & z == z for j, w in enumerate(tight) if j != i)
+            ]
 
             lift = solve_left(span.transpose(), IntMatrix.identity(d))
             assert lift is not None, "saturated spans always split"
@@ -164,6 +201,7 @@ class Cone:
             self.facet_normals = tuple(ambient_normals)
 
         self._quotient = None
+        self._lattice = None
         self._faces = None
         self._face_keys = None
 
@@ -199,32 +237,49 @@ class Cone:
             raise ValueError("ambient rank mismatch")
         return all(self.contains(g) for g in other.generators)
 
+    def _face_lattice(self):
+        """(dimension, generators) of every face, sorted.
+
+        Incidence closure, one dimension at a time: the maximal proper
+        intersections of a face with the cone's facets are its facets.
+        """
+        if self._lattice is None:
+            gens = self.generators
+            masks = [
+                sum(1 << i for i, g in enumerate(gens) if dot(u, g) == 0)
+                for u in self.facet_normals
+            ]
+            level = {(1 << len(gens)) - 1}
+            found = []
+            for dim in range(self.dim, -1, -1):
+                found += [(dim, m) for m in level]
+                below = set()
+                for m in level:
+                    cut = {m & f for f in masks} - {m}
+                    below |= {c for c in cut if not any(c != o and c & o == c for o in cut)}
+                level = below
+            self._lattice = sorted(
+                (dim, tuple(g for i, g in enumerate(gens) if m >> i & 1)) for dim, m in found
+            )
+        return self._lattice
+
     def faces(self):
         """All faces, including the cone itself and the zero cone.
 
-        Every face is the intersection with the vanishing locus of a set of
-        facet normals, and is generated by the generators it contains.
-        Returned sorted by (dimension, key).
+        Found by incidence closure, not by subsets of facets; returned
+        sorted by (dimension, key).
         """
         if self._faces is None:
-            seen = {}
-            for r in range(len(self.facet_normals) + 1):
-                for subset in combinations(self.facet_normals, r):
-                    gens = tuple(
-                        g
-                        for g in self.generators
-                        if all(dot(u, g) == 0 for u in subset)
-                    )
-                    if gens not in seen:
-                        seen[gens] = None
-            built = [Cone(self.ambient_rank, gens) for gens in seen]
-            self._faces = tuple(sorted(built, key=lambda c: (c.dim, c.key)))
-            self._face_keys = frozenset(c.key for c in self._faces)
+            self._faces = tuple(
+                self if gens == self.generators else Cone(self.ambient_rank, gens)
+                for _, gens in self._face_lattice()
+            )
         return self._faces
 
     def face_keys(self):
+        """Keys of all faces, read off the incidences without building any Cone."""
         if self._face_keys is None:
-            self.faces()
+            self._face_keys = frozenset((self.ambient_rank, g) for _, g in self._face_lattice())
         return self._face_keys
 
     def facets(self):
@@ -236,8 +291,7 @@ class Cone:
     @property
     def quotient(self) -> QuotientCharacterLattice:
         if self._quotient is None:
-            gmat = IntMatrix(self.generators, cols=self.ambient_rank)
-            perp = kernel_lattice(gmat)
+            perp = self.span_perp
             q, s = complement_projection(perp)
             self._quotient = QuotientCharacterLattice(perp, self.ambient_rank - perp.rows, q, s)
         return self._quotient
@@ -254,14 +308,6 @@ class Cone:
         return f"Cone({self.ambient_rank}, {list(self.generators)!r})"
 
 
-def cone_from_generators(ambient_rank: int, generators) -> Cone:
-    return Cone(ambient_rank, generators)
-
-
-def quotient_lattice(cone: Cone) -> QuotientCharacterLattice:
-    return cone.quotient
-
-
 def restriction_matrix(sigma: Cone, tau: Cone) -> IntMatrix:
     """Matrix of Sym^1 M_sigma -> Sym^1 M_tau for a face tau of sigma."""
     if not tau.is_face_of(sigma):
@@ -273,9 +319,9 @@ def intersect(c1: Cone, c2: Cone):
     """Intersection of two cones, plus whether it is a common face.
 
     The intersection is cut out by both spans' equations and both cones'
-    facet inequalities.  Its extreme rays are found inside the joint span:
-    a ray is the kernel of some rank (e-1) subset of the restricted
-    inequalities, kept when the inequalities do not change sign on it.
+    facet inequalities.  Its extreme rays come from double description on
+    those inequalities, restricted to the joint span, where the
+    intersection is pointed because both cones are.
     """
     if c1.ambient_rank != c2.ambient_rank:
         raise ValueError("ambient rank mismatch")
@@ -283,28 +329,11 @@ def intersect(c1: Cone, c2: Cone):
     eqs = list(c1.span_perp.entries) + list(c2.span_perp.entries)
     s0 = kernel_lattice(IntMatrix(eqs, cols=n))
     e = s0.rows
-    rays = []
-    if e > 0:
-        ineqs = sorted(
-            {
-                tuple(dot(u, s0.row(l)) for l in range(e))
-                for u in c1.facet_normals + c2.facet_normals
-            }
-            - {(0,) * e}
-        )
-        found = set()
-        for subset in combinations(ineqs, e - 1):
-            ker = kernel_lattice(IntMatrix(subset, cols=e))
-            if ker.rows != 1:
-                continue
-            w = ker.row(0)
-            vals = [dot(q, w) for q in ineqs]
-            if all(v >= 0 for v in vals):
-                found.add(w)
-            elif all(v <= 0 for v in vals):
-                found.add(tuple(-x for x in w))
-        for w in sorted(found):
-            rays.append(tuple(dot(w, s0.column(j)) for j in range(n)))
+    ineqs = sorted(
+        {tuple(dot(u, s0.row(l)) for l in range(e)) for u in c1.facet_normals + c2.facet_normals}
+        - {(0,) * e}
+    )
+    rays = [tuple(dot(w, s0.column(j)) for j in range(n)) for w in _extreme_rays(ineqs, e)]
     cone = Cone(n, rays)
     is_common_face = cone.key in c1.face_keys() and cone.key in c2.face_keys()
     return cone, is_common_face

@@ -58,9 +58,10 @@ class Fan:
 
         face_index: dict = {}
         for i, c in enumerate(cones):
-            for f in c.faces():
-                entry = face_index.setdefault(f.key, (f, []))
-                entry[1].append(i)
+            for key in c.face_keys():
+                if key not in face_index:
+                    face_index[key] = (c if key == c.key else Cone(*key), [])
+                face_index[key][1].append(i)
 
         self.ambient_rank = ambient_rank
         self.maximal_cones = tuple(cones)

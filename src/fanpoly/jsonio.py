@@ -45,10 +45,19 @@ def _int(value, what: str) -> int:
     return value
 
 
-def _vector(value, what: str):
+def _vector(value, what: str, length: int | None = None):
     if not isinstance(value, list):
         raise FormatError(f"{what} must be a list of integers")
+    if length is not None and len(value) != length:
+        raise FormatError(f"{what} {value!r} does not have length {length}")
     return tuple(_int(x, what) for x in value)
+
+
+def _rank(doc) -> int:
+    rank = _int(doc.get("ambient_rank"), "ambient_rank")
+    if rank < 0:
+        raise FormatError(f"ambient_rank must be nonnegative, got {rank}")
+    return rank
 
 
 def _coeff(value, what: str):
@@ -79,7 +88,7 @@ def fan_to_json(fan: Fan) -> dict:
 
 def fan_from_json(doc) -> Fan:
     _expect_kind(doc, "fan")
-    rank = _int(doc.get("ambient_rank"), "ambient_rank")
+    rank = _rank(doc)
     raw = doc.get("maximal_cones")
     if not isinstance(raw, list) or not raw:
         raise FormatError("maximal_cones must be a nonempty list")
@@ -87,7 +96,7 @@ def fan_from_json(doc) -> Fan:
     for i, gens in enumerate(raw):
         if not isinstance(gens, list):
             raise FormatError(f"maximal cone {i} must be a list of vectors")
-        cones.append(Cone(rank, [_vector(g, f"cone {i} generator") for g in gens]))
+        cones.append(Cone(rank, [_vector(g, f"cone {i} generator", rank) for g in gens]))
     return Fan(rank, cones)
 
 
@@ -115,7 +124,7 @@ def multifan_to_json(mf: Multifan) -> dict:
 
 def multifan_from_json(doc) -> Multifan:
     _expect_kind(doc, "multifan")
-    rank = _int(doc.get("ambient_rank"), "ambient_rank")
+    rank = _rank(doc)
     nodes = doc.get("nodes")
     if not isinstance(nodes, dict) or not nodes:
         raise FormatError("nodes must be a nonempty object")
@@ -123,7 +132,7 @@ def multifan_from_json(doc) -> Multifan:
     for nid, gens in nodes.items():
         if not isinstance(gens, list):
             raise FormatError(f"node {nid} must be a list of vectors")
-        cones[nid] = Cone(rank, [_vector(g, f"node {nid} generator") for g in gens])
+        cones[nid] = Cone(rank, [_vector(g, f"node {nid} generator", rank) for g in gens])
     covers = doc.get("covers")
     if not isinstance(covers, list):
         raise FormatError("covers must be a list of pairs")

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .cones import Cone, cone_from_generators, restriction_matrix
+from .cones import Cone, restriction_matrix
 from .errors import (
     FaceBijectionFailure,
     FanMismatch,
@@ -139,7 +139,7 @@ def multifan_validate(ambient_rank: int, cones, covers) -> Multifan:
 
     for nid, cone in cones.items():
         below = lower[nid]
-        face_keys = {f.key for f in cone.faces()}
+        face_keys = cone.face_keys()
         seen = {}
         for b in below:
             k = cones[b].key
@@ -191,7 +191,7 @@ def hypertoric_multifan(ambient_rank: int, vectors) -> Multifan:
         return "{" + ",".join(str(i + 1) for i in sorted(indices)) + "}"
 
     independent = [()]
-    cones[name(())] = cone_from_generators(ambient_rank, [])
+    cones[name(())] = Cone(ambient_rank, [])
     subset_id[()] = name(())
     for size in range(1, len(vecs) + 1):
         found = []
@@ -202,7 +202,7 @@ def hypertoric_multifan(ambient_rank: int, vectors) -> Multifan:
             if matrix_rank(IntMatrix(chosen, cols=ambient_rank)) != size:
                 continue
             nid = name(sub)
-            cones[nid] = cone_from_generators(ambient_rank, chosen)
+            cones[nid] = Cone(ambient_rank, chosen)
             subset_id[sub] = nid
             found.append(sub)
         if not found:

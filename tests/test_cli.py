@@ -63,6 +63,30 @@ def test_wrong_kind_exits_3(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (
+            {"kind": "fan", "ambient_rank": 2, "maximal_cones": [[[1, 0], [0, 1, 3]]]},
+            "does not have length 2",
+        ),
+        ({"kind": "fan", "ambient_rank": -1, "maximal_cones": [[]]}, "nonnegative"),
+        (
+            {"kind": "multifan", "ambient_rank": 2, "nodes": {"o": [], "x": [[1]]}, "covers": []},
+            "does not have length 2",
+        ),
+        ({"kind": "multifan", "ambient_rank": -1, "nodes": {"o": []}, "covers": []}, "nonnegative"),
+    ],
+)
+def test_malformed_cone_document_exits_3(tmp_path, capsys, doc, message):
+    f = tmp_path / "bad.json"
+    f.write_text(json.dumps(doc))
+    assert main(["validate", str(f), "--json"]) == 3
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+
+
 def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-verb"])
@@ -248,3 +272,13 @@ def test_mpp_basis_verb(capsys):
         ["mpp-basis", fx("doubled_cone.multifan.json"), "--degree", "2"]
     ) == 0
     assert "rank 4" in capsys.readouterr().out
+
+
+def test_validate_p7(tmp_path, capsys):
+    rays = [[int(i == j) for j in range(7)] for i in range(7)] + [[-1] * 7]
+    cones = [[r for r in rays if r is not skip] for skip in rays]
+    f = tmp_path / "p7.json"
+    f.write_text(json.dumps({"kind": "fan", "ambient_rank": 7, "maximal_cones": cones}))
+    assert main(["validate", str(f), "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["maximal_cones"], doc["cones"], doc["complete"]) == (8, 255, True)

@@ -1,0 +1,144 @@
+"""Double description and incidence closure against the brute-force oracle.
+
+Every cone is built twice, by ``fanpoly.cones`` and by the frozen subset
+enumeration in ``reference_cones``, and the two must agree on generators,
+facet normals, dimension, NotPointed, face keys, face order and pairwise
+intersections (cone and common-face flag).  Inputs: cones over m-gons, the
+cube's cones and the cone over the cube, seeded random generator sets in
+Z^3 and Z^4 (pointed or not, full or lower dimensional), their images under
+random signed permutations, and shuffled input orders.
+"""
+
+import random
+from itertools import product
+
+import pytest
+from reference_cones import ReferenceCone, reference_intersect
+
+from fanpoly.cones import Cone, intersect
+from fanpoly.errors import NotPointed
+from fanpoly.fixtures import cube
+
+OCTAGON = [(2, 1), (1, 2), (-1, 2), (-2, 1), (-2, -1), (-1, -2), (1, -2), (2, -1)]
+
+
+def polygon_cones():
+    """Cones over the m-gons formed by m consecutive octagon vertices."""
+    return [
+        (3, [(x, y, 1) for x, y in OCTAGON[:m]]) for m in range(3, len(OCTAGON) + 1)
+    ]
+
+
+def cube_cones():
+    out = [(3, list(c.generators)) for c in cube().maximal_cones]
+    out.append((4, [v + (1,) for v in product((1, -1), repeat=3)]))
+    return out
+
+
+def random_generators(rng, n):
+    """Up to six small vectors, sometimes confined to a random plane."""
+    k = rng.randint(1, 6)
+    if rng.random() < 0.3:
+        basis = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(2)]
+        raw = [
+            tuple(a * x + b * y for x, y in zip(*basis))
+            for a, b in ((rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(k))
+        ]
+    else:
+        raw = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(k)]
+    return [v for v in raw if any(v)]
+
+
+def signed_permutation(rng, n):
+    perm = list(range(n))
+    rng.shuffle(perm)
+    signs = [rng.choice((1, -1)) for _ in range(n)]
+    return lambda v: tuple(signs[i] * v[perm[i]] for i in range(n))
+
+
+def build_both(n, gens):
+    """(Cone, ReferenceCone), or None when both raise NotPointed."""
+    try:
+        ref = ReferenceCone(n, gens)
+    except NotPointed:
+        with pytest.raises(NotPointed):
+            Cone(n, gens)
+        return None
+    return Cone(n, gens), ref
+
+
+def assert_same(cone, ref):
+    assert cone.generators == ref.generators
+    assert cone.facet_normals == ref.facet_normals
+    assert cone.dim == ref.dim
+    assert cone.face_keys() == ref.face_keys()
+    ref_faces = ref.faces()
+    assert [f.key for f in cone.faces()] == [f.key for f in ref_faces]
+    assert [f.dim for f in cone.faces()] == [f.dim for f in ref_faces]
+
+
+def inputs(rng):
+    base = polygon_cones() + cube_cones()
+    for n in (3, 3, 4):
+        base += [(n, random_generators(rng, n)) for _ in range(25)]
+    out = []
+    for n, gens in base:
+        g = signed_permutation(rng, n)
+        shuffled = list(gens)
+        rng.shuffle(shuffled)
+        out += [(n, gens), (n, [g(v) for v in gens]), (n, shuffled)]
+    return out
+
+
+def test_cones_match_reference():
+    cases = inputs(random.Random(20261017))
+    pointed = 0
+    for n, gens in cases:
+        both = build_both(n, gens)
+        if both is not None:
+            assert_same(*both)
+            pointed += 1
+    # the random sets must exercise both outcomes
+    assert 100 < pointed < len(cases)
+
+
+def pairs(rng):
+    """Pairs meeting at 0, in a common face, and overlapping."""
+    polys = polygon_cones()
+    out = []
+    for n, gens in polys + cube_cones():
+        out.append(((n, gens), (n, [tuple(-x for x in v) for v in gens])))
+    fans = [list(c.generators) for c in cube().maximal_cones]
+    out += [((3, a), (3, b)) for a in fans for b in fans]
+    # consecutive cones of the fan over an octagon share a 2-dimensional face
+    ring = [(x, y, 1) for x, y in OCTAGON] * 2
+    wedges = [(3, [ring[i], ring[i + 1], (0, 0, 1)]) for i in range(len(OCTAGON) + 1)]
+    out += list(zip(wedges, wedges[1:]))
+    out += [(polys[i], polys[j]) for i in range(len(polys)) for j in range(i, len(polys))]
+    for n in (3, 4):
+        out += [((n, random_generators(rng, n)), (n, random_generators(rng, n))) for _ in range(40)]
+    g = signed_permutation(rng, 3)
+    images = [((3, [g(v) for v in a]), (3, [g(v) for v in b])) for (n, a), (_, b) in out if n == 3]
+    return out + images[:30]
+
+
+def test_intersections_match_reference():
+    built = {}
+
+    def build(n, gens):
+        if (n, tuple(gens)) not in built:
+            built[n, tuple(gens)] = build_both(n, gens)
+        return built[n, tuple(gens)]
+
+    flags = set()
+    for left, right in pairs(random.Random(31415)):
+        a, b = build(*left), build(*right)
+        if a is None or b is None:
+            continue
+        got, ok = intersect(a[0], b[0])
+        want, want_ok = reference_intersect(a[1], b[1])
+        assert (got.key, ok) == (want.key, want_ok)
+        assert got.facet_normals == want.facet_normals
+        flags.add((ok, got.dim == 0))
+    # meeting only at 0, in a common face of positive dimension, and overlapping
+    assert {(True, True), (True, False), (False, False)} <= flags

@@ -13,9 +13,7 @@ import pytest
 from fanpoly.cones import (
     Cone,
     ambient_lattice,
-    cone_from_generators,
     intersect,
-    quotient_lattice,
     quotient_restriction_matrix,
     restriction_matrix,
 )
@@ -106,6 +104,14 @@ def test_faces_square_cone_against_box_oracle():
     assert sorted(f.dim for f in fs) == [0, 1, 1, 1, 1, 2, 2, 2, 2, 3]
 
 
+def test_faces_cone_over_14gon():
+    # 14 points on the parabola y = x^2 are in convex position
+    c = Cone(3, [(x, x * x, 1) for x in range(14)])
+    fs = c.faces()
+    assert len(fs) == 30
+    assert [sum(1 for f in fs if f.dim == d) for d in range(4)] == [1, 14, 14, 1]
+
+
 def test_face_relations():
     sigma = Cone(2, [(1, 0), (0, 1)])
     ray = Cone(2, [(1, 0)])
@@ -153,7 +159,7 @@ def test_intersect_in_three_dims():
 
 def test_quotient_ranks():
     zero = Cone(2, [])
-    assert quotient_lattice(zero).rank == 0
+    assert zero.quotient.rank == 0
     ray = Cone(2, [(1, 1)])
     assert ray.quotient.rank == 1
     quad = Cone(2, [(1, 0), (0, 1)])
@@ -213,7 +219,3 @@ def test_quotient_restriction_matrix_rejects_unrelated():
     ray2 = Cone(2, [(0, 1)])
     with pytest.raises(LatticeMismatch):
         quotient_restriction_matrix(ray1.quotient, ray2.quotient)
-
-
-def test_cone_from_generators_alias():
-    assert cone_from_generators(2, [(1, 0)]) == Cone(2, [(1, 0)])
