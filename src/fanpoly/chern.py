@@ -12,7 +12,7 @@ assembly.
 from __future__ import annotations
 
 from .cones import restriction_matrix
-from .errors import FanMismatch, IncompatibleMultisets, IndexOutOfRange
+from .errors import FanMismatch, FormatError, IncompatibleMultisets, IndexOutOfRange
 from .fans import Fan
 from .polynomials import LocalPolynomial, elementary_symmetric
 from .ppring import PPElement, pp_validate
@@ -42,9 +42,12 @@ def bundle_validate(fan: Fan, data) -> BundleData:
 
     ``data`` maps cone ids to sequences of integer vectors, each written
     in the cone's quotient coordinates.  Multisets are kept in sorted
-    order, so the order they are given in does not matter.
+    order, so the order they are given in does not matter.  Characters of
+    the wrong length or type, and multisets of different sizes, raise
+    FormatError; multisets that restrict differently on a shared face
+    raise IncompatibleMultisets.
     """
-    want = {c.id_str: c for c in fan.maximal_cones}
+    want = dict(fan.parts)
     if set(data) != set(want):
         raise FanMismatch("bundle data keys do not match the maximal cones")
     characters = {}
@@ -55,27 +58,26 @@ def bundle_validate(fan: Fan, data) -> BundleData:
         for u in vectors:
             u = tuple(u)
             if len(u) != cone.quotient.rank:
-                raise ValueError(
+                raise FormatError(
                     f"character {u!r} on cone {cid} has length {len(u)}, "
                     f"expected {cone.quotient.rank}"
                 )
             if not all(isinstance(x, int) and not isinstance(x, bool) for x in u):
-                raise ValueError(f"character {u!r} on cone {cid} is not integral")
+                raise FormatError(f"character {u!r} on cone {cid} is not integral")
             cleaned.append(u)
         characters[cid] = tuple(sorted(cleaned))
         sizes.add(len(cleaned))
     if len(sizes) > 1:
-        raise ValueError(f"bundle rank is ambiguous: multiset sizes {sorted(sizes)}")
+        raise FormatError(f"bundle rank is ambiguous: multiset sizes {sorted(sizes)}")
     rank = sizes.pop() if sizes else 0
 
-    cones = fan.maximal_cones
-    for (i, j), tau in fan.pair_faces.items():
-        ri = restriction_matrix(cones[i], tau)
-        rj = restriction_matrix(cones[j], tau)
-        left = sorted(ri.mul_vec(u) for u in characters[cones[i].id_str])
-        right = sorted(rj.mul_vec(u) for u in characters[cones[j].id_str])
+    for a, b, face, tau in fan.incidences:
+        ra = restriction_matrix(want[a], tau)
+        rb = restriction_matrix(want[b], tau)
+        left = sorted(ra.mul_vec(u) for u in characters[a])
+        right = sorted(rb.mul_vec(u) for u in characters[b])
         if left != right:
-            raise IncompatibleMultisets(cones[i].id_str, cones[j].id_str, tau.id_str)
+            raise IncompatibleMultisets(a, b, face)
     return BundleData(fan, characters, rank)
 
 

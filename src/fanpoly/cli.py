@@ -51,11 +51,14 @@ class RunReport:
     document: dict = field(default_factory=dict)
 
 
-def _parse_vector(text: str, what: str):
+def _parse_vector(text: str, what: str, length: int | None = None):
     try:
-        return tuple(int(x) for x in text.split(","))
+        vector = tuple(int(x) for x in text.split(","))
     except ValueError:
         raise FormatError(f"{what}: expected comma separated integers, got {text!r}")
+    if length is not None and len(vector) != length:
+        raise FormatError(f"{what}: {text!r} does not have length {length}")
+    return vector
 
 
 def _load_fan(path: str) -> Fan:
@@ -202,7 +205,7 @@ def _cmd_mv_h3(args) -> RunReport:
 def _cmd_subdivide(args) -> RunReport:
     fan = _load_fan(args.file)
     target = fan.cone_by_id(args.target)
-    point = _parse_vector(args.point, "--point") if args.point else None
+    point = _parse_vector(args.point, "--point", fan.ambient_rank) if args.point else None
     refined, m = star_subdivision(fan, target, point)
     return RunReport(
         lines=[
@@ -242,8 +245,10 @@ def _cmd_pullback_check(args) -> RunReport:
 
 
 def _cmd_hypertoric(args) -> RunReport:
+    if args.rank < 0:
+        raise FormatError(f"--rank must be nonnegative, got {args.rank}")
     vectors = [
-        _parse_vector(chunk, "--vectors")
+        _parse_vector(chunk, "--vectors", args.rank)
         for chunk in args.vectors.split(";")
         if chunk
     ]

@@ -30,9 +30,21 @@ from .intlinalg import (
 
 
 class Fan:
-    """A finite fan, presented by its maximal cones."""
+    """A finite fan, presented by its maximal cones.
 
-    __slots__ = ("ambient_rank", "maximal_cones", "face_index", "pair_faces")
+    ``parts`` pairs each maximal cone's id with the cone, in cone order;
+    ``incidences`` lists ``(id a, id b, face id, face)`` for every pair of
+    maximal cones, in the order of ``pair_faces``.
+    """
+
+    __slots__ = (
+        "ambient_rank",
+        "maximal_cones",
+        "face_index",
+        "pair_faces",
+        "parts",
+        "incidences",
+    )
 
     def __init__(self, ambient_rank: int, maximal_cones):
         cones = list(maximal_cones)
@@ -46,7 +58,9 @@ class Fan:
             if a.key == b.key:
                 raise DuplicateCone(f"cone {a.id_str} listed twice")
 
+        ids = [c.id_str for c in cones]
         pair_faces = {}
+        incidences = []
         for i in range(len(cones)):
             for j in range(i + 1, len(cones)):
                 f, ok = intersect(cones[i], cones[j])
@@ -55,6 +69,7 @@ class Fan:
                 if f == cones[i] or f == cones[j]:
                     raise NotAFan(i, j, "one maximal cone is a face of the other")
                 pair_faces[(i, j)] = f
+                incidences.append((ids[i], ids[j], f.id_str, f))
 
         face_index: dict = {}
         for i, c in enumerate(cones):
@@ -66,13 +81,11 @@ class Fan:
         self.ambient_rank = ambient_rank
         self.maximal_cones = tuple(cones)
         self.pair_faces = pair_faces
+        self.parts = tuple(zip(ids, cones))
+        self.incidences = tuple(incidences)
         self.face_index = {
             k: (f, tuple(idxs)) for k, (f, idxs) in sorted(face_index.items())
         }
-
-    @property
-    def maximal_keys(self):
-        return tuple(c.id_str for c in self.maximal_cones)
 
     def cone_by_id(self, id_str: str) -> Cone:
         for c in self.maximal_cones:
@@ -82,9 +95,6 @@ class Fan:
             if f.id_str == id_str:
                 return f
         raise ConeNotInFan(f"no cone with id {id_str!r} in the fan")
-
-    def has_cone(self, cone: Cone) -> bool:
-        return cone.key in self.face_index
 
     def incident_maximal(self, cone: Cone):
         """Indices of the maximal cones having the given cone as a face."""

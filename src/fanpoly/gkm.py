@@ -6,22 +6,23 @@ along it.  A tuple of global polynomials, one per vertex, is in the image
 of the piecewise polynomial ring exactly when for every edge the two
 endpoint polynomials restrict equally to the wall's quotient coordinates.
 
-The point of this module is that the wall conditions alone cut out the
-same lattice as the full pairwise-face conditions, and that this can be
-checked exactly: both sides are kernels of integer matrices over the same
-coordinate layout, so equality is a lattice comparison.
+The walls are a shorter incidence list over the same parts as the fan's
+own: :func:`beta_system` hands the fan's ``parts`` and one incidence per
+wall to the assembler of :mod:`fanpoly.ppring`.  The point of this module
+is that the wall conditions alone cut out the same lattice as the full
+pairwise-face conditions, and that this can be checked exactly: both
+sides are kernels of integer matrices over the same coordinate layout, so
+equality is a lattice comparison.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cones import restriction_matrix
 from .errors import NotComplete
 from .fans import Fan, is_complete
 from .intlinalg import IntMatrix, kernel_lattice, lattices_equal
-from .polynomials import degree_matrix, monomials_of_degree
-from .ppring import pp_basis
+from .ppring import constraint_matrix, pp_basis
 
 
 @dataclass(frozen=True)
@@ -67,21 +68,9 @@ def beta_system(graph: GKMGraph, k: int) -> IntMatrix:
     """
     if k < 0:
         raise ValueError("negative degree")
-    fan = graph.fan
-    cones = fan.maximal_cones
-    width = len(monomials_of_degree(fan.ambient_rank, k))
-    total = width * len(cones)
-    rows = []
-    for tau, i, j in graph.edges:
-        ri = degree_matrix(restriction_matrix(cones[i], tau), k)
-        rj = degree_matrix(restriction_matrix(cones[j], tau), k)
-        for r in range(ri.rows):
-            row = [0] * total
-            for c in range(width):
-                row[i * width + c] = ri[r, c]
-                row[j * width + c] = -rj[r, c]
-            rows.append(row)
-    return IntMatrix(rows, cols=total)
+    parts = graph.fan.parts
+    walls = [(parts[i][0], parts[j][0], tau.id_str, tau) for tau, i, j in graph.edges]
+    return constraint_matrix(parts, walls, k)[1]
 
 
 def gkm_kernel_basis(fan: Fan, k: int) -> IntMatrix:

@@ -225,12 +225,7 @@ def ppelement_parts_from_json(container, doc) -> dict:
     raw = doc.get("parts")
     if not isinstance(raw, dict):
         raise FormatError("parts must be an object keyed by cone id")
-    if isinstance(container, Fan):
-        lattices = {c.id_str: c.quotient for c in container.maximal_cones}
-    else:
-        lattices = {
-            nid: container.cone_of(nid).quotient for nid in container.maximal_ids
-        }
+    lattices = {pid: cone.quotient for pid, cone in container.parts}
     parts = {}
     for cid, terms in raw.items():
         if cid not in lattices:

@@ -10,25 +10,20 @@ the geometry, decides which compatibilities are imposed.
 A piecewise polynomial assigns a polynomial to every maximal node.  Two
 maximal nodes interact only through their common lower nodes, and by
 transitivity of restriction it is enough to impose agreement on the
-maximal ones among those.
+maximal ones among those.  So a multifan exposes the same ``parts`` and
+``incidences`` as a Fan, with node ids in place of cone ids, and its
+checker and graded bases are the ones of :mod:`fanpoly.ppring`.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 
-from .cones import Cone, restriction_matrix
-from .errors import (
-    FaceBijectionFailure,
-    FanMismatch,
-    Incompatible,
-    LatticeMismatch,
-    NotAPoset,
-)
+from .cones import Cone
+from .errors import FaceBijectionFailure, FanMismatch, NotAPoset
 from .fans import Fan
-from .intlinalg import IntMatrix, kernel_lattice, rank as matrix_rank
-from .polynomials import LocalPolynomial, degree_matrix, monomials_of_degree, restrict_to_face
-from .ppring import GradedBasis, PPElement
+from .intlinalg import IntMatrix, rank as matrix_rank
+from .ppring import GradedBasis, PPElement, check_parts, piecewise_basis
 
 
 class Multifan:
@@ -53,18 +48,29 @@ class Multifan:
     def leq(self, a: str, b: str) -> bool:
         return a in self.lower[b]
 
-    def common_lower(self, a: str, b: str):
-        return self.lower[a] & self.lower[b]
-
     def maximal_common_lower(self, a: str, b: str):
         """Nodes below both a and b that are maximal among those."""
-        shared = self.common_lower(a, b)
+        shared = self.lower[a] & self.lower[b]
         out = [
             c
             for c in shared
             if not any(d != c and c in self.lower[d] for d in shared)
         ]
         return tuple(sorted(out))
+
+    @property
+    def parts(self):
+        """``(node id, cone)`` for each maximal node, in node order."""
+        return tuple((nid, self.cones[nid]) for nid in self.maximal_ids)
+
+    @property
+    def incidences(self):
+        """``(a, b, c, cone of c)`` for each maximal common lower node c of a < b."""
+        return tuple(
+            (a, b, c, self.cones[c])
+            for a, b in combinations(self.maximal_ids, 2)
+            for c in self.maximal_common_lower(a, b)
+        )
 
     def __eq__(self, other):
         if not isinstance(other, Multifan):
@@ -215,78 +221,12 @@ def hypertoric_multifan(ambient_rank: int, vectors) -> Multifan:
     return multifan_validate(ambient_rank, cones, covers)
 
 
-def _maximal_pairs(mf: Multifan):
-    for a, b in combinations(mf.maximal_ids, 2):
-        shared = mf.maximal_common_lower(a, b)
-        if shared:
-            yield a, b, shared
-
-
 def mpp_validate(mf: Multifan, parts) -> PPElement:
     """Check a family over the maximal nodes on all shared lower nodes."""
-    want = set(mf.maximal_ids)
-    if set(parts) != want:
-        missing = sorted(want - set(parts))
-        extra = sorted(set(parts) - want)
-        raise FanMismatch(
-            f"part keys do not match maximal nodes (missing {missing}, extra {extra})"
-        )
-    for nid, poly in parts.items():
-        if not isinstance(poly, LocalPolynomial):
-            raise TypeError(f"part {nid} is not a LocalPolynomial")
-        if poly.lattice != mf.cone_of(nid).quotient:
-            raise LatticeMismatch(f"part {nid} is not in its node's quotient coordinates")
-    for a, b, shared in _maximal_pairs(mf):
-        for c in shared:
-            tau = mf.cone_of(c)
-            fa = restrict_to_face(parts[a], mf.cone_of(a), tau)
-            fb = restrict_to_face(parts[b], mf.cone_of(b), tau)
-            if fa != fb:
-                raise Incompatible(a, b, c, f"{fa!r} != {fb!r}")
+    check_parts(mf, parts)
     return PPElement(mf, parts)
 
 
 def mpp_basis(mf: Multifan, k: int) -> GradedBasis:
     """Canonical lattice basis of the degree-k piecewise polynomials."""
-    if k < 0:
-        raise ValueError("negative degree")
-    layout = []
-    offsets = {}
-    total = 0
-    for nid in mf.maximal_ids:
-        monos = monomials_of_degree(mf.cone_of(nid).quotient.rank, k)
-        offsets[nid] = total
-        layout.append((nid, monos))
-        total += len(monos)
-
-    rows = []
-    for a, b, shared in _maximal_pairs(mf):
-        for c in shared:
-            tau = mf.cone_of(c)
-            ra = degree_matrix(restriction_matrix(mf.cone_of(a), tau), k)
-            rb = degree_matrix(restriction_matrix(mf.cone_of(b), tau), k)
-            for r in range(ra.rows):
-                row = [0] * total
-                for col in range(ra.cols):
-                    row[offsets[a] + col] = ra[r, col]
-                for col in range(rb.cols):
-                    row[offsets[b] + col] = -rb[r, col]
-                rows.append(row)
-    kernel = kernel_lattice(IntMatrix(rows, cols=total))
-
-    elements = []
-    for i in range(kernel.rows):
-        vec = kernel.row(i)
-        parts = {}
-        for nid, monos in layout:
-            off = offsets[nid]
-            terms = {m: vec[off + t] for t, m in enumerate(monos)}
-            parts[nid] = LocalPolynomial(mf.cone_of(nid).quotient, terms)
-        elements.append(PPElement(mf, parts))
-    return GradedBasis(
-        degree=k,
-        elements=tuple(elements),
-        rank=kernel.rows,
-        coefficients=kernel,
-        layout=tuple(layout),
-    )
+    return piecewise_basis(mf, k)

@@ -251,18 +251,6 @@ class RationalLocalPolynomial(LocalPolynomial):
         raise TypeError(f"rational coefficient required, got {c!r}")
 
 
-def poly_add(f, g):
-    return f + g
-
-
-def poly_mul(f, g):
-    return f * g
-
-
-def poly_scale(c, f):
-    return f.scale(c)
-
-
 def character_class(lattice: QuotientCharacterLattice, u) -> LocalPolynomial:
     """The image of a global character u in Sym^1 of the quotient lattice."""
     return LocalPolynomial.linear_form(lattice, lattice.reduce(u))

@@ -6,11 +6,16 @@ polynomials on any two maximal cones restrict equally to their common
 face.  Checking all pairwise common faces is enough: restriction to a
 smaller face factors through any intermediate one.
 
-Graded pieces are computed exactly as integer kernel lattices.  Unknowns
-are the degree-k coefficients of all maximal cones in canonical monomial
-order; each shared face contributes rows (restriction from one side minus
+Fans, multifans and the wall graph of a complete fan all impose this
+condition over a list of incidences: ``parts`` pairs each part id with its
+cone, and each incidence ``(a, b, face id, face)`` asks parts a and b to
+restrict equally to the face.  One checker (:func:`check_parts`) tests a
+family of polynomials against such a list, and one assembler
+(:func:`constraint_matrix`) turns it into the integer system of degree k.
+Unknowns are the degree-k coefficients of all parts in canonical monomial
+order; each incidence contributes rows (restriction from one side minus
 restriction from the other), and the canonical kernel basis of that system
-is the basis of the degree-k piece.
+is the basis of the degree-k piece (:func:`piecewise_basis`).
 """
 
 from __future__ import annotations
@@ -33,8 +38,8 @@ from .polynomials import (
 class PPElement:
     """A piecewise polynomial: one local polynomial per maximal cone.
 
-    ``parts`` is keyed by the cone id strings of the container, which is a
-    Fan here (multifans reuse the same class with node ids as keys).
+    ``parts`` is keyed by the part ids of the container: cone id strings
+    of a Fan, or node ids of a Multifan.
     """
 
     __slots__ = ("fan", "parts")
@@ -60,35 +65,39 @@ class PPElement:
         return f"PPElement({inner})"
 
 
-def pp_validate(fan: Fan, parts) -> PPElement:
-    """Check compatibility on all shared faces and wrap into a PPElement.
+def check_parts(container, parts):
+    """Raise unless ``parts`` is a compatible family over the container.
 
-    ``parts`` maps each maximal cone id to a LocalPolynomial over that
-    cone's quotient lattice.  Missing or extra keys, wrong lattices, and
-    any failed restriction test raise.
+    ``container`` is a Fan or a Multifan; ``parts`` maps each of its part
+    ids to a LocalPolynomial over that part's quotient lattice.  Missing or
+    extra keys, wrong types or lattices, and the first incidence whose two
+    restrictions differ raise.
     """
-    want = {c.id_str: c for c in fan.maximal_cones}
+    want = dict(container.parts)
     got = set(parts)
     if got != set(want):
         missing = sorted(set(want) - got)
         extra = sorted(got - set(want))
         raise FanMismatch(f"part keys do not match maximal cones (missing {missing}, extra {extra})")
-    for cid, poly in parts.items():
+    for pid, poly in parts.items():
         if not isinstance(poly, LocalPolynomial):
-            raise TypeError(f"part {cid} is not a LocalPolynomial")
-        if poly.lattice != want[cid].quotient:
-            raise LatticeMismatch(f"part {cid} is not in the cone's quotient coordinates")
-    cones = fan.maximal_cones
-    for (i, j), tau in fan.pair_faces.items():
-        a = restrict_to_face(parts[cones[i].id_str], cones[i], tau)
-        b = restrict_to_face(parts[cones[j].id_str], cones[j], tau)
-        if a != b:
-            raise Incompatible(
-                cones[i].id_str,
-                cones[j].id_str,
-                tau.id_str,
-                f"{a!r} != {b!r}",
-            )
+            raise TypeError(f"part {pid} is not a LocalPolynomial")
+        if poly.lattice != want[pid].quotient:
+            raise LatticeMismatch(f"part {pid} is not in the cone's quotient coordinates")
+    for a, b, face, tau in container.incidences:
+        fa = restrict_to_face(parts[a], want[a], tau)
+        fb = restrict_to_face(parts[b], want[b], tau)
+        if fa != fb:
+            raise Incompatible(a, b, face, f"{fa!r} != {fb!r}")
+
+
+def pp_validate(fan: Fan, parts) -> PPElement:
+    """Check compatibility on all shared faces and wrap into a PPElement.
+
+    ``parts`` maps each maximal cone id to a LocalPolynomial over that
+    cone's quotient lattice; see :func:`check_parts` for what raises.
+    """
+    check_parts(fan, parts)
     return PPElement(fan, parts)
 
 
@@ -154,48 +163,63 @@ class GradedBasis:
         return in_row_lattice(self.coefficients, self.coefficient_vector(elem))
 
 
-def pp_basis(fan: Fan, k: int) -> GradedBasis:
-    """Canonical lattice basis of the degree-k piecewise polynomials."""
-    if k < 0:
-        raise ValueError("negative degree")
-    cones = fan.maximal_cones
+def constraint_matrix(parts, incidences, k: int):
+    """Layout and difference-of-restrictions matrix of the degree-k conditions.
+
+    Columns run over ``parts`` in order, one block of degree-k monomial
+    coefficients each; each incidence ``(a, b, face id, face)`` contributes
+    one block of rows, the restriction of part a to the face minus part b's.
+    Returns ``(layout, matrix)`` with ``layout`` as in GradedBasis.
+    """
+    cones = dict(parts)
     layout = []
-    offsets = []
+    offsets = {}
     total = 0
-    for c in cones:
-        monos = monomials_of_degree(c.quotient.rank, k)
-        offsets.append(total)
-        layout.append((c.id_str, monos))
+    for pid, cone in parts:
+        monos = monomials_of_degree(cone.quotient.rank, k)
+        offsets[pid] = total
+        layout.append((pid, monos))
         total += len(monos)
 
     rows = []
-    for (i, j), tau in fan.pair_faces.items():
-        ri = degree_matrix(restriction_matrix(cones[i], tau), k)
-        rj = degree_matrix(restriction_matrix(cones[j], tau), k)
-        for r in range(ri.rows):
+    for a, b, _, tau in incidences:
+        ra = degree_matrix(restriction_matrix(cones[a], tau), k)
+        rb = degree_matrix(restriction_matrix(cones[b], tau), k)
+        for r in range(ra.rows):
             row = [0] * total
-            for c in range(ri.cols):
-                row[offsets[i] + c] = ri[r, c]
-            for c in range(rj.cols):
-                row[offsets[j] + c] = -rj[r, c]
+            row[offsets[a] : offsets[a] + ra.cols] = ra.row(r)
+            row[offsets[b] : offsets[b] + rb.cols] = [-x for x in rb.row(r)]
             rows.append(row)
-    kernel = kernel_lattice(IntMatrix(rows, cols=total))
+    return tuple(layout), IntMatrix(rows, cols=total)
+
+
+def piecewise_basis(container, k: int) -> GradedBasis:
+    """Canonical lattice basis of the degree-k piece of a fan or multifan."""
+    if k < 0:
+        raise ValueError("negative degree")
+    layout, matrix = constraint_matrix(container.parts, container.incidences, k)
+    kernel = kernel_lattice(matrix)
 
     elements = []
     for b in range(kernel.rows):
-        vec = kernel.row(b)
-        parts = {}
-        for (cid, monos), off, cone in zip(layout, offsets, cones):
-            terms = {m: vec[off + t] for t, m in enumerate(monos)}
-            parts[cid] = LocalPolynomial(cone.quotient, terms)
-        elements.append(PPElement(fan, parts))
+        vec = iter(kernel.row(b))
+        parts = {
+            pid: LocalPolynomial(cone.quotient, {m: next(vec) for m in monos})
+            for (pid, monos), (_, cone) in zip(layout, container.parts)
+        }
+        elements.append(PPElement(container, parts))
     return GradedBasis(
         degree=k,
         elements=tuple(elements),
         rank=kernel.rows,
         coefficients=kernel,
-        layout=tuple(layout),
+        layout=layout,
     )
+
+
+def pp_basis(fan: Fan, k: int) -> GradedBasis:
+    """Canonical lattice basis of the degree-k piecewise polynomials."""
+    return piecewise_basis(fan, k)
 
 
 def pp_restrict_orbit(a: PPElement, sigma: Cone) -> LocalPolynomial:

@@ -119,7 +119,10 @@ def courant_function(fan: Fan, ray) -> CourantFunction:
     coordinates; elsewhere the function vanishes.
     """
     sr = SimplicialFanSR(fan)
-    r = primitive(tuple(ray))
+    ray = tuple(ray)
+    if not any(ray):
+        raise RayNotFound("the zero vector is not a ray of the fan")
+    r = primitive(ray)
     if r not in sr.ray_index:
         raise RayNotFound(f"{r!r} is not a ray of the fan")
     parts = {}

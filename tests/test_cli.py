@@ -171,6 +171,31 @@ def test_chern_incompatible_exits_1(tmp_path, capsys):
     assert "restrict differently" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "characters, message",
+    [
+        ([[0, 0], [1, 0]], "bundle rank is ambiguous"),
+        ([[1, 0, 0]], "has length 3, expected 2"),
+    ],
+)
+def test_chern_malformed_bundle_exits_3(tmp_path, capsys, characters, message):
+    bundle = tmp_path / "bundle.json"
+    bundle.write_text(
+        json.dumps(
+            {
+                "kind": "bundle",
+                "characters": {
+                    "-1,-1;0,1": [[0, 0]],
+                    "-1,-1;1,0": [[0, 0]],
+                    "0,1;1,0": characters,
+                },
+            }
+        )
+    )
+    assert main(["chern", fx("p2.fan.json"), str(bundle), "--index", "1"]) == 3
+    assert message in capsys.readouterr().err
+
+
 def test_courant_json(capsys):
     assert main(["courant", fx("diamond.fan.json"), "--ray", "1,1", "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -258,6 +283,24 @@ def test_subdivide_then_pullback_roundtrip(tmp_path, capsys):
 def test_subdivide_missing_target_exits_1(capsys):
     assert main(["subdivide", fx("p2.fan.json"), "--target", "9,9;1,0"]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (["hypertoric", "--rank", "2", "--vectors", "1,0;0,1,1"], 3, "does not have length 2"),
+        (["hypertoric", "--rank", "-1", "--vectors", "1,0"], 3, "nonnegative"),
+        (
+            ["subdivide", fx("p2.fan.json"), "--target", "0,1;1,0", "--point", "1,1,1"],
+            3,
+            "does not have length 2",
+        ),
+        (["courant", fx("diamond.fan.json"), "--ray", "0,0"], 1, "not a ray"),
+    ],
+)
+def test_bad_vector_arguments_exit_cleanly(capsys, argv, code, message):
+    assert main(argv) == code
+    assert message in capsys.readouterr().err
 
 
 def test_hypertoric_verb(capsys):

@@ -93,7 +93,7 @@ def test_multifan_from_fan_matches_fan_ring():
     fan = p2()
     mf = multifan_from_fan(fan)
     assert len(mf.node_ids) == 7  # zero cone, three rays, three cones
-    assert set(mf.maximal_ids) == set(fan.maximal_keys)
+    assert set(mf.maximal_ids) == {pid for pid, _ in fan.parts}
     for k in range(4):
         assert mpp_basis(mf, k).rank == pp_basis(fan, k).rank
 
