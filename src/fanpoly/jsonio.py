@@ -140,6 +140,8 @@ def multifan_from_json(doc) -> Multifan:
     for entry in covers:
         if not isinstance(entry, list) or len(entry) != 2:
             raise FormatError(f"cover {entry!r} is not a pair")
+        if not all(isinstance(nid, str) for nid in entry):
+            raise FormatError(f"cover {entry!r} must pair two node ids")
         pairs.append((entry[0], entry[1]))
     return multifan_validate(rank, cones, pairs)
 

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from operator import add
 
-from .cones import Cone, QuotientCharacterLattice, ambient_lattice, restriction_matrix
+from .cones import Cone, QuotientCharacterLattice, restriction_matrix
 from .errors import IndexOutOfRange, LatticeMismatch, NotAFace
 from .intlinalg import IntMatrix, dot
 
@@ -151,12 +152,7 @@ class LocalPolynomial:
         if not isinstance(other, LocalPolynomial):
             return NotImplemented
         self._check_same_lattice(other)
-        terms: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                terms[e] = terms.get(e, 0) + c1 * c2
-        return self._join(self, other)(self.lattice, terms)
+        return self._join(self, other)(self.lattice, _times(self.terms, other.terms.items()))
 
     def __pow__(self, k: int):
         if k < 0:
@@ -192,27 +188,19 @@ class LocalPolynomial:
 
         Column ``i`` of the matrix is the image of variable ``i`` in the
         target coordinates, so ``matrix`` has shape (target.rank, self rank).
+        Each homogeneous component of degree d maps by ``degree_matrix(matrix, d)``.
         """
         if matrix.shape != (target.rank, self.lattice.rank):
             raise ValueError(
                 f"substitution matrix {matrix.shape} does not map rank "
                 f"{self.lattice.rank} into rank {target.rank}"
             )
-        cls = type(self)
-        images = [
-            cls.linear_form(target, matrix.column(i)) for i in range(self.lattice.rank)
-        ]
-        powers: list[list] = [[cls.constant(target, 1)] for _ in images]
-        out = cls.zero(target)
-        for e, c in self.terms.items():
-            term = cls.constant(target, c)
-            for i, k in enumerate(e):
-                cache = powers[i]
-                while len(cache) <= k:
-                    cache.append(cache[-1] * images[i])
-                term = term * cache[k]
-            out = out + term
-        return out
+        terms = {}
+        for d in {sum(e) for e in self.terms}:
+            coeffs = [self.terms.get(e, 0) for e in monomials_of_degree(self.lattice.rank, d)]
+            image = degree_matrix(matrix, d).mul_vec(coeffs)
+            terms.update(zip(monomials_of_degree(target.rank, d), image))
+        return type(self)(target, terms)
 
     def to_rational(self) -> "RationalLocalPolynomial":
         return RationalLocalPolynomial(self.lattice, dict(self.terms))
@@ -312,23 +300,38 @@ def degree_matrix(matrix: IntMatrix, k: int) -> IntMatrix:
     ``matrix`` (t x s) sends variable i of the source to the linear form
     with coefficients in its column i.  The result has one column per
     source monomial of degree k and one row per target monomial, both in
-    the canonical monomial order.
+    the canonical monomial order.  Column e is the expansion of the
+    product of the columns' powers e_i, in exponent tuples and ints.
     """
     t, s = matrix.shape
     src = monomials_of_degree(s, k)
     tgt = monomials_of_degree(t, k)
-    target = _free_lattice(t)
-    source = _free_lattice(s)
+    units = monomials_of_degree(t, 1)
+    powers = []
+    for i in range(s):
+        linear = [(u, a) for u, a in zip(units, matrix.column(i)) if a]
+        column_powers = [{(0,) * t: 1}]
+        for _ in range(k):
+            column_powers.append(_times(column_powers[-1], linear))
+        powers.append(column_powers)
     cols = []
     for e in src:
-        poly = LocalPolynomial(source, {e: 1}).substitute(matrix, target)
-        cols.append([poly.coefficient(m) for m in tgt])
+        poly = {(0,) * t: 1}
+        for i, p in enumerate(e):
+            if p:
+                poly = _times(poly, powers[i][p].items())
+        cols.append([poly.get(m, 0) for m in tgt])
     return IntMatrix(
-        [[cols[j][i] for j in range(len(src))] for i in range(len(tgt))],
+        [[col[i] for col in cols] for i in range(len(tgt))],
         cols=len(src),
     )
 
 
-@lru_cache(maxsize=None)
-def _free_lattice(n: int) -> QuotientCharacterLattice:
-    return ambient_lattice(n)
+def _times(poly: dict, terms) -> dict:
+    """Product of an exponent-keyed polynomial with ``(exponent, coefficient)`` terms."""
+    out: dict = {}
+    for e1, c1 in poly.items():
+        for e2, c2 in terms:
+            e = tuple(map(add, e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return out

@@ -181,10 +181,18 @@ def constraint_matrix(parts, incidences, k: int):
         layout.append((pid, monos))
         total += len(monos)
 
+    sym = {}  # Sym^k of each distinct restriction matrix, computed once per call
+
+    def restricted(pid, tau):
+        r = restriction_matrix(cones[pid], tau)
+        if r not in sym:
+            sym[r] = degree_matrix(r, k)
+        return sym[r]
+
     rows = []
     for a, b, _, tau in incidences:
-        ra = degree_matrix(restriction_matrix(cones[a], tau), k)
-        rb = degree_matrix(restriction_matrix(cones[b], tau), k)
+        ra = restricted(a, tau)
+        rb = restricted(b, tau)
         for r in range(ra.rows):
             row = [0] * total
             row[offsets[a] : offsets[a] + ra.cols] = ra.row(r)

@@ -12,16 +12,19 @@ behaviour:
   ambient monomial count.
 
 Each block is the degree-k restriction matrix of the first side minus the
-second side's.
+second side's, with Sym^k taken from the frozen expansion in
+``reference_polynomials``.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 
+from reference_polynomials import reference_degree_matrix
+
 from fanpoly.cones import restriction_matrix
 from fanpoly.intlinalg import IntMatrix
-from fanpoly.polynomials import degree_matrix, monomials_of_degree
+from fanpoly.polynomials import monomials_of_degree
 
 
 def reference_fan_system(fan, k):
@@ -38,8 +41,8 @@ def reference_fan_system(fan, k):
 
     rows = []
     for (i, j), tau in fan.pair_faces.items():
-        ri = degree_matrix(restriction_matrix(cones[i], tau), k)
-        rj = degree_matrix(restriction_matrix(cones[j], tau), k)
+        ri = reference_degree_matrix(restriction_matrix(cones[i], tau), k)
+        rj = reference_degree_matrix(restriction_matrix(cones[j], tau), k)
         for r in range(ri.rows):
             row = [0] * total
             for c in range(ri.cols):
@@ -73,8 +76,8 @@ def reference_multifan_system(mf, k):
     for a, b, shared in reference_maximal_pairs(mf):
         for c in shared:
             tau = mf.cone_of(c)
-            ra = degree_matrix(restriction_matrix(mf.cone_of(a), tau), k)
-            rb = degree_matrix(restriction_matrix(mf.cone_of(b), tau), k)
+            ra = reference_degree_matrix(restriction_matrix(mf.cone_of(a), tau), k)
+            rb = reference_degree_matrix(restriction_matrix(mf.cone_of(b), tau), k)
             for r in range(ra.rows):
                 row = [0] * total
                 for col in range(ra.cols):
@@ -93,8 +96,8 @@ def reference_beta_system(graph, k):
     total = width * len(cones)
     rows = []
     for tau, i, j in graph.edges:
-        ri = degree_matrix(restriction_matrix(cones[i], tau), k)
-        rj = degree_matrix(restriction_matrix(cones[j], tau), k)
+        ri = reference_degree_matrix(restriction_matrix(cones[i], tau), k)
+        rj = reference_degree_matrix(restriction_matrix(cones[j], tau), k)
         for r in range(ri.rows):
             row = [0] * total
             for c in range(width):

@@ -87,6 +87,19 @@ def test_malformed_cone_document_exits_3(tmp_path, capsys, doc, message):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("cover", [["x", [[1, 0]]], [{}, "top"]])
+@pytest.mark.parametrize("verb", [["validate"], ["mpp-basis", "--degree", "1"]])
+def test_cover_with_non_string_node_exits_3(tmp_path, capsys, cover, verb):
+    doc = json.loads(Path(fx("doubled_cone.multifan.json")).read_text())
+    doc["covers"][0] = cover
+    f = tmp_path / "bad.json"
+    f.write_text(json.dumps(doc))
+    assert main([verb[0], str(f), *verb[1:]]) == 3
+    err = capsys.readouterr().err
+    assert "must pair two node ids" in err
+    assert "Traceback" not in err
+
+
 def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-verb"])
