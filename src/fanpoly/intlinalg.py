@@ -63,11 +63,7 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)], cols=n)
-
-    @classmethod
-    def zero(cls, m: int, n: int) -> "IntMatrix":
-        return cls([[0] * n for _ in range(m)], cols=n)
+        return cls(_identity_rows(n), cols=n)
 
     def row(self, i: int):
         return self.entries[i]
@@ -96,9 +92,6 @@ class IntMatrix:
             cols=other.cols,
         )
 
-    def __neg__(self) -> "IntMatrix":
-        return IntMatrix([[-x for x in r] for r in self.entries], cols=self.cols)
-
     def mul_vec(self, v):
         """Matrix times column vector, returned as a tuple."""
         if len(v) != self.cols:
@@ -111,9 +104,6 @@ class IntMatrix:
 
     def tolist(self):
         return [list(r) for r in self.entries]
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for r in self.entries for x in r)
 
     def det(self) -> int:
         """Determinant by the Bareiss fraction-free algorithm."""
@@ -154,48 +144,28 @@ class IntMatrix:
         return f"IntMatrix({self.tolist()!r}, cols={self.cols})"
 
 
-def vstack(blocks, cols: int | None = None) -> IntMatrix:
-    """Stack matrices vertically.  ``cols`` is needed when ``blocks`` is empty."""
-    rows = []
-    width = cols
-    for b in blocks:
-        if width is None:
-            width = b.cols
-        elif b.cols != width:
-            raise ValueError("column count mismatch in vstack")
-        rows.extend(b.entries)
-    if width is None:
-        raise ValueError("vstack of no blocks needs an explicit column count")
-    return IntMatrix(rows, cols=width)
-
-
 def _row_sub(m, i, j, q):
-    """m[i] -= q * m[j] in place."""
-    mi, mj = m[i], m[j]
-    for c in range(len(mi)):
-        mi[c] -= q * mj[c]
+    """m[i] -= q * m[j]."""
+    m[i] = [x - q * y for x, y in zip(m[i], m[j])]
 
 
 def _row_neg(m, i):
     m[i] = [-x for x in m[i]]
 
 
-def hnf(a: IntMatrix):
-    """Row-style Hermite normal form.
+def _echelon(w, n: int) -> int:
+    """Put the first ``n`` columns of the rows ``w`` in Hermite form, in place.
 
-    Returns ``(H, U)`` with ``U`` unimodular and ``U * A = H``.  ``H`` is in
-    echelon form with positive pivots, every entry above a pivot reduced into
-    ``[0, pivot)``, and zero rows collected at the bottom.  The nonzero rows
-    of ``H`` are the canonical basis of the row lattice of ``A``.
+    Every operation acts on whole rows, so columns past ``n`` (a transform
+    started at the identity) are carried along.  Returns the rank; the rows
+    from the rank down are zero in the first ``n`` columns.
 
     Columns are processed left to right.  Within a column the remaining row
     with the smallest nonzero absolute value is swapped up and the others are
     reduced modulo it until the column is clear; this is just the Euclidean
     algorithm run on the column, so it terminates.
     """
-    m, n = a.rows, a.cols
-    w = [list(r) for r in a.entries]
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    m = len(w)
     r = 0
     for c in range(n):
         if r == m:
@@ -209,16 +179,12 @@ def hnf(a: IntMatrix):
             )
             if i0 != r:
                 w[r], w[i0] = w[i0], w[r]
-                u[r], u[i0] = u[i0], u[r]
             if w[r][c] < 0:
                 _row_neg(w, r)
-                _row_neg(u, r)
             clear = True
             for i in range(r + 1, m):
                 if w[i][c] != 0:
-                    q = w[i][c] // w[r][c]
-                    _row_sub(w, i, r, q)
-                    _row_sub(u, i, r, q)
+                    _row_sub(w, i, r, w[i][c] // w[r][c])
                     if w[i][c] != 0:
                         clear = False
             if clear:
@@ -227,16 +193,34 @@ def hnf(a: IntMatrix):
             q = w[i][c] // w[r][c]
             if q:
                 _row_sub(w, i, r, q)
-                _row_sub(u, i, r, q)
         r += 1
-    return IntMatrix(w, cols=n), IntMatrix(u, cols=m)
+    return r
+
+
+def _identity_rows(m: int):
+    return [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+
+
+def hnf(a: IntMatrix):
+    """Row-style Hermite normal form.
+
+    Returns ``(H, U)`` with ``U`` unimodular and ``U * A = H``.  ``H`` is in
+    echelon form with positive pivots, every entry above a pivot reduced into
+    ``[0, pivot)``, and zero rows collected at the bottom.  The nonzero rows
+    of ``H`` are the canonical basis of the row lattice of ``A``.  ``U`` is
+    read off the identity columns carried through the elimination of
+    ``[A | I]``.
+    """
+    m, n = a.rows, a.cols
+    w = [[*r, *e] for r, e in zip(a.entries, _identity_rows(m))]
+    _echelon(w, n)
+    return IntMatrix((r[:n] for r in w), cols=n), IntMatrix((r[n:] for r in w), cols=m)
 
 
 def hnf_basis(a: IntMatrix) -> IntMatrix:
     """Canonical basis of the row lattice of ``a``: nonzero rows of its HNF."""
-    h, _ = hnf(a)
-    keep = [r for r in h.entries if any(x != 0 for x in r)]
-    return IntMatrix(keep, cols=a.cols)
+    w = [list(r) for r in a.entries]
+    return IntMatrix(w[: _echelon(w, a.cols)], cols=a.cols)
 
 
 @dataclass(frozen=True)
@@ -268,18 +252,21 @@ def snf(a: IntMatrix) -> SNFResult:
     are cleared, any entry of the remaining block not divisible by the pivot
     has its row added to the pivot row and the stage restarts; each restart
     strictly shrinks the pivot, so the loop terminates.
+
+    The work rows are ``[A | I_m]`` followed by the rows of ``I_n``: row
+    operations touch the first ``m`` rows whole, so they carry ``U`` in the
+    columns past ``n``, and column operations touch every row, so they carry
+    ``V`` in the rows past ``m``.
     """
     m, n = a.rows, a.cols
-    s = [list(r) for r in a.entries]
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    w = [[*r, *e] for r, e in zip(a.entries, _identity_rows(m))] + _identity_rows(n)
 
-    def col_sub(mat, j, t, q):
-        for row in mat:
+    def col_sub(j, t, q):
+        for row in w:
             row[j] -= q * row[t]
 
-    def col_swap(mat, j, t):
-        for row in mat:
+    def col_swap(j, t):
+        for row in w:
             row[j], row[t] = row[t], row[j]
 
     t = 0
@@ -288,45 +275,36 @@ def snf(a: IntMatrix) -> SNFResult:
         best = None
         for i in range(t, m):
             for j in range(t, n):
-                x = s[i][j]
+                x = w[i][j]
                 if x != 0 and (best is None or abs(x) < abs(best[2])):
                     best = (i, j, x)
         if best is None:
             break
         i0, j0, _ = best
         if i0 != t:
-            s[t], s[i0] = s[i0], s[t]
-            u[t], u[i0] = u[i0], u[t]
+            w[t], w[i0] = w[i0], w[t]
         if j0 != t:
-            col_swap(s, j0, t)
-            col_swap(v, j0, t)
+            col_swap(j0, t)
         while True:
-            if s[t][t] < 0:
-                _row_neg(s, t)
-                _row_neg(u, t)
-            p = s[t][t]
+            if w[t][t] < 0:
+                _row_neg(w, t)
+            p = w[t][t]
             restart = False
             for i in range(m):
-                if i != t and s[i][t] != 0:
-                    q = s[i][t] // p
-                    _row_sub(s, i, t, q)
-                    _row_sub(u, i, t, q)
-                    if s[i][t] != 0:
+                if i != t and w[i][t] != 0:
+                    _row_sub(w, i, t, w[i][t] // p)
+                    if w[i][t] != 0:
                         # remainder is a smaller pivot candidate
-                        s[t], s[i] = s[i], s[t]
-                        u[t], u[i] = u[i], u[t]
+                        w[t], w[i] = w[i], w[t]
                         restart = True
                         break
             if restart:
                 continue
             for j in range(n):
-                if j != t and s[t][j] != 0:
-                    q = s[t][j] // p
-                    col_sub(s, j, t, q)
-                    col_sub(v, j, t, q)
-                    if s[t][j] != 0:
-                        col_swap(s, j, t)
-                        col_swap(v, j, t)
+                if j != t and w[t][j] != 0:
+                    col_sub(j, t, w[t][j] // p)
+                    if w[t][j] != 0:
+                        col_swap(j, t)
                         restart = True
                         break
             if restart:
@@ -334,21 +312,24 @@ def snf(a: IntMatrix) -> SNFResult:
             offender = None
             for i in range(t + 1, m):
                 for j in range(t + 1, n):
-                    if s[i][j] % p != 0:
+                    if w[i][j] % p != 0:
                         offender = i
                         break
                 if offender is not None:
                     break
             if offender is None:
                 break
-            _row_sub(s, t, offender, -1)
-            _row_sub(u, t, offender, -1)
+            _row_sub(w, t, offender, -1)
         t += 1
-    return SNFResult(IntMatrix(u, cols=m), IntMatrix(s, cols=n), IntMatrix(v, cols=n))
+    return SNFResult(
+        IntMatrix((r[n:] for r in w[:m]), cols=m),
+        IntMatrix((r[:n] for r in w[:m]), cols=n),
+        IntMatrix(w[m:], cols=n),
+    )
 
 
 def rank(a: IntMatrix) -> int:
-    return hnf_basis(a).rows
+    return _echelon([list(r) for r in a.entries], a.cols)
 
 
 def kernel_lattice(a: IntMatrix) -> IntMatrix:
@@ -375,47 +356,53 @@ def saturate(basis: IntMatrix) -> IntMatrix:
     return kernel_lattice(kernel_lattice(basis))
 
 
+def _divide(basis, v):
+    """Coefficients of ``v`` on the echelon rows ``basis``, or None.
+
+    ``v`` is reduced against the rows top-down; each pivot must divide the
+    current coordinate exactly, and ``v`` must reduce to zero.
+    """
+    w = v
+    y = []
+    for row in basis:
+        j = next(c for c, x in enumerate(row) if x)
+        q, r = divmod(w[j], row[j])
+        if r:
+            return None
+        if q:
+            w = [x - q * z for x, z in zip(w, row)]
+        y.append(q)
+    return None if any(w) else y
+
+
 def in_row_lattice(basis: IntMatrix, v) -> bool:
     """Is ``v`` an integer combination of the rows of ``basis``?"""
-    return solve_left(basis, IntMatrix([v], cols=basis.cols)) is not None
+    (row,) = IntMatrix([v], cols=basis.cols).entries  # checks length and entry types
+    return _divide(hnf_basis(basis).entries, row) is not None
 
 
 def solve_left(a: IntMatrix, b: IntMatrix):
     """Solve ``X * A = B`` over the integers.
 
     Returns ``X`` (``b.rows x a.rows``) or ``None`` if some row of ``B`` is
-    not in the row lattice of ``A``.  Rows of ``B`` are reduced against the
-    Hermite form top-down; each pivot must divide the current coordinate
-    exactly, and the transformation matrix converts the quotients back to
-    coefficients on the original rows.
+    not in the row lattice of ``A``.  Rows of ``B`` are divided by the
+    nonzero rows of the Hermite form, and the transformation matrix converts
+    the quotients back to coefficients on the original rows.
     """
     if a.cols != b.cols:
         raise ValueError("column count mismatch in solve_left")
     h, u = hnf(a)
-    pivots = []
-    for i in range(h.rows):
-        row = h.row(i)
-        j = next((c for c in range(h.cols) if row[c] != 0), None)
-        if j is None:
-            break
-        pivots.append((i, j))
+    basis = [r for r in h.entries if any(r)]
     xs = []
     for brow in b.entries:
-        w = list(brow)
-        y = [0] * a.rows
-        for i, j in pivots:
-            p = h[i, j]
-            q, r = divmod(w[j], p)
-            if r != 0:
-                return None
-            if q:
-                hrow = h.row(i)
-                for c in range(len(w)):
-                    w[c] -= q * hrow[c]
-                y[i] = q
-        if any(x != 0 for x in w):
+        y = _divide(basis, brow)
+        if y is None:
             return None
-        xs.append(tuple(dot(y, u.column(j)) for j in range(u.cols)))
+        x = [0] * a.rows
+        for q, urow in zip(y, u.entries):
+            if q:
+                x = [s + q * t for s, t in zip(x, urow)]
+        xs.append(x)
     return IntMatrix(xs, cols=a.rows)
 
 

@@ -146,16 +146,6 @@ def multifan_from_json(doc) -> Multifan:
     return multifan_validate(rank, cones, pairs)
 
 
-def container_from_json(doc):
-    """A fan or a multifan, dispatched on the document kind."""
-    if isinstance(doc, dict) and doc.get("kind") == "fan":
-        return fan_from_json(doc)
-    if isinstance(doc, dict) and doc.get("kind") == "multifan":
-        return multifan_from_json(doc)
-    kind = doc.get("kind") if isinstance(doc, dict) else None
-    raise FormatError(f"expected a fan or multifan document, got kind {kind!r}")
-
-
 # ------------------------------------------------------------- bundles
 
 

@@ -188,18 +188,21 @@ class LocalPolynomial:
 
         Column ``i`` of the matrix is the image of variable ``i`` in the
         target coordinates, so ``matrix`` has shape (target.rank, self rank).
-        Each homogeneous component of degree d maps by ``degree_matrix(matrix, d)``.
+        Each term maps as its column of ``degree_matrix`` would, but only the
+        polynomial's own terms are expanded, so a sparse high-degree
+        polynomial costs what its terms cost.
         """
         if matrix.shape != (target.rank, self.lattice.rank):
             raise ValueError(
                 f"substitution matrix {matrix.shape} does not map rank "
                 f"{self.lattice.rank} into rank {target.rank}"
             )
-        terms = {}
-        for d in {sum(e) for e in self.terms}:
-            coeffs = [self.terms.get(e, 0) for e in monomials_of_degree(self.lattice.rank, d)]
-            image = degree_matrix(matrix, d).mul_vec(coeffs)
-            terms.update(zip(monomials_of_degree(target.rank, d), image))
+        tops = [max((e[i] for e in self.terms), default=0) for i in range(self.lattice.rank)]
+        powers = _column_powers(matrix, tops)
+        terms: dict = {}
+        for e, c in self.terms.items():
+            for m, a in _monomial_image(powers, e, target.rank).items():
+                terms[m] = terms.get(m, 0) + c * a
         return type(self)(target, terms)
 
     def to_rational(self) -> "RationalLocalPolynomial":
@@ -306,25 +309,38 @@ def degree_matrix(matrix: IntMatrix, k: int) -> IntMatrix:
     t, s = matrix.shape
     src = monomials_of_degree(s, k)
     tgt = monomials_of_degree(t, k)
-    units = monomials_of_degree(t, 1)
-    powers = []
-    for i in range(s):
-        linear = [(u, a) for u, a in zip(units, matrix.column(i)) if a]
-        column_powers = [{(0,) * t: 1}]
-        for _ in range(k):
-            column_powers.append(_times(column_powers[-1], linear))
-        powers.append(column_powers)
+    powers = _column_powers(matrix, [k] * s)
     cols = []
     for e in src:
-        poly = {(0,) * t: 1}
-        for i, p in enumerate(e):
-            if p:
-                poly = _times(poly, powers[i][p].items())
+        poly = _monomial_image(powers, e, t)
         cols.append([poly.get(m, 0) for m in tgt])
     return IntMatrix(
         [[col[i] for col in cols] for i in range(len(tgt))],
         cols=len(src),
     )
+
+
+def _column_powers(matrix: IntMatrix, tops):
+    """Powers 0..tops[i] of each column's linear form, as exponent-keyed dicts."""
+    t = matrix.rows
+    units = monomials_of_degree(t, 1)
+    powers = []
+    for i, top in enumerate(tops):
+        linear = [(u, a) for u, a in zip(units, matrix.column(i)) if a]
+        column_powers = [{(0,) * t: 1}]
+        for _ in range(top):
+            column_powers.append(_times(column_powers[-1], linear))
+        powers.append(column_powers)
+    return powers
+
+
+def _monomial_image(powers, e, t: int) -> dict:
+    """Image of the monomial ``e``: the product of the column powers ``e_i``."""
+    poly = {(0,) * t: 1}
+    for i, p in enumerate(e):
+        if p:
+            poly = _times(poly, powers[i][p].items())
+    return poly
 
 
 def _times(poly: dict, terms) -> dict:

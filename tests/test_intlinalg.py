@@ -26,7 +26,6 @@ from fanpoly.intlinalg import (
     snf,
     solve_left,
     unimodular_inverse,
-    vstack,
 )
 
 
@@ -332,8 +331,5 @@ def test_primitive():
         primitive((0, 0))
 
 
-def test_vstack_and_dot():
-    a = vstack([IntMatrix([[1, 2]]), IntMatrix([], cols=2), IntMatrix([[3, 4]])])
-    assert a.tolist() == [[1, 2], [3, 4]]
-    assert vstack([], cols=4).shape == (0, 4)
+def test_dot():
     assert dot((1, 2), (3, 4)) == 11

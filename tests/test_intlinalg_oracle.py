@@ -1,0 +1,130 @@
+"""The elimination loop against the frozen normal forms.
+
+``hnf``, ``hnf_basis``, ``snf``, ``kernel_lattice``, ``solve_left`` and
+``in_row_lattice`` are computed both by ``fanpoly.intlinalg`` and by the
+frozen copies in ``reference_intlinalg``, and must agree bit for bit: the
+same H and U, the same S, U and V, the same kernel basis, the same X or
+None, the same membership verdict.  Inputs are seeded matrices of every
+shape m x n with m, n in 0..7: entries in -9..9, some entries of about
+40 bits, zero rows and columns, rank-deficient products, and products
+with random unimodular matrices on either side.
+"""
+
+import random
+
+import pytest
+from reference_intlinalg import (
+    reference_hnf,
+    reference_hnf_basis,
+    reference_in_row_lattice,
+    reference_kernel_lattice,
+    reference_snf,
+    reference_solve_left,
+)
+
+from fanpoly.intlinalg import (
+    IntMatrix,
+    hnf,
+    hnf_basis,
+    in_row_lattice,
+    kernel_lattice,
+    snf,
+    solve_left,
+)
+
+BIG = 1 << 40
+
+
+def random_entries(rng, m, n, lo=-9, hi=9):
+    return IntMatrix([[rng.randint(lo, hi) for _ in range(n)] for _ in range(m)], cols=n)
+
+
+def random_unimodular(rng, n, steps=10):
+    """Product of random elementary row operations applied to the identity."""
+    u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    for _ in range(steps):
+        i, j = rng.randrange(n), rng.randrange(n)
+        op = rng.randrange(3)
+        if op == 0 and i != j:
+            q = rng.randint(-3, 3)
+            u[i] = [a + q * b for a, b in zip(u[i], u[j])]
+        elif op == 1:
+            u[i], u[j] = u[j], u[i]
+        else:
+            u[i] = [-a for a in u[i]]
+    return IntMatrix(u, cols=n)
+
+
+def sample_matrices(rng, m, n):
+    """Small, wide-entry, zero-padded, rank-deficient and unimodular-image matrices."""
+    yield random_entries(rng, m, n)
+    yield IntMatrix(
+        [[rng.randint(-BIG, BIG) if rng.random() < 0.3 else rng.randint(-9, 9)
+          for _ in range(n)] for _ in range(m)],
+        cols=n,
+    )
+    zero_rows = {i for i in range(m) if rng.random() < 0.3}
+    zero_cols = {j for j in range(n) if rng.random() < 0.3}
+    yield IntMatrix(
+        [[0 if i in zero_rows or j in zero_cols else rng.randint(-9, 9) for j in range(n)]
+         for i in range(m)],
+        cols=n,
+    )
+    r = rng.randint(0, max(0, min(m, n) - 1))
+    yield random_entries(rng, m, r, -3, 3) * random_entries(rng, r, n, -3, 3)
+    a = random_entries(rng, m, n, -4, 4)
+    if m:
+        yield random_unimodular(rng, m) * a
+    if n:
+        yield a * random_unimodular(rng, n).transpose()
+
+
+def right_hand_sides(rng, a):
+    """Rows in the lattice of ``a``, then the same rows nudged off it."""
+    coeffs = random_entries(rng, 2, a.rows, -3, 3)
+    b = coeffs * a
+    yield b
+    if a.cols:
+        nudged = [list(row) for row in b.entries]
+        nudged[rng.randrange(2)][rng.randrange(a.cols)] += rng.choice((1, 2, 3))
+        yield IntMatrix(nudged, cols=a.cols)
+
+
+SHAPES = [(m, n) for m in range(8) for n in range(8)]
+
+
+@pytest.mark.parametrize("m,n", SHAPES)
+def test_normal_forms_match_frozen_copies(m, n):
+    rng = random.Random(5000 + 10 * m + n)
+    for a in sample_matrices(rng, m, n):
+        assert hnf(a) == reference_hnf(a), a
+        assert hnf_basis(a) == reference_hnf_basis(a), a
+        assert snf(a) == reference_snf(a), a
+        assert kernel_lattice(a) == reference_kernel_lattice(a), a
+
+
+@pytest.mark.parametrize("m,n", SHAPES)
+def test_solutions_match_frozen_copies(m, n):
+    rng = random.Random(6000 + 10 * m + n)
+    for a in sample_matrices(rng, m, n):
+        for b in right_hand_sides(rng, a):
+            assert solve_left(a, b) == reference_solve_left(a, b), (a, b)
+            for row in b.entries:
+                assert in_row_lattice(a, row) == reference_in_row_lattice(a, row), (a, row)
+
+
+@pytest.mark.parametrize(
+    "name,args",
+    [
+        ("in_row_lattice", (IntMatrix([[1, 2], [3, 4]]), [1, 2, 3])),
+        ("in_row_lattice", (IntMatrix([[1, 2], [3, 4]]), [1, 2.0])),
+        ("solve_left", (IntMatrix([[1, 2], [3, 4]]), IntMatrix([[1, 2, 3]]))),
+    ],
+)
+def test_bad_inputs_raise_as_in_frozen_copies(name, args):
+    errors = []
+    for f in (globals()[name], globals()["reference_" + name]):
+        with pytest.raises((TypeError, ValueError)) as exc:
+            f(*args)
+        errors.append((type(exc.value), str(exc.value)))
+    assert errors[0] == errors[1]

@@ -9,7 +9,6 @@ from fanpoly.fixtures import diamond, doubled_cone, hypertoric_3lines, p2, p2_bl
 from fanpoly.jsonio import (
     bundle_characters_from_json,
     bundle_to_json,
-    container_from_json,
     fan_from_json,
     fan_to_json,
     multifan_from_json,
@@ -41,15 +40,6 @@ def test_multifan_roundtrip():
         back = multifan_from_json(doc)
         assert back == mf
         assert back.maximal_ids == mf.maximal_ids
-
-
-def test_container_dispatch():
-    fan = p2()
-    assert container_from_json(fan_to_json(fan)) == fan
-    with pytest.raises(FormatError):
-        container_from_json({"kind": "widget"})
-    with pytest.raises(FormatError):
-        container_from_json([1, 2])
 
 
 def test_bool_is_not_an_int():

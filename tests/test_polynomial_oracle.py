@@ -6,7 +6,8 @@
 entries, and the same class, lattice, term order and coefficient types.
 Inputs are seeded random integer matrices of every shape t x s with
 t, s in 0..4 (negative entries and zero columns included) at k = 0..5,
-and mixed-degree integer and rational polynomials.
+mixed-degree integer and rational polynomials, and single terms of
+degree up to 24.
 """
 
 import random
@@ -73,6 +74,22 @@ def test_substitute_matches_frozen_expansion(cls):
         matrix = random_matrix(rng, t, s)
         target = ambient_lattice(t)
         assert same_polynomial(f.substitute(matrix, target), reference_substitute(f, matrix, target))
+
+
+@pytest.mark.parametrize("cls", [LocalPolynomial, RationalLocalPolynomial])
+def test_sparse_high_degree_substitute_matches_frozen_expansion(cls):
+    """Single terms of degree 0..24: only the term itself may be expanded."""
+    rng = random.Random(79 if cls is LocalPolynomial else 80)
+    for d in range(25):
+        for _ in range(2):
+            t, s = rng.randint(0, 3), rng.randint(1, 3)
+            c = rng.choice((-3, -1, 1, 2))
+            if cls is RationalLocalPolynomial:
+                c = Fraction(c, rng.choice((1, 2, 5)))
+            f = cls(ambient_lattice(s), {rng.choice(monomials_of_degree(s, d)): c})
+            matrix = random_matrix(rng, t, s)
+            target = ambient_lattice(t)
+            assert same_polynomial(f.substitute(matrix, target), reference_substitute(f, matrix, target))
 
 
 def test_substitute_shape_check_matches_frozen_expansion():
