@@ -35,7 +35,7 @@ from .errors import (
 )
 from .intlinalg import IntMatrix, hnf, hnf_basis, kernel_lattice, snf
 from .cones import Cone, QuotientCharacterLattice, restriction_matrix
-from .fans import Fan, SubdivisionMap, fan_from_maximal_cones, star_subdivision
+from .fans import Fan, SubdivisionMap, star_subdivision
 from .polynomials import LocalPolynomial, RationalLocalPolynomial, monomials_of_degree
 from .ppring import (
     GradedBasis,
@@ -115,7 +115,6 @@ __all__ = [
     "chern_class",
     "courant_function",
     "courant_span_rank",
-    "fan_from_maximal_cones",
     "gkm_compare",
     "gkm_graph",
     "gkm_kernel_basis",

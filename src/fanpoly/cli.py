@@ -353,10 +353,7 @@ def main(argv=None) -> int:
 
     try:
         report = _HANDLERS[args.verb](args)
-    except FormatError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
-    except OSError as e:
+    except (FormatError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
     except FanPolyError as e:

@@ -1,4 +1,4 @@
-"""Fans of pointed cones, star subdivisions, and star fans.
+"""Fans of pointed cones and star subdivisions.
 
 A fan stores its maximal cones in a canonical order (lexicographic on the
 generator tuples) together with a face index mapping every face of every
@@ -20,13 +20,7 @@ from .errors import (
     PointNotInterior,
     TargetNotInFan,
 )
-from .intlinalg import (
-    IntMatrix,
-    complement_projection,
-    dot,
-    primitive,
-    saturate,
-)
+from .intlinalg import dot, primitive
 
 
 class Fan:
@@ -96,16 +90,6 @@ class Fan:
                 return f
         raise ConeNotInFan(f"no cone with id {id_str!r} in the fan")
 
-    def incident_maximal(self, cone: Cone):
-        """Indices of the maximal cones having the given cone as a face."""
-        entry = self.face_index.get(cone.key)
-        if entry is None:
-            raise TargetNotInFan(f"cone {cone.id_str} is not in the fan")
-        return entry[1]
-
-    def cones_of_dim(self, d: int):
-        return tuple(f for f, _ in self.face_index.values() if f.dim == d)
-
     def __eq__(self, other):
         if not isinstance(other, Fan):
             return NotImplemented
@@ -120,10 +104,6 @@ class Fan:
 
     def __repr__(self):
         return f"Fan({self.ambient_rank}, {len(self.maximal_cones)} maximal cones)"
-
-
-def fan_from_maximal_cones(ambient_rank: int, maximal_cones) -> Fan:
-    return Fan(ambient_rank, maximal_cones)
 
 
 def is_complete(fan: Fan) -> bool:
@@ -261,26 +241,3 @@ def star_subdivision(fan: Fan, target: Cone, point=None):
     refined = Fan(fan.ambient_rank, seen.values())
     return refined, SubdivisionMap(refined, fan)
 
-
-def star_fan(fan: Fan, tau: Cone) -> Fan:
-    """The fan of the star of tau, in the quotient of N by tau's span.
-
-    Maximal cones are the images of the maximal cones containing tau under
-    the projection N -> N / (span(tau) cap N).
-    """
-    entry = fan.face_index.get(tau.key)
-    if entry is None:
-        raise TargetNotInFan(f"cone {tau.id_str} is not in the fan")
-    tau = entry[0]
-    n = fan.ambient_rank
-    n_tau = saturate(IntMatrix(tau.generators, cols=n))
-    q, _ = complement_projection(n_tau)
-    quotient_rank = n - n_tau.rows
-    projected = {}
-    for i in entry[1]:
-        sigma = fan.maximal_cones[i]
-        images = [q.mul_vec(g) for g in sigma.generators]
-        gens = [v for v in images if any(x != 0 for x in v)]
-        c = Cone(quotient_rank, gens)
-        projected.setdefault(c.key, c)
-    return Fan(quotient_rank, projected.values())

@@ -36,14 +36,6 @@ class GKMGraph:
     fan: Fan
     edges: tuple
 
-    def degrees(self):
-        """Number of walls on each maximal cone, in cone order."""
-        out = [0] * len(self.fan.maximal_cones)
-        for _, i, j in self.edges:
-            out[i] += 1
-            out[j] += 1
-        return out
-
 
 def gkm_graph(fan: Fan) -> GKMGraph:
     if not is_complete(fan):

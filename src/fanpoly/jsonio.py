@@ -149,15 +149,6 @@ def multifan_from_json(doc) -> Multifan:
 # ------------------------------------------------------------- bundles
 
 
-def bundle_to_json(characters: dict) -> dict:
-    return {
-        "kind": "bundle",
-        "characters": {
-            cid: [list(u) for u in multiset] for cid, multiset in characters.items()
-        },
-    }
-
-
 def bundle_characters_from_json(doc) -> dict:
     _expect_kind(doc, "bundle")
     raw = doc.get("characters")

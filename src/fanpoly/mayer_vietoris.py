@@ -58,10 +58,6 @@ class TorsionReport:
     torsion_summands: tuple
     parity_even: bool
 
-    @property
-    def has_torsion(self) -> bool:
-        return bool(self.torsion_summands)
-
 
 def h3_torsion(fan: Fan) -> TorsionReport:
     """Cokernel of the wall restriction map, as a torsion report.

@@ -45,9 +45,6 @@ class Multifan:
     def cone_of(self, node_id: str) -> Cone:
         return self.cones[node_id]
 
-    def leq(self, a: str, b: str) -> bool:
-        return a in self.lower[b]
-
     def maximal_common_lower(self, a: str, b: str):
         """Nodes below both a and b that are maximal among those."""
         shared = self.lower[a] & self.lower[b]

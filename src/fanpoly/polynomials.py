@@ -15,7 +15,7 @@ from functools import lru_cache
 from operator import add
 
 from .cones import Cone, QuotientCharacterLattice, restriction_matrix
-from .errors import IndexOutOfRange, LatticeMismatch, NotAFace
+from .errors import IndexOutOfRange, LatticeMismatch
 from .intlinalg import IntMatrix, dot
 
 
@@ -113,9 +113,6 @@ class LocalPolynomial:
 
     def is_homogeneous(self, k: int) -> bool:
         return all(sum(e) == k for e in self.terms)
-
-    def homogeneous_component(self, k: int):
-        return type(self)(self.lattice, {e: c for e, c in self.terms.items() if sum(e) == k})
 
     def coefficient(self, exp):
         return self.terms.get(tuple(exp), 0)
@@ -251,8 +248,6 @@ def restrict_to_face(f: LocalPolynomial, sigma: Cone, tau: Cone):
     """Restriction Sym M_sigma -> Sym M_tau along a face inclusion."""
     if f.lattice != sigma.quotient:
         raise LatticeMismatch("polynomial does not live on the given cone")
-    if not tau.is_face_of(sigma):
-        raise NotAFace(f"{tau!r} is not a face of {sigma!r}")
     return f.substitute(restriction_matrix(sigma, tau), tau.quotient)
 
 

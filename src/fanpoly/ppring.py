@@ -121,11 +121,6 @@ def pp_add(a: PPElement, b: PPElement) -> PPElement:
     return PPElement(a.fan, {k: a.parts[k] + b.parts[k] for k in a.parts})
 
 
-def pp_sub(a: PPElement, b: PPElement) -> PPElement:
-    _check_same_fan(a, b)
-    return PPElement(a.fan, {k: a.parts[k] - b.parts[k] for k in a.parts})
-
-
 def pp_mul(a: PPElement, b: PPElement) -> PPElement:
     _check_same_fan(a, b)
     return PPElement(a.fan, {k: a.parts[k] * b.parts[k] for k in a.parts})
@@ -181,18 +176,23 @@ def constraint_matrix(parts, incidences, k: int):
         layout.append((pid, monos))
         total += len(monos)
 
-    sym = {}  # Sym^k of each distinct restriction matrix, computed once per call
+    # Sym^k of each restriction, looked up by (part id, face id) first and
+    # computed once per distinct restriction matrix
+    sym_of_pair = {}
+    sym_of_matrix = {}
 
-    def restricted(pid, tau):
-        r = restriction_matrix(cones[pid], tau)
-        if r not in sym:
-            sym[r] = degree_matrix(r, k)
-        return sym[r]
+    def restricted(pid, face, tau):
+        if (pid, face) not in sym_of_pair:
+            r = restriction_matrix(cones[pid], tau)
+            if r not in sym_of_matrix:
+                sym_of_matrix[r] = degree_matrix(r, k)
+            sym_of_pair[pid, face] = sym_of_matrix[r]
+        return sym_of_pair[pid, face]
 
     rows = []
-    for a, b, _, tau in incidences:
-        ra = restricted(a, tau)
-        rb = restricted(b, tau)
+    for a, b, face, tau in incidences:
+        ra = restricted(a, face, tau)
+        rb = restricted(b, face, tau)
         for r in range(ra.rows):
             row = [0] * total
             row[offsets[a] : offsets[a] + ra.cols] = ra.row(r)

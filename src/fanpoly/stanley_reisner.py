@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations_with_replacement
 from math import lcm
 
 from .errors import NotSimplicial, RayNotFound
@@ -43,27 +43,13 @@ class SimplicialFanSR:
             rays.update(c.generators)
         self.rays = tuple(sorted(rays))
         self.ray_index = {r: i for i, r in enumerate(self.rays)}
-        faces = set()
-        for c in fan.maximal_cones:
-            gens = [self.ray_index[g] for g in c.generators]
-            for size in range(len(gens) + 1):
-                for sub in combinations(gens, size):
-                    faces.add(frozenset(sub))
-        self.faces = frozenset(faces)
+        self.faces = frozenset(
+            frozenset(self.ray_index[g] for g in f.generators)
+            for f, _ in fan.face_index.values()
+        )
 
     def is_face(self, indices) -> bool:
         return frozenset(indices) in self.faces
-
-    def minimal_nonfaces(self):
-        """Smallest ray sets spanning no cone; all proper subsets do."""
-        out = []
-        for size in range(2, len(self.rays) + 1):
-            for sub in combinations(range(len(self.rays)), size):
-                if self.is_face(sub):
-                    continue
-                if all(self.is_face(sub[:i] + sub[i + 1 :]) for i in range(size)):
-                    out.append(frozenset(sub))
-        return tuple(sorted(out, key=sorted))
 
     def hilbert(self, k: int) -> int:
         """Degree-k monomials in the rays supported on a single cone."""

@@ -21,7 +21,7 @@ from fanpoly.fixtures import (
     p2,
     p2_blowup,
 )
-from fanpoly.fans import fan_from_maximal_cones
+from fanpoly.fans import Fan
 from fanpoly.cones import Cone
 from fanpoly.gkm import gkm_compare
 from fanpoly.intlinalg import (
@@ -212,7 +212,7 @@ def test_08_poset_constraints_differ_from_fan_constraints():
     assert got == [1, 3, 6, 9]
 
     doubled = [mpp_basis(doubled_cone(), k).rank for k in range(4)]
-    quadrant = fan_from_maximal_cones(2, [Cone(2, [(1, 0), (0, 1)])])
+    quadrant = Fan(2, [Cone(2, [(1, 0), (0, 1)])])
     single = [pp_basis(quadrant, k).rank for k in range(4)]
     assert doubled == [1, 2, 4, 6]
     assert single == [1, 2, 3, 4]

@@ -1,4 +1,4 @@
-"""Fan validation, completeness, star subdivisions, star fans."""
+"""Fan validation, completeness and star subdivisions."""
 
 import pytest
 
@@ -13,9 +13,7 @@ from fanpoly.errors import (
 from fanpoly.fans import (
     Fan,
     SubdivisionMap,
-    fan_from_maximal_cones,
     is_complete,
-    star_fan,
     star_subdivision,
 )
 from fanpoly.fixtures import blp2, cube, diamond, p1, p1xp1, p2
@@ -31,13 +29,13 @@ def test_p1_structure():
 def test_p2_structure():
     f = p2()
     assert len(f.maximal_cones) == 3
-    rays = f.cones_of_dim(1)
+    rays = [r for r, _ in f.face_index.values() if r.dim == 1]
     assert len(rays) == 3
     assert {r.generators[0] for r in rays} == {(1, 0), (0, 1), (-1, -1)}
     assert is_complete(f)
     # each ray lies in exactly two maximal cones
     for r in rays:
-        assert len(f.incident_maximal(r)) == 2
+        assert len(f.face_index[r.key][1]) == 2
 
 
 def test_not_a_fan_overlap():
@@ -81,10 +79,12 @@ def test_completeness():
 def test_cube_counts():
     f = cube()
     assert len(f.maximal_cones) == 6
-    assert len(f.cones_of_dim(2)) == 12
-    assert len(f.cones_of_dim(1)) == 8
-    for ridge in f.cones_of_dim(2):
-        assert len(f.incident_maximal(ridge)) == 2
+    dims = [c.dim for c, _ in f.face_index.values()]
+    assert dims.count(2) == 12
+    assert dims.count(1) == 8
+    for ridge, incident in f.face_index.values():
+        if ridge.dim == 2:
+            assert len(incident) == 2
 
 
 def test_star_subdivision_blowup():
@@ -154,39 +154,6 @@ def test_subdivision_map_rejects_non_refinement():
         SubdivisionMap(p2(), blp2())
 
 
-def test_star_fan_at_origin_is_whole_fan():
-    f = p2()
-    s = star_fan(f, Cone(2, []))
-    assert s == f
-
-
-def test_star_fan_at_ray():
-    f = p2()
-    s = star_fan(f, Cone(2, [(1, 0)]))
-    assert s.ambient_rank == 1
-    assert is_complete(s)
-    assert len(s.maximal_cones) == 2
-
-
-def test_star_fan_at_maximal_cone():
-    f = p2()
-    top = f.maximal_cones[0]
-    s = star_fan(f, top)
-    assert s.ambient_rank == 0
-    assert len(s.maximal_cones) == 1
-    assert s.maximal_cones[0].dim == 0
-    assert is_complete(s)
-
-
-def test_star_fan_cube_ray():
-    f = cube()
-    corner = Cone(3, [(1, 1, 1)])
-    s = star_fan(f, corner)
-    assert s.ambient_rank == 2
-    assert is_complete(s)
-    assert len(s.maximal_cones) == 3
-
-
 def test_completeness_preserved_by_subdivision():
     for fan, target in [
         (p2(), Cone(2, [(1, 0), (0, 1)])),
@@ -202,8 +169,3 @@ def test_pair_faces_cached():
     for (i, j), face in f.pair_faces.items():
         g, ok = intersect(f.maximal_cones[i], f.maximal_cones[j])
         assert ok and g == face
-
-
-def test_alias():
-    f = fan_from_maximal_cones(1, [Cone(1, [(1,)]), Cone(1, [(-1,)])])
-    assert f == p1()

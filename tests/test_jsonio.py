@@ -8,7 +8,6 @@ from fanpoly.errors import FormatError
 from fanpoly.fixtures import diamond, doubled_cone, hypertoric_3lines, p2, p2_blowup
 from fanpoly.jsonio import (
     bundle_characters_from_json,
-    bundle_to_json,
     fan_from_json,
     fan_to_json,
     multifan_from_json,
@@ -105,12 +104,17 @@ def test_ppelement_unknown_part_key():
 
 
 def test_bundle_roundtrip():
-    fan = p2()
-    characters = {c.id_str: [(1, -1), (0, 2)] for c in fan.maximal_cones}
-    doc = bundle_to_json(characters)
-    assert doc["kind"] == "bundle"
+    ids = [c.id_str for c in p2().maximal_cones]
+    doc = {
+        "kind": "bundle",
+        "characters": {
+            "-1,-1;0,1": [[1, -1], [0, 2]],
+            "-1,-1;1,0": [[1, -1], [0, 2]],
+            "0,1;1,0": [[1, -1], [0, 2]],
+        },
+    }
     back = bundle_characters_from_json(doc)
-    assert back == {k: [(1, -1), (0, 2)] for k in characters}
+    assert back == {k: [(1, -1), (0, 2)] for k in ids}
 
 
 def test_subdivision_roundtrip():

@@ -46,7 +46,7 @@ def test_arithmetic():
     assert x.scale(3).terms == {(1, 0): 3}
     assert (-x).terms == {(1, 0): -1}
     assert x.degree == 1 and zero.degree == 0
-    assert (x * y + x).homogeneous_component(2) == x * y
+    assert (x * y).is_homogeneous(2) and not (x * y + x).is_homogeneous(2)
 
 
 def test_lattice_mismatch():

