@@ -308,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("courant", "piecewise linear dual function of a ray")
     p.add_argument("file")
-    p.add_argument("--ray", required=True, help="comma separated, e.g. 1,1")
+    p.add_argument("--ray", required=True, help="comma separated, e.g. --ray=-1,-1")
 
     p = add("sr-hilbert", "face-ring monomial count of a simplicial fan")
     p.add_argument("file")
@@ -319,8 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("subdivide", "star subdivision at a cone of the fan")
     p.add_argument("file")
-    p.add_argument("--target", required=True, help="cone id, e.g. '0,1;1,0'")
-    p.add_argument("--point", help="interior point, comma separated")
+    p.add_argument("--target", required=True, help="cone id, e.g. --target=-1,-1;0,1")
+    p.add_argument("--point", help="interior point, comma separated, e.g. --point=-1,0")
 
     p = add("pullback-check", "does an element descend along a subdivision")
     p.add_argument("subdivision")
@@ -328,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("hypertoric", "multifan of independent subsets of vectors")
     p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--vectors", required=True, help="semicolon separated, e.g. '1,0;0,1'")
+    p.add_argument("--vectors", required=True, help="semicolon separated, e.g. --vectors=-1,0;0,1")
 
     return parser
 

@@ -53,6 +53,8 @@ class Fan:
                 raise DuplicateCone(f"cone {a.id_str} listed twice")
 
         ids = [c.id_str for c in cones]
+        # one Cone per face: pairs meeting in the same face share it
+        faces = {c.key: c for c in cones}
         pair_faces = {}
         incidences = []
         for i in range(len(cones)):
@@ -62,6 +64,7 @@ class Fan:
                     raise NotAFan(i, j)
                 if f == cones[i] or f == cones[j]:
                     raise NotAFan(i, j, "one maximal cone is a face of the other")
+                f = faces.setdefault(f.key, f)
                 pair_faces[(i, j)] = f
                 incidences.append((ids[i], ids[j], f.id_str, f))
 
@@ -69,7 +72,7 @@ class Fan:
         for i, c in enumerate(cones):
             for key in c.face_keys():
                 if key not in face_index:
-                    face_index[key] = (c if key == c.key else Cone(*key), [])
+                    face_index[key] = (faces.get(key) or Cone(*key), [])
                 face_index[key][1].append(i)
 
         self.ambient_rank = ambient_rank

@@ -68,21 +68,6 @@ def sr_hilbert(fan: Fan, k: int) -> int:
     return SimplicialFanSR(fan).hilbert(k)
 
 
-def _solve_square(rows, rhs):
-    """Exact solution of a square integer system, as Fractions."""
-    n = len(rows)
-    a = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        assert pivot is not None, "ray generators of a simplicial cone are independent"
-        a[col], a[pivot] = a[pivot], a[col]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                factor = a[r][col] / a[col][col]
-                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-    return [a[i][n] / a[i][i] for i in range(n)]
-
-
 @dataclass(frozen=True)
 class CourantFunction:
     """The piecewise linear dual of one ray, with its integrality record."""
@@ -100,9 +85,9 @@ def courant_function(fan: Fan, ray) -> CourantFunction:
     """Piecewise linear function equal to 1 at ``ray`` and 0 at other rays.
 
     The input vector may be any positive multiple of a ray generator.  On
-    each cone containing the ray the linear form is pinned by its values
-    at the cone's generators, a square exact solve in the cone's quotient
-    coordinates; elsewhere the function vanishes.
+    each simplicial cone containing the ray exactly one facet normal u is
+    nonzero at it, and u / (u . ray) is the form that is 1 there and 0 at
+    the cone's other generators; elsewhere the function vanishes.
     """
     sr = SimplicialFanSR(fan)
     ray = tuple(ray)
@@ -118,16 +103,10 @@ def courant_function(fan: Fan, ray) -> CourantFunction:
         if r not in cone.generators:
             parts[cone.id_str] = LocalPolynomial.zero(lattice)
             continue
-        pairing = [
-            [dot(lattice.section.column(l), g) for l in range(lattice.rank)]
-            for g in cone.generators
-        ]
-        rhs = [1 if g == r else 0 for g in cone.generators]
-        coeffs = _solve_square(pairing, rhs)
+        [(u, d)] = [(u, dot(u, r)) for u in cone.facet_normals if dot(u, r) != 0]
+        coeffs = [Fraction(x, d) for x in lattice.reduce(u)]
         if all(c.denominator == 1 for c in coeffs):
-            parts[cone.id_str] = LocalPolynomial.linear_form(
-                lattice, [int(c) for c in coeffs]
-            )
+            parts[cone.id_str] = LocalPolynomial.linear_form(lattice, coeffs)
         else:
             parts[cone.id_str] = RationalLocalPolynomial.linear_form(lattice, coeffs)
             bad.append(cone.id_str)

@@ -316,6 +316,21 @@ def test_bad_vector_arguments_exit_cleanly(capsys, argv, code, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["courant", fx("p2.fan.json"), "--ray=-1,-1", "--json"],
+        ["hypertoric", "--rank", "2", "--vectors=-1,0;0,1", "--json"],
+        ["subdivide", fx("p2.fan.json"), "--target=-1,-1;0,1", "--point=-1,0", "--json"],
+    ],
+)
+def test_negative_vector_arguments_with_equals(capsys, argv):
+    # argparse reads a separate value starting with "-" as an option, so
+    # negative vectors and cone ids are passed as --option=value
+    assert main(argv) == 0
+    json.loads(capsys.readouterr().out)
+
+
 def test_hypertoric_verb(capsys):
     assert main(["hypertoric", "--rank", "2", "--vectors", "1,0;0,1;1,1", "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)

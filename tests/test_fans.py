@@ -169,3 +169,15 @@ def test_pair_faces_cached():
     for (i, j), face in f.pair_faces.items():
         g, ok = intersect(f.maximal_cones[i], f.maximal_cones[j])
         assert ok and g == face
+
+
+def test_one_cone_per_face():
+    top = Cone(3, [(1, 1, 1), (1, -1, 1), (-1, 1, 1), (-1, -1, 1)])
+    starred, _ = star_subdivision(cube(), top)
+    for f in [p2(), diamond(), cube(), blp2(), starred]:
+        for face in f.pair_faces.values():
+            assert face is f.face_index[face.key][0]
+        for _, _, _, face in f.incidences:
+            assert face is f.face_index[face.key][0]
+        for c in f.maximal_cones:
+            assert f.face_index[c.key][0] is c

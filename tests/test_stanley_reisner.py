@@ -1,11 +1,14 @@
 """Ray complexes, face-ring counts, and ray dual functions."""
 
+import random
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
+from fanpoly.cones import Cone
 from fanpoly.errors import NotSimplicial, RayNotFound
+from fanpoly.fans import Fan
 from fanpoly.fixtures import blp2, cube, diamond, p1, p1xp1, p2
 from fanpoly.polynomials import character_class
 from fanpoly.ppring import pp_add, pp_basis, pp_constant, pp_scale, pp_validate
@@ -56,17 +59,57 @@ def test_hilbert_matches_graded_ranks():
             assert sr_hilbert(fan, k) == pp_basis(fan, k).rank
 
 
+# a lower-dimensional fan in Z^3; its first cone has index 2 in its span
+LOWDIM = [[(1, 0, 1), (1, 2, 1)], [(1, 2, 1), (-1, 3, 0)], [(1, 0, 1), (0, 0, 1)]]
+
+
+def signed_shear_image(fan, rng):
+    """Image of a fan under a random signed permutation followed by a shear."""
+    n = fan.ambient_rank
+    perm = list(range(n))
+    rng.shuffle(perm)
+    signs = [rng.choice((1, -1)) for _ in range(n)]
+    i, j = rng.sample(range(n), 2)
+    t = rng.choice((-2, -1, 1, 2))
+
+    def move(v):
+        w = [signs[a] * v[perm[a]] for a in range(n)]
+        w[i] += t * w[j]
+        return tuple(w)
+
+    return Fan(n, [Cone(n, [move(g) for g in c.generators]) for c in fan.maximal_cones])
+
+
+def courant_cases():
+    """Named simplicial fans the Courant functions are checked on."""
+    lowdim = Fan(3, [Cone(3, gens) for gens in LOWDIM])
+    cases = [("p2", p2()), ("p1xp1", p1xp1()), ("blp2", blp2()),
+             ("diamond", diamond()), ("lowdim", lowdim)]
+    rng = random.Random(11)
+    for name, fan in [("diamond", diamond()), ("lowdim", lowdim)]:
+        for i in range(3):
+            cases.append((f"{name}.image{i}", signed_shear_image(fan, rng)))
+    return cases
+
+
 def test_courant_smooth_plane_integral_and_dual():
-    f = p2()
-    sr = SimplicialFanSR(f)
-    for r in sr.rays:
-        phi = courant_function(f, r)
-        assert phi.is_integral
-        assert phi.nonintegral_cones == ()
-        for cone in f.maximal_cones:
-            part = phi.element.parts[cone.id_str]
-            for g in cone.generators:
-                assert part.evaluate(g) == (1 if g == r else 0)
+    for name, fan in courant_cases():
+        for r in SimplicialFanSR(fan).rays:
+            phi = courant_function(fan, r)
+            assert phi.ray == r
+            nonintegral = []
+            for cone in fan.maximal_cones:
+                part = phi.element.parts[cone.id_str]
+                if r not in cone.generators:
+                    assert part.is_zero, (name, r, cone.id_str)
+                    continue
+                for g in cone.generators:
+                    assert part.evaluate(g) == (1 if g == r else 0), (name, r, cone.id_str)
+                if any(Fraction(c).denominator != 1 for c in part.terms.values()):
+                    nonintegral.append(cone.id_str)
+            assert phi.nonintegral_cones == tuple(sorted(nonintegral)), (name, r)
+            if name in ("p2", "p1xp1", "blp2"):
+                assert phi.is_integral, (name, r)
 
 
 def test_courant_diamond_half_integral():
