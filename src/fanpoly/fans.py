@@ -28,7 +28,10 @@ class Fan:
 
     ``parts`` pairs each maximal cone's id with the cone, in cone order;
     ``incidences`` lists ``(id a, id b, face id, face)`` for every pair of
-    maximal cones, in the order of ``pair_faces``.
+    maximal cones, in the order of ``pair_faces``.  ``gluing``, computed
+    on first use, lists the incidences that form one spanning forest per
+    shared face (:func:`fanpoly.ppring.spanning_gluing`); on a complete
+    simplicial fan it is one incidence per wall.
     """
 
     __slots__ = (
@@ -38,6 +41,7 @@ class Fan:
         "pair_faces",
         "parts",
         "incidences",
+        "_gluing",
     )
 
     def __init__(self, ambient_rank: int, maximal_cones):
@@ -83,6 +87,17 @@ class Fan:
         self.face_index = {
             k: (f, tuple(idxs)) for k, (f, idxs) in sorted(face_index.items())
         }
+        self._gluing = None
+
+    @property
+    def gluing(self):
+        if self._gluing is None:
+            from .ppring import spanning_gluing  # ppring imports this module
+
+            ids = [pid for pid, _ in self.parts]
+            tops = {f.id_str: [ids[i] for i in idxs] for f, idxs in self.face_index.values()}
+            self._gluing = spanning_gluing(self.incidences, tops.__getitem__)
+        return self._gluing
 
     def cone_by_id(self, id_str: str) -> Cone:
         for c in self.maximal_cones:

@@ -10,9 +10,10 @@ the geometry, decides which compatibilities are imposed.
 A piecewise polynomial assigns a polynomial to every maximal node.  Two
 maximal nodes interact only through their common lower nodes, and by
 transitivity of restriction it is enough to impose agreement on the
-maximal ones among those.  So a multifan exposes the same ``parts`` and
-``incidences`` as a Fan, with node ids in place of cone ids, and its
-checker and graded bases are the ones of :mod:`fanpoly.ppring`.
+maximal ones among those.  So a multifan exposes the same ``parts``,
+``incidences`` and ``gluing`` as a Fan, with node ids in place of cone
+ids, and its checker and graded bases are the ones of
+:mod:`fanpoly.ppring`.
 """
 
 from __future__ import annotations
@@ -23,17 +24,28 @@ from .cones import Cone
 from .errors import FaceBijectionFailure, FanMismatch, NotAPoset
 from .fans import Fan
 from .intlinalg import IntMatrix, rank as matrix_rank
-from .ppring import GradedBasis, PPElement, check_parts, piecewise_basis
+from .ppring import GradedBasis, PPElement, check_parts, piecewise_basis, spanning_gluing
 
 
 class Multifan:
     """A finite poset of nodes, each labeled with a cone.
 
     Build through :func:`multifan_validate`, which checks the poset and
-    the face-bijection condition at every node.
+    the face-bijection condition at every node.  ``incidences`` and
+    ``gluing`` are computed on first use; ``gluing`` lists the incidences
+    that form one spanning forest of maximal nodes per shared lower node
+    (:func:`fanpoly.ppring.spanning_gluing`).
     """
 
-    __slots__ = ("ambient_rank", "node_ids", "cones", "lower", "maximal_ids")
+    __slots__ = (
+        "ambient_rank",
+        "node_ids",
+        "cones",
+        "lower",
+        "maximal_ids",
+        "_incidences",
+        "_gluing",
+    )
 
     def __init__(self, ambient_rank, node_ids, cones, lower, maximal_ids):
         self.ambient_rank = ambient_rank
@@ -41,6 +53,8 @@ class Multifan:
         self.cones = cones
         self.lower = lower
         self.maximal_ids = maximal_ids
+        self._incidences = None
+        self._gluing = None
 
     def cone_of(self, node_id: str) -> Cone:
         return self.cones[node_id]
@@ -63,11 +77,22 @@ class Multifan:
     @property
     def incidences(self):
         """``(a, b, c, cone of c)`` for each maximal common lower node c of a < b."""
-        return tuple(
-            (a, b, c, self.cones[c])
-            for a, b in combinations(self.maximal_ids, 2)
-            for c in self.maximal_common_lower(a, b)
-        )
+        if self._incidences is None:
+            self._incidences = tuple(
+                (a, b, c, self.cones[c])
+                for a, b in combinations(self.maximal_ids, 2)
+                for c in self.maximal_common_lower(a, b)
+            )
+        return self._incidences
+
+    @property
+    def gluing(self):
+        if self._gluing is None:
+            self._gluing = spanning_gluing(
+                self.incidences,
+                lambda c: [m for m in self.maximal_ids if c in self.lower[m]],
+            )
+        return self._gluing
 
     def __eq__(self, other):
         if not isinstance(other, Multifan):
@@ -168,13 +193,14 @@ def multifan_validate(ambient_rank: int, cones, covers) -> Multifan:
 
 def multifan_from_fan(fan: Fan) -> Multifan:
     """The multifan of a fan: all its cones, ordered by the facet relation."""
-    cones = {}
-    covers = []
-    for face, _ in fan.face_index.values():
-        cones[face.id_str] = face
-    for face in cones.values():
-        for facet in face.facets():
-            covers.append((facet.id_str, face.id_str))
+    index = fan.face_index
+    cones = {face.id_str: face for face, _ in index.values()}
+    covers = [
+        (index[key][0].id_str, face.id_str)
+        for face in cones.values()
+        for key in face.face_keys()
+        if index[key][0].dim == face.dim - 1
+    ]
     return multifan_validate(fan.ambient_rank, cones, covers)
 
 

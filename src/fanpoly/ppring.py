@@ -3,8 +3,7 @@
 An element assigns to every maximal cone a polynomial in that cone's
 quotient character coordinates; the defining condition is that the
 polynomials on any two maximal cones restrict equally to their common
-face.  Checking all pairwise common faces is enough: restriction to a
-smaller face factors through any intermediate one.
+face.
 
 Fans, multifans and the wall graph of a complete fan all impose this
 condition over a list of incidences: ``parts`` pairs each part id with its
@@ -16,6 +15,14 @@ Unknowns are the degree-k coefficients of all parts in canonical monomial
 order; each incidence contributes rows (restriction from one side minus
 restriction from the other), and the canonical kernel basis of that system
 is the basis of the degree-k piece (:func:`piecewise_basis`).
+
+Most incidences are redundant.  Restriction to a face factors through any
+larger face, so two parts that agree on a larger shared face agree on the
+smaller one too (Billera 1989).  :func:`spanning_gluing` keeps one spanning
+forest of incidences per shared face, the ``gluing`` of a fan or
+multifan: on a complete simplicial fan these are exactly its walls.  Every
+family that agrees along the gluing agrees on every incidence, so the
+basis is assembled over the gluing alone and the checker tests it first.
 """
 
 from __future__ import annotations
@@ -71,7 +78,8 @@ def check_parts(container, parts):
     ``container`` is a Fan or a Multifan; ``parts`` maps each of its part
     ids to a LocalPolynomial over that part's quotient lattice.  Missing or
     extra keys, wrong types or lattices, and the first incidence whose two
-    restrictions differ raise.
+    restrictions differ raise; the incidences are scanned only when the
+    container's ``gluing`` fails.
     """
     want = dict(container.parts)
     got = set(parts)
@@ -84,11 +92,18 @@ def check_parts(container, parts):
             raise TypeError(f"part {pid} is not a LocalPolynomial")
         if poly.lattice != want[pid].quotient:
             raise LatticeMismatch(f"part {pid} is not in the cone's quotient coordinates")
-    for a, b, face, tau in container.incidences:
-        fa = restrict_to_face(parts[a], want[a], tau)
-        fb = restrict_to_face(parts[b], want[b], tau)
-        if fa != fb:
-            raise Incompatible(a, b, face, f"{fa!r} != {fb!r}")
+
+    def failures(incidences):
+        for a, b, face, tau in incidences:
+            fa = restrict_to_face(parts[a], want[a], tau)
+            fb = restrict_to_face(parts[b], want[b], tau)
+            if fa != fb:
+                yield Incompatible(a, b, face, f"{fa!r} != {fb!r}")
+
+    # agreement along the gluing implies it on every incidence; the full
+    # list is scanned only to name the first failing pair
+    if next(failures(container.gluing), None):
+        raise next(failures(container.incidences))
 
 
 def pp_validate(fan: Fan, parts) -> PPElement:
@@ -158,6 +173,36 @@ class GradedBasis:
         return in_row_lattice(self.coefficients, self.coefficient_vector(elem))
 
 
+def spanning_gluing(incidences, above):
+    """The incidences of one spanning forest per shared face.
+
+    ``above(face id)`` lists the ids of the parts above that face, in part
+    order.  Two parts above a face tau with no incidence at tau share a
+    strictly larger face, and agreeing there they agree on tau.  Merging
+    such pairs splits the parts above tau into groups; the incidences
+    chaining the first part of each group, in part order, imply all the
+    others at tau, by induction from larger faces down.  Returns those
+    incidences face by face, faces in id order, each face's in the order of
+    ``incidences``: with the rows of one face adjacent, the kernel's
+    elimination costs less than in pair order.
+    """
+    at_face = {}
+    for a, b, face, _ in incidences:
+        at_face.setdefault(face, set()).add((a, b))
+    kept = set()
+    for face, pairs in at_face.items():
+        tops = above(face)
+        # group[i] is the position in tops of the first part in tops[i]'s group
+        group = []
+        for i, p in enumerate(tops):
+            joined = {group[j] for j in range(i) if (tops[j], p) not in pairs}
+            first = min(joined, default=i)
+            group = [first if g in joined else g for g in group] + [first]
+        firsts = sorted(set(group))
+        kept.update((tops[i], tops[j], face) for i, j in zip(firsts, firsts[1:]))
+    return tuple(sorted((inc for inc in incidences if inc[:3] in kept), key=lambda inc: inc[2]))
+
+
 def constraint_matrix(parts, incidences, k: int):
     """Layout and difference-of-restrictions matrix of the degree-k conditions.
 
@@ -205,7 +250,7 @@ def piecewise_basis(container, k: int) -> GradedBasis:
     """Canonical lattice basis of the degree-k piece of a fan or multifan."""
     if k < 0:
         raise ValueError("negative degree")
-    layout, matrix = constraint_matrix(container.parts, container.incidences, k)
+    layout, matrix = constraint_matrix(container.parts, container.gluing, k)
     kernel = kernel_lattice(matrix)
 
     elements = []

@@ -1,0 +1,183 @@
+"""The gluing forest against the full incidence list.
+
+``gluing`` keeps, for each shared face, one spanning forest of the parts
+above it; agreement along it implies agreement on every incidence.  These
+tests check that claim where it is used: the forest is drawn from
+``incidences`` with the same tuples, both lists cut out the same kernel
+lattice in every degree tried, on complete simplicial fans the forest is
+the wall list, and the checker still names the first failing incidence
+even when that incidence is not in the forest.
+
+Inputs: the constraint oracle's fans and multifans, and seeded GL_n(Z)
+images (signed permutations times shears) of p2, p1xp1 and P^3 with one
+to three star subdivisions at random cones of dimension at least two.
+"""
+
+import random
+from itertools import combinations
+
+import pytest
+from test_constraint_oracle import FAN_CASES, HYPERTORIC_5, MULTIFANS, first_failing_fan_pair
+
+from fanpoly.cones import Cone
+from fanpoly.errors import Incompatible
+from fanpoly.fans import Fan, is_complete, star_subdivision
+from fanpoly.fixtures import cube, p1xp1, p2
+from fanpoly.gkm import gkm_graph
+from fanpoly.intlinalg import kernel_lattice, lattices_equal
+from fanpoly.multifans import hypertoric_multifan, mpp_validate, multifan_from_fan
+from fanpoly.polynomials import LocalPolynomial
+from fanpoly.ppring import constraint_matrix, pp_validate
+
+
+def projective_space(n):
+    rays = [tuple(int(i == j) for j in range(n)) for i in range(n)] + [(-1,) * n]
+    return Fan(n, [Cone(n, gens) for gens in combinations(rays, n)])
+
+
+def gl_image(fan, rng):
+    """Image under a signed permutation times a unipotent shear."""
+    n = fan.ambient_rank
+    perm = list(range(n))
+    rng.shuffle(perm)
+    signs = [rng.choice((1, -1)) for _ in range(n)]
+    shear = [rng.randint(-1, 1) for _ in range(n - 1)]
+
+    def move(v):
+        w = [signs[i] * v[perm[i]] for i in range(n)]
+        for i in range(n - 1):
+            w[i] += shear[i] * w[i + 1]
+        return tuple(w)
+
+    return Fan(n, [Cone(n, [move(g) for g in c.generators]) for c in fan.maximal_cones])
+
+
+def random_fan_cases():
+    rng = random.Random(17)
+    out = []
+    for name, build in (("p2", p2), ("p1xp1", p1xp1), ("p3", lambda: projective_space(3))):
+        for i in range(3):
+            fan = gl_image(build(), rng)
+            for _ in range(rng.randint(1, 3)):
+                targets = [f for f, _ in fan.face_index.values() if f.dim >= 2]
+                fan, _ = star_subdivision(fan, rng.choice(targets))
+            out.append((f"{name}.random{i}", fan))
+    return out
+
+
+CASES = FAN_CASES + random_fan_cases() + [(name, build()) for name, build in MULTIFANS.items()]
+IDS = [name for name, _ in CASES]
+
+
+@pytest.mark.parametrize("name, container", CASES, ids=IDS)
+def test_gluing_is_drawn_from_incidences_face_by_face(name, container):
+    gluing = container.gluing
+    assert container.gluing is gluing
+    assert len(set(gluing)) == len(gluing)
+    # index() raises unless the entry is an incidence
+    keys = [(inc[2], container.incidences.index(inc)) for inc in gluing]
+    assert keys == sorted(keys)
+
+
+@pytest.mark.parametrize("name, container", CASES, ids=IDS)
+def test_gluing_cuts_out_the_same_kernel(name, container):
+    for k in range(4):
+        _, full = constraint_matrix(container.parts, container.incidences, k)
+        _, forest = constraint_matrix(container.parts, container.gluing, k)
+        assert lattices_equal(kernel_lattice(forest), kernel_lattice(full))
+
+
+def is_complete_simplicial(container):
+    return (
+        isinstance(container, Fan)
+        and is_complete(container)
+        and all(len(c.generators) == c.dim for c in container.maximal_cones)
+    )
+
+
+SIMPLICIAL = [(name, c) for name, c in CASES if is_complete_simplicial(c)]
+
+
+def test_complete_simplicial_cases_cover_the_random_fans():
+    names = {name for name, _ in SIMPLICIAL}
+    assert {name for name, _ in random_fan_cases()} <= names
+    assert "cube" not in names
+
+
+@pytest.mark.parametrize("name, fan", SIMPLICIAL, ids=[name for name, _ in SIMPLICIAL])
+def test_gluing_is_the_wall_list_on_complete_simplicial_fans(name, fan):
+    walls = sorted(tau.key for tau, _, _ in gkm_graph(fan).edges)
+    assert sorted(tau.key for _, _, _, tau in fan.gluing) == walls
+
+
+def subdivided_p3(rng, steps):
+    """P^3 starred ``steps`` times at 2- and 3-dimensional cones (stays smooth)."""
+    fan = projective_space(3)
+    for _ in range(steps):
+        targets = [f for f, _ in fan.face_index.values() if f.dim >= 2]
+        fan, _ = star_subdivision(fan, rng.choice(targets))
+    return fan
+
+
+# primitive directions in the upper half plane, by angle; consecutive pairs
+# are unimodular
+HALF_PLANE_12 = [
+    (1, 0), (3, 1), (2, 1), (1, 1), (1, 2), (1, 3),
+    (0, 1), (-1, 3), (-1, 2), (-1, 1), (-2, 1), (-3, 1),
+]
+
+
+def polygon_fan_24():
+    rays = HALF_PLANE_12 + [(-x, -y) for x, y in HALF_PLANE_12]
+    return Fan(2, [Cone(2, [rays[i], rays[(i + 1) % 24]]) for i in range(24)])
+
+
+HYPERTORIC_9 = [
+    (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (0, 1, 1),
+    (1, 0, 1), (1, 1, 1), (1, -1, 0), (0, 1, -1),
+]
+
+
+def test_pinned_counts():
+    ht9 = hypertoric_multifan(3, HYPERTORIC_9)
+    assert (len(ht9.incidences), len(ht9.gluing)) == (2415, 174)
+    p3sub6 = subdivided_p3(random.Random(5), 6)
+    assert len(p3sub6.maximal_cones) == 16
+    assert (len(p3sub6.incidences), len(p3sub6.gluing)) == (120, 24)
+    poly24 = polygon_fan_24()
+    assert (len(poly24.incidences), len(poly24.gluing)) == (276, 24)
+
+
+def constant_parts(container, odd):
+    """Constant 0 on every part but ``odd``, which carries 1."""
+    return {
+        pid: LocalPolynomial.constant(cone.quotient, int(pid == odd))
+        for pid, cone in container.parts
+    }
+
+
+@pytest.mark.parametrize(
+    "container, validate",
+    [
+        (cube(), pp_validate),
+        (multifan_from_fan(cube()), mpp_validate),
+        (hypertoric_multifan(3, HYPERTORIC_5), mpp_validate),
+    ],
+    ids=["cube", "cube_multifan", "hypertoric_5"],
+)
+def test_checker_names_a_first_failure_outside_the_gluing(container, validate):
+    # one odd constant part fails exactly the incidences that touch it, so
+    # the first of those is the pair the checker must name
+    found = 0
+    for odd, _ in container.parts:
+        first = next(inc for inc in container.incidences if odd in inc[:2])
+        if first in container.gluing:
+            continue
+        found += 1
+        parts = constant_parts(container, odd)
+        with pytest.raises(Incompatible) as exc:
+            validate(container, parts)
+        assert (exc.value.cones, exc.value.face) == (first[:2], first[2])
+        if validate is pp_validate:
+            assert first_failing_fan_pair(container, parts) == (first[:2], first[2])
+    assert found > 0

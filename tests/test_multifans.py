@@ -1,5 +1,7 @@
 """Posets of cones and their piecewise polynomial rings."""
 
+from itertools import combinations
+
 import pytest
 
 from fanpoly.cones import Cone
@@ -11,7 +13,7 @@ from fanpoly.errors import (
     NotAPoset,
 )
 from fanpoly.fans import Fan
-from fanpoly.fixtures import doubled_cone, hypertoric_3lines, p2
+from fanpoly.fixtures import cube, doubled_cone, hypertoric_3lines, p2
 from fanpoly.multifans import (
     Multifan,
     hypertoric_multifan,
@@ -22,6 +24,11 @@ from fanpoly.multifans import (
 )
 from fanpoly.polynomials import LocalPolynomial, character_class
 from fanpoly.ppring import pp_basis
+
+
+def projective_space(n):
+    rays = [tuple(int(i == j) for j in range(n)) for i in range(n)] + [(-1,) * n]
+    return Fan(n, [Cone(n, gens) for gens in combinations(rays, n)])
 
 
 QUAD = Cone(2, [(1, 0), (0, 1)])
@@ -96,6 +103,38 @@ def test_multifan_from_fan_matches_fan_ring():
     assert set(mf.maximal_ids) == {pid for pid, _ in fan.parts}
     for k in range(4):
         assert mpp_basis(mf, k).rank == pp_basis(fan, k).rank
+
+
+def facet_cover_multifan(fan):
+    """The multifan of a fan with its covers read off ``Cone.facets``."""
+    cones = {face.id_str: face for face, _ in fan.face_index.values()}
+    covers = [(g.id_str, face.id_str) for face in cones.values() for g in face.facets()]
+    return multifan_validate(fan.ambient_rank, cones, covers)
+
+
+@pytest.mark.parametrize("name", ["p2", "cube", "p4"])
+def test_multifan_from_fan_reads_covers_off_the_face_index(name, monkeypatch):
+    build = {"p2": p2, "cube": cube, "p4": lambda: projective_space(4)}[name]
+    fan = build()
+    built = []
+    init = Cone.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Cone, "__init__", counting_init)
+    mf = multifan_from_fan(fan)
+    monkeypatch.undo()
+    assert built == []
+
+    old = facet_cover_multifan(build())
+    assert mf == old
+    assert (mf.node_ids, mf.maximal_ids, mf.lower) == (old.node_ids, old.maximal_ids, old.lower)
+    for k in range(3 if name == "p4" else 4):
+        new_basis, old_basis = mpp_basis(mf, k), mpp_basis(old, k)
+        assert new_basis.layout == old_basis.layout
+        assert new_basis.coefficients == old_basis.coefficients
 
 
 def test_single_cone_fan_ranks():
