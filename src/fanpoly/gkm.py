@@ -41,14 +41,9 @@ def gkm_graph(fan: Fan) -> GKMGraph:
     if not is_complete(fan):
         raise NotComplete("the fixed-point graph is defined for complete fans")
     wall_dim = fan.ambient_rank - 1
-    edges = []
-    for face, incident in fan.face_index.values():
-        if face.dim != wall_dim:
-            continue
-        i, j = incident
-        edges.append((face, i, j))
-    edges.sort(key=lambda e: e[0].key)
-    return GKMGraph(fan, tuple(edges))
+    # face_index is sorted by key, and a wall of a complete fan lies in two cones
+    walls = ((face, *incident) for face, incident in fan.face_index.values())
+    return GKMGraph(fan, tuple(e for e in walls if e[0].dim == wall_dim))
 
 
 def beta_system(graph: GKMGraph, k: int) -> IntMatrix:

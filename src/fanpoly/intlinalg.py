@@ -1,7 +1,9 @@
 """Exact linear algebra over the integers.
 
 Dense matrices of Python ints, so every computation is arbitrary precision
-and exact.  The two normal forms here use fixed pivoting rules and return
+and exact.  The Hermite loop works on sparse rows, so a row operation costs
+the pivot row's nonzeros: a row of a restriction system is nonzero in only
+two part blocks.  The two normal forms use fixed pivoting rules and return
 canonical output:
 
 * ``hnf`` puts a matrix in row-style Hermite normal form.  The nonzero rows
@@ -42,7 +44,7 @@ class IntMatrix:
         for row in entries:
             r = tuple(row)
             for x in r:
-                if not isinstance(x, int):
+                if type(x) is not int and (isinstance(x, bool) or not isinstance(x, int)):
                     raise TypeError(f"matrix entries must be ints, got {type(x).__name__}")
             packed.append(r)
         if packed:
@@ -62,6 +64,15 @@ class IntMatrix:
         self.cols = ncols
 
     @classmethod
+    def _of(cls, entries: tuple, cols: int) -> "IntMatrix":
+        """Wrap a tuple of int tuples of length ``cols``, unchecked."""
+        self = object.__new__(cls)
+        self.entries = entries
+        self.rows = len(entries)
+        self.cols = cols
+        return self
+
+    @classmethod
     def identity(cls, n: int) -> "IntMatrix":
         return cls(_identity_rows(n), cols=n)
 
@@ -76,21 +87,17 @@ class IntMatrix:
         return self.entries[i][j]
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(
-            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)],
-            cols=self.rows,
-        )
+        cols = tuple(zip(*self.entries)) if self.rows else ((),) * self.cols
+        return IntMatrix._of(cols, self.rows)
 
     def __mul__(self, other: "IntMatrix") -> "IntMatrix":
         if not isinstance(other, IntMatrix):
             return NotImplemented
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.shape} by {other.shape}")
-        cols = [other.column(j) for j in range(other.cols)]
-        return IntMatrix(
-            [[dot(r, c) for c in cols] for r in self.entries],
-            cols=other.cols,
-        )
+        cols = other.transpose().entries
+        rows = tuple(tuple(dot(r, c) for c in cols) for r in self.entries)
+        return IntMatrix._of(rows, other.cols)
 
     def mul_vec(self, v):
         """Matrix times column vector, returned as a tuple."""
@@ -149,52 +156,77 @@ def _row_sub(m, i, j, q):
     m[i] = [x - q * y for x, y in zip(m[i], m[j])]
 
 
-def _row_neg(m, i):
-    m[i] = [-x for x in m[i]]
+def _sub(row, pivot, q):
+    """row -= q * pivot on sparse rows, deleting entries that reach zero."""
+    get = row.get
+    for j, y in pivot.items():
+        x = get(j, 0) - q * y
+        if x:
+            row[j] = x
+        else:
+            del row[j]
 
 
 def _echelon(w, n: int) -> int:
-    """Put the first ``n`` columns of the rows ``w`` in Hermite form, in place.
+    """Put the first ``n`` columns of the sparse rows ``w`` in Hermite form, in place.
 
-    Every operation acts on whole rows, so columns past ``n`` (a transform
-    started at the identity) are carried along.  Returns the rank; the rows
-    from the rank down are zero in the first ``n`` columns.
+    Rows are ``{column: nonzero}`` dicts holding no zeros.  Every operation
+    acts on whole rows, so columns past ``n`` (a transform started at the
+    identity) are carried along.  Returns the rank; the rows from the rank
+    down have no entry in the first ``n`` columns.
 
     Columns are processed left to right.  Within a column the remaining row
-    with the smallest nonzero absolute value is swapped up and the others are
-    reduced modulo it until the column is clear; this is just the Euclidean
-    algorithm run on the column, so it terminates.
+    with the smallest nonzero absolute value (the first on ties) is swapped
+    up and the others are reduced modulo it until the column is clear; this
+    is just the Euclidean algorithm run on the column, so it terminates.
+    Pivots and operations are those of a dense loop in the same order, so
+    the results are identical; only the zeros are never touched.
     """
     m = len(w)
     r = 0
     for c in range(n):
         if r == m:
             break
-        if all(w[i][c] == 0 for i in range(r, m)):
+        live = [i for i in range(r, m) if c in w[i]]
+        if not live:
             continue
         while True:
-            i0 = min(
-                (i for i in range(r, m) if w[i][c] != 0),
-                key=lambda i: (abs(w[i][c]), i),
-            )
-            if i0 != r:
-                w[r], w[i0] = w[i0], w[r]
-            if w[r][c] < 0:
-                _row_neg(w, r)
-            clear = True
-            for i in range(r + 1, m):
-                if w[i][c] != 0:
-                    _row_sub(w, i, r, w[i][c] // w[r][c])
-                    if w[i][c] != 0:
-                        clear = False
-            if clear:
+            i0 = min(live, key=lambda i: (abs(w[i][c]), i))
+            # the rows below r still holding column c; the old row r moves to i0
+            live = [i0 if i == r else i for i in live if i != i0]
+            w[r], w[i0] = w[i0], w[r]
+            pivot = w[r]
+            if pivot[c] < 0:
+                pivot = w[r] = {j: -x for j, x in pivot.items()}
+            p = pivot[c]
+            for i in live:
+                _sub(w[i], pivot, w[i][c] // p)
+            live = [i for i in live if c in w[i]]
+            if not live:
                 break
+            live.append(r)  # the pivot row, larger than every remainder
         for i in range(r):
-            q = w[i][c] // w[r][c]
+            q = w[i].get(c, 0) // p
             if q:
-                _row_sub(w, i, r, q)
+                _sub(w[i], pivot, q)
         r += 1
     return r
+
+
+def _sparse(rows):
+    return [{j: x for j, x in enumerate(row) if x} for row in rows]
+
+
+def _dense(w, lo: int, hi: int) -> IntMatrix:
+    """Columns ``lo .. hi - 1`` of the sparse rows ``w``."""
+    out = []
+    for row in w:
+        dense = [0] * (hi - lo)
+        for j, x in row.items():
+            if lo <= j < hi:
+                dense[j - lo] = x
+        out.append(tuple(dense))
+    return IntMatrix._of(tuple(out), hi - lo)
 
 
 def _identity_rows(m: int):
@@ -212,15 +244,17 @@ def hnf(a: IntMatrix):
     ``[A | I]``.
     """
     m, n = a.rows, a.cols
-    w = [[*r, *e] for r, e in zip(a.entries, _identity_rows(m))]
+    w = _sparse(a.entries)
+    for i, row in enumerate(w):
+        row[n + i] = 1
     _echelon(w, n)
-    return IntMatrix((r[:n] for r in w), cols=n), IntMatrix((r[n:] for r in w), cols=m)
+    return _dense(w, 0, n), _dense(w, n, n + m)
 
 
 def hnf_basis(a: IntMatrix) -> IntMatrix:
     """Canonical basis of the row lattice of ``a``: nonzero rows of its HNF."""
-    w = [list(r) for r in a.entries]
-    return IntMatrix(w[: _echelon(w, a.cols)], cols=a.cols)
+    w = _sparse(a.entries)
+    return _dense(w[: _echelon(w, a.cols)], 0, a.cols)
 
 
 @dataclass(frozen=True)
@@ -287,7 +321,7 @@ def snf(a: IntMatrix) -> SNFResult:
             col_swap(j0, t)
         while True:
             if w[t][t] < 0:
-                _row_neg(w, t)
+                w[t] = [-x for x in w[t]]
             p = w[t][t]
             restart = False
             for i in range(m):
@@ -329,7 +363,7 @@ def snf(a: IntMatrix) -> SNFResult:
 
 
 def rank(a: IntMatrix) -> int:
-    return _echelon([list(r) for r in a.entries], a.cols)
+    return _echelon(_sparse(a.entries), a.cols)
 
 
 def kernel_lattice(a: IntMatrix) -> IntMatrix:
@@ -338,13 +372,18 @@ def kernel_lattice(a: IntMatrix) -> IntMatrix:
     The kernel of the column action is read off a Hermite form of the
     transpose: rows of the transformation matrix that map to zero rows span
     the kernel, and the lattice they span is automatically saturated.  The
-    result is put in Hermite form, so equal kernels give identical bases.
+    rows of ``[A^T | I]`` are built sparse from ``A``; the kernel rows go
+    through the loop again, so equal kernels give identical bases.
     """
-    h, u = hnf(a.transpose())
-    ker = [u.row(i) for i in range(h.rows) if all(x == 0 for x in h.row(i))]
-    if not ker:
-        return IntMatrix([], cols=a.cols)
-    return hnf_basis(IntMatrix(ker, cols=a.cols))
+    m, n = a.rows, a.cols
+    w = [{m + j: 1} for j in range(n)]
+    for i, row in enumerate(a.entries):
+        for j, x in enumerate(row):
+            if x:
+                w[j][i] = x
+    ker = [{j - m: x for j, x in row.items()} for row in w[_echelon(w, m):]]
+    _echelon(ker, n)
+    return _dense(ker, 0, n)
 
 
 def saturate(basis: IntMatrix) -> IntMatrix:

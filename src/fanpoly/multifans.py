@@ -212,35 +212,30 @@ def hypertoric_multifan(ambient_rank: int, vectors) -> Multifan:
     are the 1-based index sets, written like ``{1,3}``.
     """
     vecs = [tuple(v) for v in vectors]
-    cones = {}
-    covers = []
-    subset_id = {}
 
     def name(indices):
         return "{" + ",".join(str(i + 1) for i in sorted(indices)) + "}"
 
-    independent = [()]
-    cones[name(())] = Cone(ambient_rank, [])
-    subset_id[()] = name(())
+    # independent subsets, each extending an independent prefix, in size order
+    subset_id = {(): name(())}
+    cones = {name(()): Cone(ambient_rank, [])}
     for size in range(1, len(vecs) + 1):
-        found = []
+        before = len(subset_id)
         for sub in combinations(range(len(vecs)), size):
             if sub[:-1] not in subset_id:
                 continue
             chosen = [vecs[i] for i in sub]
             if matrix_rank(IntMatrix(chosen, cols=ambient_rank)) != size:
                 continue
-            nid = name(sub)
-            cones[nid] = Cone(ambient_rank, chosen)
-            subset_id[sub] = nid
-            found.append(sub)
-        if not found:
+            subset_id[sub] = name(sub)
+            cones[subset_id[sub]] = Cone(ambient_rank, chosen)
+        if len(subset_id) == before:
             break
-        independent.extend(found)
-    for sub in independent:
-        for drop in range(len(sub)):
-            smaller = sub[:drop] + sub[drop + 1 :]
-            covers.append((subset_id[smaller], subset_id[sub]))
+    covers = [
+        (subset_id[sub[:drop] + sub[drop + 1 :]], nid)
+        for sub, nid in subset_id.items()
+        for drop in range(len(sub))
+    ]
     return multifan_validate(ambient_rank, cones, covers)
 
 

@@ -52,12 +52,8 @@ class LocalPolynomial:
         raise TypeError(f"integer coefficient required, got {c!r}")
 
     def __init__(self, lattice: QuotientCharacterLattice, terms):
-        if isinstance(terms, dict):
-            items = terms.items()
-        else:
-            items = terms
         clean = {}
-        for exp, coeff in items:
+        for exp, coeff in terms.items() if isinstance(terms, dict) else terms:
             e = tuple(exp)
             if len(e) != lattice.rank:
                 raise ValueError(
@@ -72,6 +68,15 @@ class LocalPolynomial:
                 clean[e] = c
         self.lattice = lattice
         self.terms = dict(sorted(clean.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True))
+
+    @classmethod
+    def _trusted(cls, lattice, terms: dict):
+        """Wrap nonzero int coefficients on exponent tuples of the lattice's
+        rank, already in canonical order; nothing is checked."""
+        self = object.__new__(cls)
+        self.lattice = lattice
+        self.terms = terms
+        return self
 
     @classmethod
     def zero(cls, lattice):
@@ -308,11 +313,8 @@ def degree_matrix(matrix: IntMatrix, k: int) -> IntMatrix:
     cols = []
     for e in src:
         poly = _monomial_image(powers, e, t)
-        cols.append([poly.get(m, 0) for m in tgt])
-    return IntMatrix(
-        [[col[i] for col in cols] for i in range(len(tgt))],
-        cols=len(src),
-    )
+        cols.append(tuple(poly.get(m, 0) for m in tgt))
+    return IntMatrix._of(tuple(cols), len(tgt)).transpose()
 
 
 def _column_powers(matrix: IntMatrix, tops):

@@ -242,8 +242,8 @@ def constraint_matrix(parts, incidences, k: int):
             row = [0] * total
             row[offsets[a] : offsets[a] + ra.cols] = ra.row(r)
             row[offsets[b] : offsets[b] + rb.cols] = [-x for x in rb.row(r)]
-            rows.append(row)
-    return tuple(layout), IntMatrix(rows, cols=total)
+            rows.append(tuple(row))
+    return tuple(layout), IntMatrix._of(tuple(rows), total)
 
 
 def piecewise_basis(container, k: int) -> GradedBasis:
@@ -253,11 +253,13 @@ def piecewise_basis(container, k: int) -> GradedBasis:
     layout, matrix = constraint_matrix(container.parts, container.gluing, k)
     kernel = kernel_lattice(matrix)
 
+    # monomials_of_degree lists one degree in canonical order, so a part's
+    # nonzero coefficients in layout order are already canonical terms
     elements = []
-    for b in range(kernel.rows):
-        vec = iter(kernel.row(b))
+    for row in kernel.entries:
+        vec = iter(row)
         parts = {
-            pid: LocalPolynomial(cone.quotient, {m: next(vec) for m in monos})
+            pid: LocalPolynomial._trusted(cone.quotient, {m: x for m, x in zip(monos, vec) if x})
             for (pid, monos), (_, cone) in zip(layout, container.parts)
         }
         elements.append(PPElement(container, parts))
@@ -291,9 +293,11 @@ def pp_pullback(m: SubdivisionMap, a: PPElement) -> PPElement:
     """Pull a piecewise polynomial back along a subdivision."""
     if a.fan != m.target:
         raise FanMismatch("element does not live on the subdivision's target fan")
+    tops = dict(m.target.parts)
     parts = {}
     for src in m.source.maximal_cones:
-        tgt = m.target.cone_by_id(m.assignment[src.id_str])
+        tgt_id = m.assignment[src.id_str]
+        tgt = tops.get(tgt_id) or m.target.cone_by_id(tgt_id)
         f = pp_restrict_orbit(a, tgt)
         r = quotient_restriction_matrix(tgt.quotient, src.quotient)
         parts[src.id_str] = f.substitute(r, src.quotient)

@@ -8,6 +8,11 @@ None, the same membership verdict.  Inputs are seeded matrices of every
 shape m x n with m, n in 0..7: entries in -9..9, some entries of about
 40 bits, zero rows and columns, rank-deficient products, and products
 with random unimodular matrices on either side.
+
+The loop works on sparse rows, so larger shapes up to 40 x 60 check the
+sparse paths: rows nonzero in two column blocks, as in a constraint
+system, with zero and duplicate rows mixed in; dense matrices whose
+elimination fills in; and the cube's degree-two constraint matrices.
 """
 
 import random
@@ -22,15 +27,18 @@ from reference_intlinalg import (
     reference_solve_left,
 )
 
+from fanpoly.fixtures import cube
 from fanpoly.intlinalg import (
     IntMatrix,
     hnf,
     hnf_basis,
     in_row_lattice,
     kernel_lattice,
+    rank,
     snf,
     solve_left,
 )
+from fanpoly.ppring import constraint_matrix
 
 BIG = 1 << 40
 
@@ -111,6 +119,55 @@ def test_solutions_match_frozen_copies(m, n):
             assert solve_left(a, b) == reference_solve_left(a, b), (a, b)
             for row in b.entries:
                 assert in_row_lattice(a, row) == reference_in_row_lattice(a, row), (a, row)
+
+
+def block_system(rng, m, blocks, width):
+    """Rows nonzero in two blocks of ``width`` columns, the second negated,
+    as one incidence of a constraint system; some rows zero or repeated."""
+    rows = []
+    for _ in range(m):
+        kind = rng.random()
+        if kind < 0.1:
+            rows.append([0] * (blocks * width))
+        elif kind < 0.25 and rows:
+            rows.append(list(rng.choice(rows)))
+        else:
+            a, b = rng.sample(range(blocks), 2)
+            row = [0] * (blocks * width)
+            for j in range(width):
+                row[a * width + j] = rng.choice((0, 0, 1, 2, -1, rng.randint(-5, 5)))
+                row[b * width + j] = -rng.choice((0, 0, 1, -1, rng.randint(-5, 5)))
+            rows.append(row)
+    return IntMatrix(rows, cols=blocks * width)
+
+
+def assert_hermite_paths_match(a):
+    h, u = reference_hnf(a)
+    assert hnf(a) == (h, u), a
+    basis = reference_hnf_basis(a)
+    assert hnf_basis(a) == basis, a
+    assert rank(a) == basis.rows, a
+    assert kernel_lattice(a) == reference_kernel_lattice(a), a
+
+
+@pytest.mark.parametrize(
+    "m,blocks,width", [(12, 4, 5), (24, 6, 6), (30, 10, 6), (40, 12, 5), (40, 6, 10)]
+)
+def test_block_systems_match_frozen_copies(m, blocks, width):
+    a = block_system(random.Random(f"blocks {m} {blocks} {width}"), m, blocks, width)
+    assert_hermite_paths_match(a)
+    assert_hermite_paths_match(a.transpose())
+
+
+@pytest.mark.parametrize("m,n", [(8, 12), (14, 14), (20, 30), (30, 20)])
+def test_dense_fill_in_matches_frozen_copies(m, n):
+    assert_hermite_paths_match(random_entries(random.Random(f"dense {m} {n}"), m, n))
+
+
+@pytest.mark.parametrize("rows", ["incidences", "gluing"])
+def test_cube_constraint_matrix_matches_frozen_copies(rows):
+    fan = cube()
+    assert_hermite_paths_match(constraint_matrix(fan.parts, getattr(fan, rows), 2)[1])
 
 
 @pytest.mark.parametrize(

@@ -1,0 +1,100 @@
+"""What the library builds without checks is what the checks would build.
+
+Kernel rows become basis elements through ``LocalPolynomial._trusted`` and
+the integer layer wraps its own results through ``IntMatrix._of``; neither
+validates nor reorders anything.  On the fixture fans and multifans at
+k = 0..3 every such object must equal, term for term and row for row, what
+the public constructor makes of the same data, and hash alike (constraint
+assembly keys a dict by matrices).  The public constructors keep rejecting
+bad input.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from fanpoly.cones import ambient_lattice
+from fanpoly.fixtures import blp2, cube, diamond, doubled_cone, hypertoric_3lines, p1, p1xp1, p2
+from fanpoly.intlinalg import IntMatrix, hnf, hnf_basis, kernel_lattice
+from fanpoly.multifans import mpp_basis
+from fanpoly.polynomials import LocalPolynomial, degree_matrix
+from fanpoly.ppring import constraint_matrix, pp_basis
+
+CONTAINERS = {
+    "p1": (p1, pp_basis),
+    "p2": (p2, pp_basis),
+    "p1xp1": (p1xp1, pp_basis),
+    "blp2": (blp2, pp_basis),
+    "diamond": (diamond, pp_basis),
+    "cube": (cube, pp_basis),
+    "doubled_cone": (doubled_cone, mpp_basis),
+    "hypertoric_3lines": (hypertoric_3lines, mpp_basis),
+}
+CASES = [(name, k) for name in CONTAINERS for k in range(4)]
+
+
+def assert_checked_copy(m):
+    assert isinstance(m.entries, tuple)
+    assert m.rows == len(m.entries)
+    for row in m.entries:
+        assert isinstance(row, tuple) and len(row) == m.cols
+        assert all(type(x) is int for x in row)
+    copy = IntMatrix(m.entries, cols=m.cols)
+    assert copy == m and copy.entries == m.entries
+    assert hash(copy) == hash(m)
+
+
+@pytest.mark.parametrize("name,k", CASES)
+def test_basis_parts_equal_checked_polynomials(name, k):
+    build, basis = CONTAINERS[name]
+    for elem in basis(build(), k).elements:
+        for p in elem.parts.values():
+            checked = LocalPolynomial(p.lattice, p.terms)
+            assert type(p) is LocalPolynomial
+            assert checked == p
+            assert list(checked.terms.items()) == list(p.terms.items())
+
+
+@pytest.mark.parametrize("name,k", CASES)
+def test_internal_matrices_equal_checked_matrices(name, k):
+    container = CONTAINERS[name][0]()
+    for rows in (container.gluing, container.incidences):
+        layout, matrix = constraint_matrix(container.parts, rows, k)
+        for m in (matrix, *hnf(matrix), hnf_basis(matrix), kernel_lattice(matrix)):
+            assert_checked_copy(m)
+        assert_checked_copy(matrix.transpose())
+        assert_checked_copy(matrix * kernel_lattice(matrix).transpose())
+    for _, cone in container.parts:
+        assert_checked_copy(degree_matrix(cone.quotient.projection, k))
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [[[1.0, 2]], [[1, 2.5]], [[True, 0]], [[0, False]], [[1, 2], [3]], [[1], [2, 3]]],
+)
+def test_public_matrix_constructor_rejects_bad_rows(rows):
+    with pytest.raises((TypeError, ValueError)):
+        IntMatrix(rows)
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [
+        {(1, 0): 1.0},
+        {(1, 0): 0.5},
+        {(1, 0): True},
+        {(0, 1): False},
+        {(1,): 1},
+        {(1, 0, 0): 1},
+        {(1.0, 0): 1},
+    ],
+)
+def test_public_polynomial_constructor_rejects_bad_terms(terms):
+    with pytest.raises((TypeError, ValueError)):
+        LocalPolynomial(ambient_lattice(2), terms)
+
+
+def test_public_constructors_keep_canonical_order():
+    p = LocalPolynomial(ambient_lattice(2), [((0, 1), 2), ((1, 0), Fraction(3)), ((0, 0), 0)])
+    assert list(p.terms.items()) == [((1, 0), 3), ((0, 1), 2)]
+    assert IntMatrix([[1, 0], [0, 1]]) == IntMatrix.identity(2)
