@@ -127,7 +127,8 @@ def _cmd_pp_basis(args) -> RunReport:
 
 
 def _cmd_mpp_basis(args) -> RunReport:
-    gb = mpp_basis(multifan_from_json(read_json_file(args.file)), args.degree)
+    mf = multifan_from_json(read_json_file(args.file))
+    gb = mpp_basis(mf, args.degree)
     return RunReport(
         lines=[f"degree {gb.degree} rank {gb.rank}"],
         document=graded_basis_to_json(gb),
@@ -280,34 +281,50 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def add(name, help_text, *positionals, degree=False):
+    def add(name, help_text):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--json", action="store_true", help="emit a JSON document")
-        for arg in positionals:
-            p.add_argument(arg)
-        if degree:
-            p.add_argument("--degree", type=int, required=True)
         return p
 
-    add("validate", "check a fan, multifan, or subdivision document", "file")
-    add("pp-basis", "graded basis of the piecewise ring of a fan", "file", degree=True)
-    add("mpp-basis", "graded basis of the piecewise ring of a multifan", "file", degree=True)
-    add("gkm-check", "compare wall conditions against the piecewise ring", "file", degree=True)
+    p = add("validate", "check a fan, multifan, or subdivision document")
+    p.add_argument("file")
 
-    p = add("chern", "characteristic class of a character multiset bundle", "fan", "bundle")
+    p = add("pp-basis", "graded basis of the piecewise ring of a fan")
+    p.add_argument("file")
+    p.add_argument("--degree", type=int, required=True)
+
+    p = add("mpp-basis", "graded basis of the piecewise ring of a multifan")
+    p.add_argument("file")
+    p.add_argument("--degree", type=int, required=True)
+
+    p = add("gkm-check", "compare wall conditions against the piecewise ring")
+    p.add_argument("file")
+    p.add_argument("--degree", type=int, required=True)
+
+    p = add("chern", "characteristic class of a character multiset bundle")
+    p.add_argument("fan")
+    p.add_argument("bundle")
     p.add_argument("--index", type=int, required=True)
 
-    p = add("courant", "piecewise linear dual function of a ray", "file")
+    p = add("courant", "piecewise linear dual function of a ray")
+    p.add_argument("file")
     p.add_argument("--ray", required=True, help="comma separated, e.g. --ray=-1,-1")
 
-    add("sr-hilbert", "face-ring monomial count of a simplicial fan", "file", degree=True)
-    add("mv-h3", "cokernel torsion of the wall restriction matrix", "file")
+    p = add("sr-hilbert", "face-ring monomial count of a simplicial fan")
+    p.add_argument("file")
+    p.add_argument("--degree", type=int, required=True)
 
-    p = add("subdivide", "star subdivision at a cone of the fan", "file")
+    p = add("mv-h3", "cokernel torsion of the wall restriction matrix")
+    p.add_argument("file")
+
+    p = add("subdivide", "star subdivision at a cone of the fan")
+    p.add_argument("file")
     p.add_argument("--target", required=True, help="cone id, e.g. --target=-1,-1;0,1")
     p.add_argument("--point", help="interior point, comma separated, e.g. --point=-1,0")
 
-    add("pullback-check", "does an element descend along a subdivision", "subdivision", "element")
+    p = add("pullback-check", "does an element descend along a subdivision")
+    p.add_argument("subdivision")
+    p.add_argument("element")
 
     p = add("hypertoric", "multifan of independent subsets of vectors")
     p.add_argument("--rank", type=int, required=True)

@@ -21,6 +21,7 @@ pairing of a covector row with a vector.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from math import gcd
 
 
@@ -74,7 +75,7 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls(_identity_rows(n), cols=n)
+        return cls([[int(i == j) for j in range(n)] for i in range(n)], cols=n)
 
     def row(self, i: int):
         return self.entries[i]
@@ -151,11 +152,6 @@ class IntMatrix:
         return f"IntMatrix({self.tolist()!r}, cols={self.cols})"
 
 
-def _row_sub(m, i, j, q):
-    """m[i] -= q * m[j]."""
-    m[i] = [x - q * y for x, y in zip(m[i], m[j])]
-
-
 def _sub(row, pivot, q):
     """row -= q * pivot on sparse rows, deleting entries that reach zero."""
     get = row.get
@@ -214,7 +210,8 @@ def _echelon(w, n: int) -> int:
 
 
 def _sparse(rows):
-    return [{j: x for j, x in enumerate(row) if x} for row in rows]
+    cols = range(len(rows[0])) if rows else ()
+    return [dict(zip(compress(cols, row), filter(None, row))) for row in rows]
 
 
 def _dense(w, lo: int, hi: int) -> IntMatrix:
@@ -227,10 +224,6 @@ def _dense(w, lo: int, hi: int) -> IntMatrix:
                 dense[j - lo] = x
         out.append(tuple(dense))
     return IntMatrix._of(tuple(out), hi - lo)
-
-
-def _identity_rows(m: int):
-    return [[1 if i == j else 0 for j in range(m)] for i in range(m)]
 
 
 def hnf(a: IntMatrix):
@@ -293,7 +286,8 @@ def snf(a: IntMatrix) -> SNFResult:
     ``V`` in the rows past ``m``.
     """
     m, n = a.rows, a.cols
-    w = [[*r, *e] for r, e in zip(a.entries, _identity_rows(m))] + _identity_rows(n)
+    w = [[*r, *e] for r, e in zip(a.entries, IntMatrix.identity(m).entries)]
+    w += [list(e) for e in IntMatrix.identity(n).entries]
 
     def col_sub(j, t, q):
         for row in w:
@@ -326,7 +320,8 @@ def snf(a: IntMatrix) -> SNFResult:
             restart = False
             for i in range(m):
                 if i != t and w[i][t] != 0:
-                    _row_sub(w, i, t, w[i][t] // p)
+                    q = w[i][t] // p
+                    w[i] = [x - q * y for x, y in zip(w[i], w[t])]
                     if w[i][t] != 0:
                         # remainder is a smaller pivot candidate
                         w[t], w[i] = w[i], w[t]
@@ -353,7 +348,7 @@ def snf(a: IntMatrix) -> SNFResult:
                     break
             if offender is None:
                 break
-            _row_sub(w, t, offender, -1)
+            w[t] = [x + y for x, y in zip(w[t], w[offender])]
         t += 1
     return SNFResult(
         IntMatrix((r[n:] for r in w[:m]), cols=m),
@@ -372,18 +367,11 @@ def kernel_lattice(a: IntMatrix) -> IntMatrix:
     The kernel of the column action is read off a Hermite form of the
     transpose: rows of the transformation matrix that map to zero rows span
     the kernel, and the lattice they span is automatically saturated.  The
-    rows of ``[A^T | I]`` are built sparse from ``A``; the kernel rows go
-    through the loop again, so equal kernels give identical bases.
+    result is put in Hermite form, so equal kernels give identical bases.
     """
-    m, n = a.rows, a.cols
-    w = [{m + j: 1} for j in range(n)]
-    for i, row in enumerate(a.entries):
-        for j, x in enumerate(row):
-            if x:
-                w[j][i] = x
-    ker = [{j - m: x for j, x in row.items()} for row in w[_echelon(w, m):]]
-    _echelon(ker, n)
-    return _dense(ker, 0, n)
+    h, u = hnf(a.transpose())
+    ker = tuple(urow for hrow, urow in zip(h.entries, u.entries) if not any(hrow))
+    return hnf_basis(IntMatrix._of(ker, a.cols))
 
 
 def saturate(basis: IntMatrix) -> IntMatrix:

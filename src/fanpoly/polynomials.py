@@ -52,8 +52,12 @@ class LocalPolynomial:
         raise TypeError(f"integer coefficient required, got {c!r}")
 
     def __init__(self, lattice: QuotientCharacterLattice, terms):
+        if isinstance(terms, dict):
+            items = terms.items()
+        else:
+            items = terms
         clean = {}
-        for exp, coeff in terms.items() if isinstance(terms, dict) else terms:
+        for exp, coeff in items:
             e = tuple(exp)
             if len(e) != lattice.rank:
                 raise ValueError(
@@ -98,14 +102,8 @@ class LocalPolynomial:
         cs = tuple(coeffs)
         if len(cs) != lattice.rank:
             raise ValueError("wrong number of linear coefficients")
-        return cls(
-            lattice,
-            {
-                tuple(1 if j == i else 0 for j in range(lattice.rank)): c
-                for i, c in enumerate(cs)
-                if c != 0
-            },
-        )
+        units = monomials_of_degree(lattice.rank, 1)
+        return cls(lattice, {u: c for u, c in zip(units, cs) if c != 0})
 
     @property
     def is_zero(self) -> bool:
