@@ -6,14 +6,15 @@ deduplicated, reduced to the extremal rays, and sorted, so two descriptions
 of the same cone produce identical objects and identical string ids.  One
 exact double-description routine (Fukuda and Prodon 1996) finds the facet
 normals, as extreme rays of the dual cone inside the span, and the rays of
-intersections.  Faces come from closure over generator-facet incidences
-(Kaibel and Pfetsch 2002), at a cost that grows with the number of faces.
+intersections, returned as keys.  Faces come from closure over
+generator-facet incidences (Kaibel and Pfetsch 2002), at a cost that grows
+with the number of faces.
 
 Every cone carries a quotient character lattice M_sigma = M / (sigma^perp
 cap M): a projection matrix with kernel exactly sigma^perp cap M and an
 integral section.  Both come from one Smith decomposition, so equal spans
 give identical coordinates.  Polynomials on a cone are written in these
-quotient coordinates.
+quotient coordinates, and each cone stores its restriction to each face.
 """
 
 from __future__ import annotations
@@ -135,6 +136,7 @@ class Cone:
         "_lattice",
         "_faces",
         "_face_keys",
+        "_restrictions",
     )
 
     def __init__(self, ambient_rank: int, generators):
@@ -204,6 +206,7 @@ class Cone:
         self._lattice = None
         self._faces = None
         self._face_keys = None
+        self._restrictions = {}
 
     @property
     def key(self):
@@ -283,7 +286,8 @@ class Cone:
         return self._face_keys
 
     def facets(self):
-        return tuple(f for f in self.faces() if f.dim == self.dim - 1)
+        """Generator tuples of the facets, sorted, read off the face lattice."""
+        return tuple(gens for dim, gens in self._face_lattice() if dim == self.dim - 1)
 
     def is_face_of(self, other: "Cone") -> bool:
         return self.key in other.face_keys()
@@ -309,19 +313,23 @@ class Cone:
 
 
 def restriction_matrix(sigma: Cone, tau: Cone) -> IntMatrix:
-    """Matrix of Sym^1 M_sigma -> Sym^1 M_tau for a face tau of sigma."""
-    if not tau.is_face_of(sigma):
-        raise NotAFace(f"{tau!r} is not a face of {sigma!r}")
-    return quotient_restriction_matrix(sigma.quotient, tau.quotient)
+    """Matrix of Sym^1 M_sigma -> Sym^1 M_tau for a face tau of sigma, kept on sigma."""
+    if tau.key not in sigma._restrictions:
+        if not tau.is_face_of(sigma):
+            raise NotAFace(f"{tau!r} is not a face of {sigma!r}")
+        sigma._restrictions[tau.key] = quotient_restriction_matrix(sigma.quotient, tau.quotient)
+    return sigma._restrictions[tau.key]
 
 
 def intersect(c1: Cone, c2: Cone):
-    """Intersection of two cones, plus whether it is a common face.
+    """Key of the intersection of two cones, plus whether it is a common face.
 
     The intersection is cut out by both spans' equations and both cones'
     facet inequalities.  Its extreme rays come from double description on
     those inequalities, restricted to the joint span, where the
-    intersection is pointed because both cones are.
+    intersection is pointed because both cones are.  The rays, primitive in
+    a saturated basis and so in Z^n, are the extremal generators: sorted,
+    they form the intersection's key ``(n, generators)`` with no Cone built.
     """
     if c1.ambient_rank != c2.ambient_rank:
         raise ValueError("ambient rank mismatch")
@@ -333,7 +341,6 @@ def intersect(c1: Cone, c2: Cone):
         {tuple(dot(u, s0.row(l)) for l in range(e)) for u in c1.facet_normals + c2.facet_normals}
         - {(0,) * e}
     )
-    rays = [tuple(dot(w, s0.column(j)) for j in range(n)) for w in _extreme_rays(ineqs, e)]
-    cone = Cone(n, rays)
-    is_common_face = cone.key in c1.face_keys() and cone.key in c2.face_keys()
-    return cone, is_common_face
+    rays = sorted(tuple(dot(w, s0.column(j)) for j in range(n)) for w in _extreme_rays(ineqs, e))
+    key = (n, tuple(rays))
+    return key, key in c1.face_keys() and key in c2.face_keys()

@@ -1,10 +1,10 @@
 """Fans of pointed cones and star subdivisions.
 
 A fan stores its maximal cones in a canonical order (lexicographic on the
-generator tuples) together with a face index mapping every face of every
-maximal cone to the list of maximal cones it sits in.  Validation checks
-that all pairwise intersections are common faces, which by transitivity of
-the face relation is enough for the whole collection of faces to be a fan.
+generator tuples) and a face index: one Cone per face of a maximal cone,
+with the maximal cones it sits in.  Validation checks, on keys, that all
+pairwise intersections are common faces, which by transitivity of the face
+relation is enough for the whole collection of faces to be a fan.
 """
 
 from __future__ import annotations
@@ -56,37 +56,34 @@ class Fan:
             if a.key == b.key:
                 raise DuplicateCone(f"cone {a.id_str} listed twice")
 
-        ids = [c.id_str for c in cones]
-        # one Cone per face: pairs meeting in the same face share it
-        faces = {c.key: c for c in cones}
-        pair_faces = {}
-        incidences = []
+        pair_keys = {}
         for i in range(len(cones)):
             for j in range(i + 1, len(cones)):
-                f, ok = intersect(cones[i], cones[j])
+                key, ok = intersect(cones[i], cones[j])
                 if not ok:
                     raise NotAFan(i, j)
-                if f == cones[i] or f == cones[j]:
+                if key == cones[i].key or key == cones[j].key:
                     raise NotAFan(i, j, "one maximal cone is a face of the other")
-                f = faces.setdefault(f.key, f)
-                pair_faces[(i, j)] = f
-                incidences.append((ids[i], ids[j], f.id_str, f))
+                pair_keys[i, j] = key
 
-        face_index: dict = {}
+        # one Cone per face, built here and shared by pair_faces and incidences
+        above: dict = {}
         for i, c in enumerate(cones):
             for key in c.face_keys():
-                if key not in face_index:
-                    face_index[key] = (faces.get(key) or Cone(*key), [])
-                face_index[key][1].append(i)
+                above.setdefault(key, []).append(i)
+        tops = {c.key: c for c in cones}
+        self.face_index = {
+            k: (tops.get(k) or Cone(*k), tuple(idxs)) for k, idxs in sorted(above.items())
+        }
 
+        ids = [c.id_str for c in cones]
         self.ambient_rank = ambient_rank
         self.maximal_cones = tuple(cones)
-        self.pair_faces = pair_faces
+        self.pair_faces = {ij: self.face_index[key][0] for ij, key in pair_keys.items()}
         self.parts = tuple(zip(ids, cones))
-        self.incidences = tuple(incidences)
-        self.face_index = {
-            k: (f, tuple(idxs)) for k, (f, idxs) in sorted(face_index.items())
-        }
+        self.incidences = tuple(
+            (ids[i], ids[j], f.id_str, f) for (i, j), f in self.pair_faces.items()
+        )
         self._gluing = None
 
     @property
@@ -208,11 +205,11 @@ def _tiles(sigma: Cone, parts) -> bool:
     for p in parts:
         for facet in p.facets():
             on_boundary = any(
-                all(dot(u, g) == 0 for g in facet.generators)
+                all(dot(u, g) == 0 for g in facet)
                 for u in sigma.facet_normals
             )
             if not on_boundary:
-                counts[facet.key] += 1
+                counts[facet] += 1
     return all(v == 2 for v in counts.values())
 
 
@@ -244,15 +241,15 @@ def star_subdivision(fan: Fan, target: Cone, point=None):
                 f"{point!r} is not in the relative interior of {target.id_str}"
             )
 
+    # a face of c lies in a facet of c exactly when its generators do
     new_cones = []
     for c in fan.maximal_cones:
         if target.key not in c.face_keys():
             new_cones.append(c)
             continue
         for facet in c.facets():
-            if target.key in facet.face_keys():
-                continue
-            new_cones.append(Cone(fan.ambient_rank, facet.generators + (point,)))
+            if not set(target.generators) <= set(facet):
+                new_cones.append(Cone(fan.ambient_rank, facet + (point,)))
     seen = {}
     for c in new_cones:
         seen.setdefault(c.key, c)

@@ -25,11 +25,12 @@ from .ppring import GradedBasis, PPElement
 
 
 def read_json_file(path: str):
-    try:
-        with open(path) as fh:
+    with open(path) as fh:
+        # bad UTF-8, bad JSON and over-long integers are ValueErrors
+        try:
             return json.load(fh)
-    except json.JSONDecodeError as e:
-        raise FormatError(f"{path}: not valid JSON ({e})") from e
+        except (ValueError, RecursionError) as e:
+            raise FormatError(f"{path}: not valid JSON ({e})") from e
 
 
 def _expect_kind(doc, kind: str):

@@ -205,9 +205,6 @@ class LocalPolynomial:
                 terms[m] = terms.get(m, 0) + c * a
         return type(self)(target, terms)
 
-    def to_rational(self) -> "RationalLocalPolynomial":
-        return RationalLocalPolynomial(self.lattice, dict(self.terms))
-
     def __eq__(self, other):
         if not isinstance(other, LocalPolynomial):
             return NotImplemented

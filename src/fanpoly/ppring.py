@@ -221,23 +221,19 @@ def constraint_matrix(parts, incidences, k: int):
         layout.append((pid, monos))
         total += len(monos)
 
-    # Sym^k of each restriction, looked up by (part id, face id) first and
-    # computed once per distinct restriction matrix
-    sym_of_pair = {}
-    sym_of_matrix = {}
+    # Sym^k computed once per distinct restriction matrix
+    sym = {}
 
-    def restricted(pid, face, tau):
-        if (pid, face) not in sym_of_pair:
-            r = restriction_matrix(cones[pid], tau)
-            if r not in sym_of_matrix:
-                sym_of_matrix[r] = degree_matrix(r, k)
-            sym_of_pair[pid, face] = sym_of_matrix[r]
-        return sym_of_pair[pid, face]
+    def restricted(pid, tau):
+        r = restriction_matrix(cones[pid], tau)
+        if r not in sym:
+            sym[r] = degree_matrix(r, k)
+        return sym[r]
 
     rows = []
-    for a, b, face, tau in incidences:
-        ra = restricted(a, face, tau)
-        rb = restricted(b, face, tau)
+    for a, b, _, tau in incidences:
+        ra = restricted(a, tau)
+        rb = restricted(b, tau)
         for r in range(ra.rows):
             row = [0] * total
             row[offsets[a] : offsets[a] + ra.cols] = ra.row(r)
@@ -344,7 +340,7 @@ def pp_is_pullback(m: SubdivisionMap, a: PPElement):
                         f"subcones {assigned[0]} and {other} carry different polynomials"
                     ),
                 )
-        witness, bad = integrality_certificate(candidate.to_rational())
+        witness, bad = integrality_certificate(candidate)
         if witness is None:
             return None, PullbackReport(
                 cone_id=sigma.id_str,

@@ -51,11 +51,22 @@ def test_missing_file_exits_3(capsys):
     assert "error" in capsys.readouterr().err
 
 
-def test_malformed_json_exits_3(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "content",
+    [
+        b"{not json",
+        b"\xff",
+        b"[" * 200_000 + b"]" * 200_000,
+        # past the integer digit limit; without one, the fan has no cones
+        b'{"kind": "fan", "ambient_rank": 1' + b"0" * 5000 + b"}",
+    ],
+    ids=["syntax", "not_utf8", "deep_nesting", "long_integer"],
+)
+def test_malformed_json_exits_3(tmp_path, capsys, content):
     f = tmp_path / "junk.json"
-    f.write_text("{not json")
+    f.write_bytes(content)
     assert main(["validate", str(f)]) == 3
-    capsys.readouterr()
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_wrong_kind_exits_3(capsys):

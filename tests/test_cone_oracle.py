@@ -135,9 +135,11 @@ def test_intersections_match_reference():
         a, b = build(*left), build(*right)
         if a is None or b is None:
             continue
-        got, ok = intersect(a[0], b[0])
+        key, ok = intersect(a[0], b[0])
         want, want_ok = reference_intersect(a[1], b[1])
-        assert (got.key, ok) == (want.key, want_ok)
+        assert (key, ok) == (want.key, want_ok)
+        got = Cone(*key)
+        assert got.key == key
         assert got.facet_normals == want.facet_normals
         flags.add((ok, got.dim == 0))
     # meeting only at 0, in a common face of positive dimension, and overlapping

@@ -126,25 +126,27 @@ def test_face_relations():
 def test_intersect_common_face():
     right = Cone(2, [(1, 0), (0, 1)])
     left = Cone(2, [(0, 1), (-1, 0)])
-    f, ok = intersect(right, left)
+    key, ok = intersect(right, left)
     assert ok
-    assert f.generators == ((0, 1),)
-    f, ok = intersect(right, right)
+    assert key == (2, ((0, 1),))
+    key, ok = intersect(right, right)
     assert ok
-    assert f == right
+    assert key == right.key
     pos_ray = Cone(2, [(1, 0)])
     neg_ray = Cone(2, [(-1, 0)])
-    f, ok = intersect(pos_ray, neg_ray)
+    key, ok = intersect(pos_ray, neg_ray)
     assert ok
-    assert f.dim == 0
+    assert Cone(*key).dim == 0
 
 
 def test_intersect_overlap_not_face():
     a = Cone(2, [(1, 0), (1, 2)])
     b = Cone(2, [(1, 1), (0, 1)])
-    f, ok = intersect(a, b)
+    key, ok = intersect(a, b)
     assert not ok
+    f = Cone(*key)
     assert f.dim == 2
+    assert f.key == key
     assert f.generators == ((1, 1), (1, 2))
     assert f.contains((2, 3))
 
@@ -152,9 +154,9 @@ def test_intersect_overlap_not_face():
 def test_intersect_in_three_dims():
     a = Cone(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
     b = Cone(3, [(0, 1, 0), (0, 0, 1), (-1, 0, 0)])
-    f, ok = intersect(a, b)
+    key, ok = intersect(a, b)
     assert ok
-    assert f.generators == ((0, 0, 1), (0, 1, 0))
+    assert key == (3, ((0, 0, 1), (0, 1, 0)))
 
 
 def test_quotient_ranks():
@@ -195,6 +197,20 @@ def test_restriction_matrix_requires_face():
         restriction_matrix(sigma, Cone(2, [(1, 1)]))
     r = restriction_matrix(sigma, Cone(2, [(1, 0)]))
     assert r.shape == (1, 2)
+
+
+def test_restriction_matrix_is_stored_on_the_cone():
+    sigma = Cone(3, [(1, 1, 1), (1, -1, 1), (-1, 1, 1), (-1, -1, 1)])
+    for tau in sigma.faces():
+        r = restriction_matrix(sigma, tau)
+        assert restriction_matrix(sigma, tau) is r
+        assert restriction_matrix(sigma, Cone(*tau.key)) is r
+        assert r == quotient_restriction_matrix(sigma.quotient, tau.quotient)
+    # the face check still runs for a pair not stored yet
+    with pytest.raises(NotAFace):
+        restriction_matrix(sigma, Cone(3, [(0, 0, 1)]))
+    with pytest.raises(NotAFace):
+        restriction_matrix(sigma, Cone(3, [(1, 1, 1), (-1, -1, 1)]))
 
 
 def test_restriction_transitivity():

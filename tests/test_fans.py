@@ -1,7 +1,9 @@
 """Fan validation, completeness and star subdivisions."""
 
 import pytest
+from test_multifans import projective_space
 
+from fanpoly import fans
 from fanpoly.cones import Cone, intersect
 from fanpoly.errors import (
     DuplicateCone,
@@ -167,8 +169,8 @@ def test_completeness_preserved_by_subdivision():
 def test_pair_faces_cached():
     f = p2()
     for (i, j), face in f.pair_faces.items():
-        g, ok = intersect(f.maximal_cones[i], f.maximal_cones[j])
-        assert ok and g == face
+        key, ok = intersect(f.maximal_cones[i], f.maximal_cones[j])
+        assert ok and key == face.key
 
 
 def test_one_cone_per_face():
@@ -181,3 +183,39 @@ def test_one_cone_per_face():
             assert face is f.face_index[face.key][0]
         for c in f.maximal_cones:
             assert f.face_index[c.key][0] is c
+
+
+def starred_cube():
+    top = Cone(3, [(1, 1, 1), (1, -1, 1), (-1, 1, 1), (-1, -1, 1)])
+    return star_subdivision(cube(), top)[0]
+
+
+@pytest.mark.parametrize(
+    "build",
+    [p2, cube, blp2, starred_cube, lambda: projective_space(4)],
+    ids=["p2", "cube", "blp2", "starred_cube", "p4"],
+)
+def test_fan_builds_each_face_cone_once_outside_intersect(build, monkeypatch):
+    maximal = build().maximal_cones
+    built = []
+    inside = []
+    init, meet = Cone.__init__, fans.intersect
+
+    def counting_init(self, *args):
+        built.append((args, bool(inside)))
+        init(self, *args)
+
+    def tracked_intersect(a, b):
+        inside.append(True)
+        try:
+            return meet(a, b)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(Cone, "__init__", counting_init)
+    monkeypatch.setattr(fans, "intersect", tracked_intersect)
+    fan = Fan(maximal[0].ambient_rank, maximal)
+    monkeypatch.undo()
+    assert not any(during for _, during in built)
+    tops = {c.key for c in maximal}
+    assert sorted(args for args, _ in built) == sorted(k for k in fan.face_index if k not in tops)

@@ -6,25 +6,30 @@ tests check that claim where it is used: the forest is drawn from
 ``incidences`` with the same tuples, both lists cut out the same kernel
 lattice in every degree tried, on complete simplicial fans the forest is
 the wall list, and the checker still names the first failing incidence
-even when that incidence is not in the forest.
+even when that incidence is not in the forest.  Shuffling the input order
+of maximal cones and of their generators changes no face, incidence,
+forest or CLI output.
 
 Inputs: the constraint oracle's fans and multifans, and seeded GL_n(Z)
 images (signed permutations times shears) of p2, p1xp1 and P^3 with one
 to three star subdivisions at random cones of dimension at least two.
 """
 
+import json
 import random
 from itertools import combinations
 
 import pytest
 from test_constraint_oracle import FAN_CASES, HYPERTORIC_5, MULTIFANS, first_failing_fan_pair
 
+from fanpoly.cli import main
 from fanpoly.cones import Cone
 from fanpoly.errors import Incompatible
 from fanpoly.fans import Fan, is_complete, star_subdivision
 from fanpoly.fixtures import cube, p1xp1, p2
 from fanpoly.gkm import gkm_graph
 from fanpoly.intlinalg import kernel_lattice, lattices_equal
+from fanpoly.jsonio import fan_to_json
 from fanpoly.multifans import hypertoric_multifan, mpp_validate, multifan_from_fan
 from fanpoly.polynomials import LocalPolynomial
 from fanpoly.ppring import constraint_matrix, pp_validate
@@ -65,7 +70,8 @@ def random_fan_cases():
     return out
 
 
-CASES = FAN_CASES + random_fan_cases() + [(name, build()) for name, build in MULTIFANS.items()]
+RANDOM_FANS = random_fan_cases()
+CASES = FAN_CASES + RANDOM_FANS + [(name, build()) for name, build in MULTIFANS.items()]
 IDS = [name for name, _ in CASES]
 
 
@@ -181,3 +187,38 @@ def test_checker_names_a_first_failure_outside_the_gluing(container, validate):
         if validate is pp_validate:
             assert first_failing_fan_pair(container, parts) == (first[:2], first[2])
     assert found > 0
+
+
+def fan_structure(fan):
+    """Face index, pair faces, incidences and gluing, with faces as keys."""
+    return (
+        [(key, idxs) for key, (_, idxs) in fan.face_index.items()],
+        {pair: face.key for pair, face in fan.pair_faces.items()},
+        [(a, b, face, tau.key) for a, b, face, tau in fan.incidences],
+        [(a, b, face, tau.key) for a, b, face, tau in fan.gluing],
+    )
+
+
+@pytest.mark.parametrize("name, fan", RANDOM_FANS, ids=[name for name, _ in RANDOM_FANS])
+def test_shuffled_input_changes_nothing(name, fan, tmp_path, capsys):
+    rng = random.Random(name)
+    doc = fan_to_json(fan)
+    cones = [list(gens) for gens in doc["maximal_cones"]]
+    for gens in cones:
+        rng.shuffle(gens)
+    rng.shuffle(cones)
+    shuffled = dict(doc, maximal_cones=cones)
+    assert shuffled != doc
+
+    n = fan.ambient_rank
+    again = Fan(n, [Cone(n, gens) for gens in cones])
+    assert fan_structure(again) == fan_structure(fan)
+
+    outputs = []
+    for i, d in enumerate((doc, shuffled)):
+        path = tmp_path / f"{i}.fan.json"
+        path.write_text(json.dumps(d))
+        for verb in (["validate"], ["pp-basis", "--degree", "2"]):
+            assert main([verb[0], str(path), *verb[1:], "--json"]) == 0
+            outputs.append(capsys.readouterr().out.encode())
+    assert outputs[:2] == outputs[2:]

@@ -106,9 +106,14 @@ def test_multifan_from_fan_matches_fan_ring():
 
 
 def facet_cover_multifan(fan):
-    """The multifan of a fan with its covers read off ``Cone.facets``."""
+    """The multifan of a fan with its covers read off ``Cone.faces``."""
     cones = {face.id_str: face for face, _ in fan.face_index.values()}
-    covers = [(g.id_str, face.id_str) for face in cones.values() for g in face.facets()]
+    covers = [
+        (g.id_str, face.id_str)
+        for face in cones.values()
+        for g in face.faces()
+        if g.dim == face.dim - 1
+    ]
     return multifan_validate(fan.ambient_rank, cones, covers)
 
 
