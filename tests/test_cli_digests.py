@@ -48,6 +48,17 @@ def invocations():
     ]
     for f in ("p2", "diamond"):
         out += [["courant", _fan(f), "--ray=" + ",".join(map(str, r)), "--json"] for r in _rays(f)]
+    out += [
+        ["subdivide", _fan(f), "--target", target, "--json"]
+        for f, target in (("p2", "0,1;1,0"), ("p1xp1", "0,1;1,0"), ("cube", "1,1,-1;1,1,1"))
+    ]
+    # descends, same-polynomial, integrality, and an element that is not
+    # compatible on the refinement
+    out += [
+        ["pullback-check", "fixtures/p2_blowup.subdivision.json", f"fixtures/blp2_{e}.element.json", "--json"]
+        for e in ("descends", "kink", "half", "incompatible")
+    ]
+    out.append(["chern", _fan("p2"), "fixtures/p2_incompatible.bundle.json", "--index", "1", "--json"])
     return out
 
 
