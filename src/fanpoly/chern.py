@@ -15,7 +15,7 @@ from .cones import restriction_matrix
 from .errors import FanMismatch, FormatError, IncompatibleMultisets, IndexOutOfRange
 from .fans import Fan
 from .polynomials import LocalPolynomial, elementary_symmetric
-from .ppring import PPElement, pp_validate
+from .ppring import PPElement, first_disagreement, pp_validate
 
 
 class BundleData:
@@ -71,13 +71,13 @@ def bundle_validate(fan: Fan, data) -> BundleData:
         raise FormatError(f"bundle rank is ambiguous: multiset sizes {sorted(sizes)}")
     rank = sizes.pop() if sizes else 0
 
-    for a, b, face, tau in fan.incidences:
-        ra = restriction_matrix(want[a], tau)
-        rb = restriction_matrix(want[b], tau)
-        left = sorted(ra.mul_vec(u) for u in characters[a])
-        right = sorted(rb.mul_vec(u) for u in characters[b])
-        if left != right:
-            raise IncompatibleMultisets(a, b, face)
+    def restricted(cid, tau):
+        r = restriction_matrix(want[cid], tau)
+        return sorted(r.mul_vec(u) for u in characters[cid])
+
+    bad = first_disagreement(fan, restricted)
+    if bad:
+        raise IncompatibleMultisets(*bad[:3])
     return BundleData(fan, characters, rank)
 
 

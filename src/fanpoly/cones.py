@@ -21,12 +21,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import LatticeMismatch, NotAFace, NotPointed, ZeroVector
+from .errors import NotAFace, NotPointed, ZeroVector
 from .intlinalg import (
     IntMatrix,
     complement_projection,
     dot,
-    in_row_lattice,
     kernel_lattice,
     primitive,
     rank as lattice_rank,
@@ -48,10 +47,6 @@ class QuotientCharacterLattice:
     projection: IntMatrix
     section: IntMatrix
 
-    @property
-    def ambient_rank(self) -> int:
-        return self.projection.cols
-
     def reduce(self, u):
         """Image of an ambient character u in quotient coordinates."""
         return self.projection.mul_vec(u)
@@ -61,23 +56,6 @@ def ambient_lattice(n: int) -> QuotientCharacterLattice:
     """M itself, viewed as the quotient lattice of a full-dimensional cone."""
     ident = IntMatrix.identity(n)
     return QuotientCharacterLattice(IntMatrix([], cols=n), n, ident, ident)
-
-
-def quotient_restriction_matrix(
-    src: QuotientCharacterLattice, dst: QuotientCharacterLattice
-) -> IntMatrix:
-    """Matrix of the induced map M_src -> M_dst on quotient coordinates.
-
-    Defined whenever src.perp is contained in dst.perp, i.e. whenever the
-    dst cone's span lies inside the src cone's span; the choice of section
-    does not matter because sections differ by elements of the kernel.
-    """
-    if src.ambient_rank != dst.ambient_rank:
-        raise LatticeMismatch("quotient lattices over different ambient lattices")
-    for row in src.perp_basis.entries:
-        if not in_row_lattice(dst.perp_basis, row):
-            raise LatticeMismatch("no induced map: source annihilator not contained in target's")
-    return dst.projection * src.section
 
 
 def _extreme_rays(ineqs, e: int):
@@ -317,7 +295,8 @@ def restriction_matrix(sigma: Cone, tau: Cone) -> IntMatrix:
     if tau.key not in sigma._restrictions:
         if not tau.is_face_of(sigma):
             raise NotAFace(f"{tau!r} is not a face of {sigma!r}")
-        sigma._restrictions[tau.key] = quotient_restriction_matrix(sigma.quotient, tau.quotient)
+        # tau^perp contains sigma^perp, so any section of M_sigma gives this map
+        sigma._restrictions[tau.key] = tau.quotient.projection * sigma.quotient.section
     return sigma._restrictions[tau.key]
 
 

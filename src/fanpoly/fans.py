@@ -97,9 +97,6 @@ class Fan:
         return self._gluing
 
     def cone_by_id(self, id_str: str) -> Cone:
-        for c in self.maximal_cones:
-            if c.id_str == id_str:
-                return c
         for f, _ in self.face_index.values():
             if f.id_str == id_str:
                 return f
@@ -155,6 +152,7 @@ class SubdivisionMap:
         if source.ambient_rank != target.ambient_rank:
             raise NotASubdivision("ambient ranks differ")
         assignment = {}
+        by_target: dict = {}
         target_cones = [f for f, _ in target.face_index.values()]
         for c in source.maximal_cones:
             containers = [t for t in target_cones if t.contains_cone(c)]
@@ -168,13 +166,10 @@ class SubdivisionMap:
                     f"no unique minimal target cone for {c.id_str}"
                 )
             assignment[c.id_str] = least.id_str
+            by_target.setdefault(least.id_str, []).append(c)
 
-        by_target: dict = {}
-        for src_id, tgt_id in assignment.items():
-            by_target.setdefault(tgt_id, []).append(src_id)
         for t in target.maximal_cones:
-            parts = [source.cone_by_id(s) for s in by_target.get(t.id_str, [])]
-            if not _tiles(t, parts):
+            if not _tiles(t, by_target.get(t.id_str, [])):
                 raise NotASubdivision(
                     f"target cone {t.id_str} is not tiled by its assigned cones"
                 )

@@ -8,8 +8,8 @@ face.
 Fans, multifans and the wall graph of a complete fan all impose this
 condition over a list of incidences: ``parts`` pairs each part id with its
 cone, and each incidence ``(a, b, face id, face)`` asks parts a and b to
-restrict equally to the face.  One checker (:func:`check_parts`) tests a
-family of polynomials against such a list, and one assembler
+restrict equally to the face.  One scan (:func:`first_disagreement`) checks
+elements and bundle multisets against such a list, and one assembler
 (:func:`constraint_matrix`) turns it into the integer system of degree k.
 Unknowns are the degree-k coefficients of all parts in canonical monomial
 order; each incidence contributes rows (restriction from one side minus
@@ -23,13 +23,17 @@ forest of incidences per shared face, the ``gluing`` of a fan or
 multifan: on a complete simplicial fan these are exactly its walls.  Every
 family that agrees along the gluing agrees on every incidence, so the
 basis is assembled over the gluing alone and the checker tests it first.
+
+A subdivision assigns each of its maximal cones to a maximal cone of the
+same dimension, which has the same span and so the same quotient lattice:
+a pullback restricts nothing, it copies each part onto the cones inside it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cones import Cone, quotient_restriction_matrix, restriction_matrix
+from .cones import Cone, restriction_matrix
 from .errors import ConeNotInFan, FanMismatch, Incompatible, LatticeMismatch
 from .fans import Fan, SubdivisionMap
 from .intlinalg import IntMatrix, in_row_lattice, kernel_lattice
@@ -78,8 +82,7 @@ def check_parts(container, parts):
     ``container`` is a Fan or a Multifan; ``parts`` maps each of its part
     ids to a LocalPolynomial over that part's quotient lattice.  Missing or
     extra keys, wrong types or lattices, and the first incidence whose two
-    restrictions differ raise; the incidences are scanned only when the
-    container's ``gluing`` fails.
+    restrictions differ raise.
     """
     want = dict(container.parts)
     got = set(parts)
@@ -93,17 +96,29 @@ def check_parts(container, parts):
         if poly.lattice != want[pid].quotient:
             raise LatticeMismatch(f"part {pid} is not in the cone's quotient coordinates")
 
-    def failures(incidences):
-        for a, b, face, tau in incidences:
-            fa = restrict_to_face(parts[a], want[a], tau)
-            fb = restrict_to_face(parts[b], want[b], tau)
-            if fa != fb:
-                yield Incompatible(a, b, face, f"{fa!r} != {fb!r}")
+    def restricted(pid, tau):
+        return restrict_to_face(parts[pid], want[pid], tau)
 
-    # agreement along the gluing implies it on every incidence; the full
-    # list is scanned only to name the first failing pair
-    if next(failures(container.gluing), None):
-        raise next(failures(container.incidences))
+    bad = first_disagreement(container, restricted)
+    if bad:
+        a, b, face, tau = bad
+        raise Incompatible(a, b, face, f"{restricted(a, tau)!r} != {restricted(b, tau)!r}")
+
+
+def first_disagreement(container, restrict):
+    """The first incidence ``(a, b, face id, face)`` of a fan or multifan
+    with ``restrict(a, face) != restrict(b, face)``, or None.
+
+    Agreement along the gluing implies it on every incidence, so the full
+    list is scanned only to name the first failure.
+    """
+
+    def differ(inc):
+        return restrict(inc[0], inc[3]) != restrict(inc[1], inc[3])
+
+    if any(map(differ, container.gluing)):
+        return next(filter(differ, container.incidences))
+    return None
 
 
 def pp_validate(fan: Fan, parts) -> PPElement:
@@ -275,28 +290,28 @@ def pp_basis(fan: Fan, k: int) -> GradedBasis:
 
 def pp_restrict_orbit(a: PPElement, sigma: Cone) -> LocalPolynomial:
     """Restrict a piecewise polynomial to a single cone of its fan."""
-    fan = a.fan
-    entry = fan.face_index.get(sigma.key)
+    entry = a.fan.face_index.get(sigma.key)
     if entry is None:
         raise ConeNotInFan(f"cone {sigma.id_str} is not in the fan")
-    sigma = entry[0]
-    i = entry[1][0]
-    top = fan.maximal_cones[i]
-    return restrict_to_face(a.parts[top.id_str], top, sigma)
+    face, (i, *_) = entry
+    top = a.fan.maximal_cones[i]
+    return restrict_to_face(a.parts[top.id_str], top, face)
 
 
 def pp_pullback(m: SubdivisionMap, a: PPElement) -> PPElement:
-    """Pull a piecewise polynomial back along a subdivision."""
+    """Pull a piecewise polynomial back along a subdivision.
+
+    Each source cone keeps the part of the maximal target cone it tiles,
+    which has the same dimension, span and quotient lattice.
+    """
     if a.fan != m.target:
         raise FanMismatch("element does not live on the subdivision's target fan")
-    tops = dict(m.target.parts)
     parts = {}
     for src in m.source.maximal_cones:
-        tgt_id = m.assignment[src.id_str]
-        tgt = tops.get(tgt_id) or m.target.cone_by_id(tgt_id)
-        f = pp_restrict_orbit(a, tgt)
-        r = quotient_restriction_matrix(tgt.quotient, src.quotient)
-        parts[src.id_str] = f.substitute(r, src.quotient)
+        f = a.parts[m.assignment[src.id_str]]
+        if f.lattice != src.quotient:
+            raise LatticeMismatch("polynomial does not live on the given cone")
+        parts[src.id_str] = f
     return PPElement(m.source, parts)
 
 
@@ -325,12 +340,9 @@ def pp_is_pullback(m: SubdivisionMap, a: PPElement):
         grouped.setdefault(tgt_id, []).append(src_id)
     parts = {}
     for sigma in m.target.maximal_cones:
-        assigned = grouped.get(sigma.id_str, [])
-        assert assigned, "subdivision validation guarantees coverage"
+        assigned = grouped[sigma.id_str]  # subdivision validation guarantees coverage
         candidate = a.parts[assigned[0]]
-        assert candidate.lattice == sigma.quotient, (
-            "full-dimensional subcones share the target cone's span"
-        )
+        assert candidate.lattice == sigma.quotient, "subcones share the target cone's span"
         for other in assigned[1:]:
             if a.parts[other] != candidate:
                 return None, PullbackReport(

@@ -6,7 +6,8 @@ tests check that claim where it is used: the forest is drawn from
 ``incidences`` with the same tuples, both lists cut out the same kernel
 lattice in every degree tried, on complete simplicial fans the forest is
 the wall list, and the checker still names the first failing incidence
-even when that incidence is not in the forest.  Shuffling the input order
+even when that incidence is not in the forest, for elements and for
+bundles.  Shuffling the input order
 of maximal cones and of their generators changes no face, incidence,
 forest or CLI output.
 
@@ -24,7 +25,8 @@ from test_constraint_oracle import FAN_CASES, HYPERTORIC_5, MULTIFANS, first_fai
 
 from fanpoly.cli import main
 from fanpoly.cones import Cone
-from fanpoly.errors import Incompatible
+from fanpoly.chern import bundle_validate
+from fanpoly.errors import Incompatible, IncompatibleMultisets
 from fanpoly.fans import Fan, is_complete, star_subdivision
 from fanpoly.fixtures import cube, p1xp1, p2
 from fanpoly.gkm import gkm_graph
@@ -162,26 +164,52 @@ def constant_parts(container, odd):
     }
 
 
+def octants():
+    """The fan of the eight coordinate octants of Z^3 (P^1 x P^1 x P^1).
+
+    Octants with one sign in common share only a ray, which the gluing
+    leaves out: the walls around the ray already chain them.
+    """
+    cones = [
+        Cone(3, [(a, 0, 0), (0, b, 0), (0, 0, c)])
+        for a in (1, -1) for b in (1, -1) for c in (1, -1)
+    ]
+    return Fan(3, cones)
+
+
+def odd_character(fan, odd):
+    """Rank-one multisets: the character x + y + z on ``odd``, 0 elsewhere.
+
+    It pairs to +-1 with every ray of the octant fan, so the multisets
+    differ on every nonzero face of ``odd`` and agree on the zero cone.
+    """
+    return {pid: [cone.quotient.reduce((int(pid == odd),) * 3)] for pid, cone in fan.parts}
+
+
 @pytest.mark.parametrize(
-    "container, validate",
+    "container, validate, error, data, min_dim",
     [
-        (cube(), pp_validate),
-        (multifan_from_fan(cube()), mpp_validate),
-        (hypertoric_multifan(3, HYPERTORIC_5), mpp_validate),
+        (cube(), pp_validate, Incompatible, constant_parts, 0),
+        (multifan_from_fan(cube()), mpp_validate, Incompatible, constant_parts, 0),
+        (hypertoric_multifan(3, HYPERTORIC_5), mpp_validate, Incompatible, constant_parts, 0),
+        (octants(), bundle_validate, IncompatibleMultisets, odd_character, 1),
     ],
-    ids=["cube", "cube_multifan", "hypertoric_5"],
+    ids=["cube", "cube_multifan", "hypertoric_5", "octants_bundle"],
 )
-def test_checker_names_a_first_failure_outside_the_gluing(container, validate):
-    # one odd constant part fails exactly the incidences that touch it, so
-    # the first of those is the pair the checker must name
+def test_checker_names_a_first_failure_outside_the_gluing(container, validate, error, data, min_dim):
+    # one odd part fails exactly the incidences that touch it at a face of
+    # dimension min_dim or more, so the first of those is the pair the
+    # checker must name
     found = 0
     for odd, _ in container.parts:
-        first = next(inc for inc in container.incidences if odd in inc[:2])
+        first = next(
+            inc for inc in container.incidences if odd in inc[:2] and inc[3].dim >= min_dim
+        )
         if first in container.gluing:
             continue
         found += 1
-        parts = constant_parts(container, odd)
-        with pytest.raises(Incompatible) as exc:
+        parts = data(container, odd)
+        with pytest.raises(error) as exc:
             validate(container, parts)
         assert (exc.value.cones, exc.value.face) == (first[:2], first[2])
         if validate is pp_validate:

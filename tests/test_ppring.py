@@ -13,7 +13,7 @@ import pytest
 
 from fanpoly.cones import Cone
 from fanpoly.errors import ConeNotInFan, FanMismatch, Incompatible, LatticeMismatch
-from fanpoly.fans import Fan
+from fanpoly.fans import Fan, star_subdivision
 from fanpoly.fixtures import blp2, cube, diamond, p1, p1xp1, p2, p2_blowup
 from fanpoly.intlinalg import IntMatrix, rank as matrix_rank
 from fanpoly.polynomials import LocalPolynomial, character_class
@@ -292,6 +292,90 @@ def test_pullback_fan_mismatch_errors():
         pp_pullback(sub, pp_constant(refined, 1))
     with pytest.raises(FanMismatch):
         pp_is_pullback(sub, pp_constant(base, 1))
+
+
+# A pullback copies each target part onto the subcones assigned to it.  That
+# is right because every assigned target cone is maximal and of the source
+# cone's dimension, so the two quotient lattices are equal; the tests below
+# check that invariant, and the copy against the restrict-then-substitute
+# formula it replaced, on star subdivisions at every cone of dimension >= 1.
+
+LOW_RANK_CONES = [[(1, 0, 1), (1, 2, 1)], [(1, 2, 1), (-1, 3, 0)], [(1, 0, 1), (0, 0, 1)]]
+
+
+def low_rank_fan(matrix=((1, 0, 0), (0, 1, 0), (0, 0, 1))):
+    """Three 2-cones in Z^3, moved by an integer matrix of determinant +-1."""
+
+    def move(v):
+        return tuple(sum(a * x for a, x in zip(row, v)) for row in matrix)
+
+    return Fan(3, [Cone(3, [move(g) for g in gens]) for gens in LOW_RANK_CONES])
+
+
+def unimodular(rng, n):
+    """A signed permutation times a few random elementary shears."""
+    perm = list(range(n))
+    rng.shuffle(perm)
+    m = [[rng.choice((1, -1)) * int(j == perm[i]) for j in range(n)] for i in range(n)]
+    for _ in range(2 * n):
+        i, j = rng.sample(range(n), 2)
+        c = rng.randint(-2, 2)
+        m[i] = [x + c * y for x, y in zip(m[i], m[j])]
+    return m
+
+
+_GL = random.Random(11)
+RELABEL_FANS = [
+    ("p2", p2()),
+    ("p1xp1", p1xp1()),
+    ("blp2", blp2()),
+    ("diamond", diamond()),
+    ("cube", cube()),
+    ("low_rank", low_rank_fan()),
+    ("low_rank.gl0", low_rank_fan(unimodular(_GL, 3))),
+    ("low_rank.gl1", low_rank_fan(unimodular(_GL, 3))),
+]
+
+
+def star_subdivisions(fan):
+    return [star_subdivision(fan, c)[1] for c, _ in fan.face_index.values() if c.dim >= 1]
+
+
+@pytest.mark.parametrize("name, fan", RELABEL_FANS, ids=[n for n, _ in RELABEL_FANS])
+def test_subdivision_assigns_a_maximal_cone_on_the_same_lattice(name, fan):
+    tops = dict(fan.parts)
+    for m in star_subdivisions(fan):
+        for src in m.source.maximal_cones:
+            tgt = tops[m.assignment[src.id_str]]
+            assert tgt.dim == src.dim
+            assert tgt.quotient == src.quotient
+
+
+@pytest.mark.parametrize("name, fan", RELABEL_FANS, ids=[n for n, _ in RELABEL_FANS])
+def test_pullback_equals_restriction_then_substitution(name, fan):
+    tops = dict(fan.parts)
+    bases = [pp_basis(fan, k).elements for k in range(3)]
+    for m in star_subdivisions(fan):
+        for elements in bases:
+            for a in elements:
+                expected = {}
+                for src in m.source.maximal_cones:
+                    tgt = tops[m.assignment[src.id_str]]
+                    r = src.quotient.projection * tgt.quotient.section
+                    f = pp_restrict_orbit(a, tgt).substitute(r, src.quotient)
+                    expected[src.id_str] = f
+                assert pp_pullback(m, a) == PPElement(m.source, expected)
+
+
+def test_pullback_rejects_a_part_on_the_wrong_lattice():
+    fan = low_rank_fan()
+    m = star_subdivisions(fan)[0]
+    (a, sigma), (b, tau) = fan.parts[:2]
+    assert sigma.quotient != tau.quotient
+    parts = {pid: LocalPolynomial.zero(cone.quotient) for pid, cone in fan.parts}
+    parts[a] = LocalPolynomial.variable(tau.quotient, 0)
+    with pytest.raises(LatticeMismatch):
+        pp_pullback(m, PPElement(fan, parts))
 
 
 def test_graded_basis_vector_roundtrip():
