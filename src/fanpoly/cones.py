@@ -52,12 +52,6 @@ class QuotientCharacterLattice:
         return self.projection.mul_vec(u)
 
 
-def ambient_lattice(n: int) -> QuotientCharacterLattice:
-    """M itself, viewed as the quotient lattice of a full-dimensional cone."""
-    ident = IntMatrix.identity(n)
-    return QuotientCharacterLattice(IntMatrix([], cols=n), n, ident, ident)
-
-
 def _extreme_rays(ineqs, e: int):
     """Sorted primitive extreme rays of the pointed cone {x in Q^e : q.x >= 0}.
 

@@ -113,33 +113,6 @@ class IntMatrix:
     def tolist(self):
         return [list(r) for r in self.entries]
 
-    def det(self) -> int:
-        """Determinant by the Bareiss fraction-free algorithm."""
-        if self.rows != self.cols:
-            raise ValueError("determinant of a non-square matrix")
-        n = self.rows
-        if n == 0:
-            return 1
-        m = [list(r) for r in self.entries]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if m[k][k] == 0:
-                for i in range(k + 1, n):
-                    if m[i][k] != 0:
-                        m[k], m[i] = m[i], m[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    # exact division is a Bareiss invariant
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-                m[i][k] = 0
-            prev = m[k][k]
-        return sign * m[n - 1][n - 1]
-
     def __eq__(self, other):
         if not isinstance(other, IntMatrix):
             return NotImplemented
@@ -372,15 +345,6 @@ def kernel_lattice(a: IntMatrix) -> IntMatrix:
     h, u = hnf(a.transpose())
     ker = tuple(urow for hrow, urow in zip(h.entries, u.entries) if not any(hrow))
     return hnf_basis(IntMatrix._of(ker, a.cols))
-
-
-def saturate(basis: IntMatrix) -> IntMatrix:
-    """Canonical basis of the saturation ``span_Q(L) ∩ Z^n`` of a row lattice.
-
-    Double kernel: the saturation is exactly the set of integer vectors
-    annihilated by everything that annihilates the generators.
-    """
-    return kernel_lattice(kernel_lattice(basis))
 
 
 def _divide(basis, v):

@@ -239,11 +239,6 @@ class RationalLocalPolynomial(LocalPolynomial):
         raise TypeError(f"rational coefficient required, got {c!r}")
 
 
-def character_class(lattice: QuotientCharacterLattice, u) -> LocalPolynomial:
-    """The image of a global character u in Sym^1 of the quotient lattice."""
-    return LocalPolynomial.linear_form(lattice, lattice.reduce(u))
-
-
 def restrict_to_face(f: LocalPolynomial, sigma: Cone, tau: Cone):
     """Restriction Sym M_sigma -> Sym M_tau along a face inclusion."""
     if f.lattice != sigma.quotient:

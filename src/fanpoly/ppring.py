@@ -290,12 +290,14 @@ def pp_basis(fan: Fan, k: int) -> GradedBasis:
 
 def pp_restrict_orbit(a: PPElement, sigma: Cone) -> LocalPolynomial:
     """Restrict a piecewise polynomial to a single cone of its fan."""
-    entry = a.fan.face_index.get(sigma.key)
+    fan = a.fan
+    entry = fan.face_index.get(sigma.key)
     if entry is None:
         raise ConeNotInFan(f"cone {sigma.id_str} is not in the fan")
-    face, (i, *_) = entry
-    top = a.fan.maximal_cones[i]
-    return restrict_to_face(a.parts[top.id_str], top, face)
+    sigma = entry[0]
+    i = entry[1][0]
+    top = fan.maximal_cones[i]
+    return restrict_to_face(a.parts[top.id_str], top, sigma)
 
 
 def pp_pullback(m: SubdivisionMap, a: PPElement) -> PPElement:
@@ -307,11 +309,11 @@ def pp_pullback(m: SubdivisionMap, a: PPElement) -> PPElement:
     if a.fan != m.target:
         raise FanMismatch("element does not live on the subdivision's target fan")
     parts = {}
-    for src in m.source.maximal_cones:
-        f = a.parts[m.assignment[src.id_str]]
+    for sid, src in m.source.parts:
+        f = a.parts[m.assignment[sid]]
         if f.lattice != src.quotient:
             raise LatticeMismatch("polynomial does not live on the given cone")
-        parts[src.id_str] = f
+        parts[sid] = f
     return PPElement(m.source, parts)
 
 

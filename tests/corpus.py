@@ -1,10 +1,17 @@
-"""Builders for the small corpus of fans used in tests and examples."""
+"""The small corpus of fans the tests share, and helpers only tests use.
+
+None of this is part of the library: the fan builders, the free lattice
+``ambient_lattice``, ``character_class``, an integer determinant and the
+saturation of a row lattice are written here, on top of fanpoly.
+"""
 
 from __future__ import annotations
 
-from .cones import Cone
-from .fans import Fan, star_subdivision
-from .multifans import Multifan, hypertoric_multifan, multifan_validate
+from fanpoly.cones import Cone, QuotientCharacterLattice
+from fanpoly.fans import Fan, star_subdivision
+from fanpoly.intlinalg import IntMatrix, kernel_lattice
+from fanpoly.multifans import Multifan, hypertoric_multifan, multifan_validate
+from fanpoly.polynomials import LocalPolynomial
 
 
 def p1() -> Fan:
@@ -100,3 +107,51 @@ def doubled_cone() -> Multifan:
         ("y", "bot"),
     ]
     return multifan_validate(2, cones, covers)
+
+
+def ambient_lattice(n: int) -> QuotientCharacterLattice:
+    """M itself, viewed as the quotient lattice of a full-dimensional cone."""
+    ident = IntMatrix.identity(n)
+    return QuotientCharacterLattice(IntMatrix([], cols=n), n, ident, ident)
+
+
+def character_class(lattice: QuotientCharacterLattice, u) -> LocalPolynomial:
+    """The image of a global character u in Sym^1 of the quotient lattice."""
+    return LocalPolynomial.linear_form(lattice, lattice.reduce(u))
+
+
+def det(a: IntMatrix) -> int:
+    """Determinant by the Bareiss fraction-free algorithm."""
+    if a.rows != a.cols:
+        raise ValueError("determinant of a non-square matrix")
+    n = a.rows
+    if n == 0:
+        return 1
+    m = [list(r) for r in a.entries]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k] != 0:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                # exact division is a Bareiss invariant
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
+def saturate(basis: IntMatrix) -> IntMatrix:
+    """Canonical basis of the saturation ``span_Q(L) ∩ Z^n`` of a row lattice.
+
+    Double kernel: the saturation is exactly the set of integer vectors
+    annihilated by everything that annihilates the generators.
+    """
+    return kernel_lattice(kernel_lattice(basis))

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from itertools import combinations
 
+from corpus import saturate
+
 from fanpoly.errors import NotPointed, ZeroVector
 from fanpoly.intlinalg import (
     IntMatrix,
@@ -25,7 +27,6 @@ from fanpoly.intlinalg import (
     kernel_lattice,
     primitive,
     rank as lattice_rank,
-    saturate,
     solve_left,
 )
 

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from fanpoly.cones import ambient_lattice
+from corpus import ambient_lattice
+
 from fanpoly.intlinalg import IntMatrix
 from fanpoly.polynomials import LocalPolynomial, monomials_of_degree
 

@@ -9,10 +9,10 @@ import itertools
 import random
 import time
 
-from fanpoly.chern import bundle_sum, bundle_validate, chern_class, total_chern
-from fanpoly.fixtures import (
+from corpus import (
     blp2,
     cube,
+    det,
     diamond,
     doubled_cone,
     hypertoric_3lines,
@@ -21,6 +21,8 @@ from fanpoly.fixtures import (
     p2,
     p2_blowup,
 )
+
+from fanpoly.chern import bundle_sum, bundle_validate, chern_class, total_chern
 from fanpoly.fans import Fan
 from fanpoly.cones import Cone
 from fanpoly.gkm import gkm_compare
@@ -231,7 +233,7 @@ def test_09_normal_forms_are_exact_on_random_matrices():
 
         h, u = hnf(a)
         assert u * a == h
-        assert abs(u.det()) == 1
+        assert abs(det(u)) == 1
         assert hnf(h)[0] == h
 
         perm = list(range(m))
@@ -241,8 +243,8 @@ def test_09_normal_forms_are_exact_on_random_matrices():
 
         res = snf(a)
         assert res.U * a * res.V == res.S
-        assert abs(res.U.det()) == 1
-        assert abs(res.V.det()) == 1
+        assert abs(det(res.U)) == 1
+        assert abs(det(res.V)) == 1
         diag = res.diagonal()
         assert all(d >= 0 for d in diag)
         for d1, d2 in zip(diag, diag[1:]):

@@ -3,10 +3,10 @@
 import random
 
 import pytest
+from corpus import diamond, p1, p2
 
 from fanpoly.chern import BundleData, bundle_sum, bundle_validate, chern_class, total_chern
 from fanpoly.errors import FanMismatch, IncompatibleMultisets, IndexOutOfRange
-from fanpoly.fixtures import diamond, p1, p2
 from fanpoly.polynomials import monomials_of_degree
 from fanpoly.intlinalg import IntMatrix, unimodular_inverse
 from fanpoly.ppring import pp_add, pp_basis, pp_constant, pp_mul, pp_scale

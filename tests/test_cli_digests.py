@@ -54,11 +54,13 @@ def invocations():
     ]
     # descends, same-polynomial, integrality, and an element that is not
     # compatible on the refinement
+    sub = "fixtures/p2_blowup.subdivision.json"
     out += [
-        ["pullback-check", "fixtures/p2_blowup.subdivision.json", f"fixtures/blp2_{e}.element.json", "--json"]
+        ["pullback-check", sub, f"fixtures/blp2_{e}.element.json", "--json"]
         for e in ("descends", "kink", "half", "incompatible")
     ]
-    out.append(["chern", _fan("p2"), "fixtures/p2_incompatible.bundle.json", "--index", "1", "--json"])
+    bundle = "fixtures/p2_incompatible.bundle.json"
+    out.append(["chern", _fan("p2"), bundle, "--index", "1", "--json"])
     return out
 
 

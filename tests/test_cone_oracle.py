@@ -13,11 +13,11 @@ import random
 from itertools import product
 
 import pytest
+from corpus import cube
 from reference_cones import ReferenceCone, reference_intersect
 
 from fanpoly.cones import Cone, intersect
 from fanpoly.errors import NotPointed
-from fanpoly.fixtures import cube
 
 OCTAGON = [(2, 1), (1, 2), (-1, 2), (-2, 1), (-2, -1), (-1, -2), (1, -2), (2, -1)]
 

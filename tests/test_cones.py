@@ -9,10 +9,10 @@ using the library's own facet machinery.
 from itertools import product
 
 import pytest
+from corpus import ambient_lattice
 
 from fanpoly.cones import (
     Cone,
-    ambient_lattice,
     intersect,
     restriction_matrix,
 )

@@ -14,6 +14,7 @@ complete fans.
 import random
 
 import pytest
+from corpus import blp2, cube, diamond, doubled_cone, hypertoric_3lines, p1, p1xp1, p2
 from reference_constraints import (
     reference_beta_system,
     reference_fan_system,
@@ -24,16 +25,6 @@ from reference_constraints import (
 from fanpoly.cones import Cone
 from fanpoly.errors import Incompatible
 from fanpoly.fans import Fan
-from fanpoly.fixtures import (
-    blp2,
-    cube,
-    diamond,
-    doubled_cone,
-    hypertoric_3lines,
-    p1,
-    p1xp1,
-    p2,
-)
 from fanpoly.gkm import beta_system, gkm_graph
 from fanpoly.intlinalg import kernel_lattice
 from fanpoly.multifans import hypertoric_multifan, mpp_basis, mpp_validate, multifan_from_fan

@@ -1,6 +1,7 @@
 """Fan validation, completeness and star subdivisions."""
 
 import pytest
+from corpus import blp2, cube, diamond, p1, p1xp1, p2
 from test_multifans import projective_space
 
 from fanpoly import fans
@@ -18,7 +19,6 @@ from fanpoly.fans import (
     is_complete,
     star_subdivision,
 )
-from fanpoly.fixtures import blp2, cube, diamond, p1, p1xp1, p2
 
 
 def test_p1_structure():

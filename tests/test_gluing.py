@@ -7,9 +7,8 @@ tests check that claim where it is used: the forest is drawn from
 lattice in every degree tried, on complete simplicial fans the forest is
 the wall list, and the checker still names the first failing incidence
 even when that incidence is not in the forest, for elements and for
-bundles.  Shuffling the input order
-of maximal cones and of their generators changes no face, incidence,
-forest or CLI output.
+bundles.  Shuffling the input order of maximal cones and of their
+generators changes no face, incidence, forest or CLI output.
 
 Inputs: the constraint oracle's fans and multifans, and seeded GL_n(Z)
 images (signed permutations times shears) of p2, p1xp1 and P^3 with one
@@ -21,14 +20,14 @@ import random
 from itertools import combinations
 
 import pytest
+from corpus import cube, p1xp1, p2
 from test_constraint_oracle import FAN_CASES, HYPERTORIC_5, MULTIFANS, first_failing_fan_pair
 
 from fanpoly.cli import main
-from fanpoly.cones import Cone
 from fanpoly.chern import bundle_validate
+from fanpoly.cones import Cone
 from fanpoly.errors import Incompatible, IncompatibleMultisets
 from fanpoly.fans import Fan, is_complete, star_subdivision
-from fanpoly.fixtures import cube, p1xp1, p2
 from fanpoly.gkm import gkm_graph
 from fanpoly.intlinalg import kernel_lattice, lattices_equal
 from fanpoly.jsonio import fan_to_json
@@ -196,7 +195,9 @@ def odd_character(fan, odd):
     ],
     ids=["cube", "cube_multifan", "hypertoric_5", "octants_bundle"],
 )
-def test_checker_names_a_first_failure_outside_the_gluing(container, validate, error, data, min_dim):
+def test_checker_names_a_first_failure_outside_the_gluing(
+    container, validate, error, data, min_dim
+):
     # one odd part fails exactly the incidences that touch it at a face of
     # dimension min_dim or more, so the first of those is the pair the
     # checker must name

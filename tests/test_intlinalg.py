@@ -10,6 +10,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from corpus import det, saturate
 
 from fanpoly.intlinalg import (
     IntMatrix,
@@ -22,7 +23,6 @@ from fanpoly.intlinalg import (
     lattices_equal,
     primitive,
     rank,
-    saturate,
     snf,
     solve_left,
     unimodular_inverse,
@@ -58,7 +58,7 @@ def minor_gcd_divisors(a):
         for rs in combinations(range(a.rows), k):
             for cs in combinations(range(a.cols), k):
                 sub = IntMatrix([[a[i, j] for j in cs] for i in rs], cols=k)
-                g = gcd(g, sub.det())
+                g = gcd(g, det(sub))
         out.append(g // prev)
         prev = g
     return tuple(out)
@@ -93,7 +93,7 @@ def test_matrix_basics():
     assert a.transpose().tolist() == [[1, 3], [2, 4]]
     assert (a * IntMatrix.identity(2)) == a
     assert a.mul_vec((1, 1)) == (3, 7)
-    assert a.det() == -2
+    assert det(a) == -2
     empty = IntMatrix([], cols=3)
     assert empty.shape == (0, 3)
     assert empty.transpose().shape == (3, 0)
@@ -109,20 +109,20 @@ def test_det_matches_fraction_elimination():
         n = rng.randint(1, 5)
         a = IntMatrix([[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)], cols=n)
         m = [[Fraction(x) for x in r] for r in a.tolist()]
-        det = Fraction(1)
+        want = Fraction(1)
         for c in range(n):
             piv = next((i for i in range(c, n) if m[i][c] != 0), None)
             if piv is None:
-                det = Fraction(0)
+                want = Fraction(0)
                 break
             if piv != c:
                 m[c], m[piv] = m[piv], m[c]
-                det = -det
-            det *= m[c][c]
+                want = -want
+            want *= m[c][c]
             for i in range(c + 1, n):
                 f = m[i][c] / m[c][c]
                 m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-        assert a.det() == det
+        assert det(a) == want
 
 
 def test_snf_trivial_cases():
@@ -146,8 +146,8 @@ def test_snf_properties_random():
         a = random_matrix(rng)
         res = snf(a)
         assert res.U * a * res.V == res.S
-        assert abs(res.U.det()) == 1
-        assert abs(res.V.det()) == 1
+        assert abs(det(res.U)) == 1
+        assert abs(det(res.V)) == 1
         diag = res.diagonal()
         for i in range(res.S.rows):
             for j in range(res.S.cols):
@@ -203,7 +203,7 @@ def test_hnf_preserves_row_lattice():
         a = random_matrix(rng, max_dim=5, lo=-5, hi=5)
         h, u = hnf(a)
         assert u * a == h
-        assert abs(u.det()) == 1
+        assert abs(det(u)) == 1
         for row in h.entries:
             assert in_row_lattice(a, row)
         for row in a.entries:

@@ -18,6 +18,7 @@ elimination fills in; and the cube's degree-two constraint matrices.
 import random
 
 import pytest
+from corpus import cube
 from reference_intlinalg import (
     reference_hnf,
     reference_hnf_basis,
@@ -27,7 +28,6 @@ from reference_intlinalg import (
     reference_solve_left,
 )
 
-from fanpoly.fixtures import cube
 from fanpoly.intlinalg import (
     IntMatrix,
     hnf,

@@ -3,9 +3,9 @@
 from fractions import Fraction
 
 import pytest
+from corpus import diamond, doubled_cone, hypertoric_3lines, p2, p2_blowup
 
 from fanpoly.errors import FormatError
-from fanpoly.fixtures import diamond, doubled_cone, hypertoric_3lines, p2, p2_blowup
 from fanpoly.jsonio import (
     bundle_characters_from_json,
     fan_from_json,

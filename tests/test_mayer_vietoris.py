@@ -4,11 +4,11 @@ from itertools import combinations
 from math import gcd
 
 import pytest
+from corpus import blp2, cube, det, diamond, p1, p1xp1, p2
 
 from fanpoly.cones import Cone
 from fanpoly.errors import NotComplete, WrongRank
 from fanpoly.fans import Fan
-from fanpoly.fixtures import blp2, cube, diamond, p1, p1xp1, p2
 from fanpoly.intlinalg import IntMatrix
 from fanpoly.mayer_vietoris import _prime_power_parts, h3_torsion, mv_row
 from fanpoly.ppring import pp_basis
@@ -23,7 +23,7 @@ def minor_gcd_divisors(m: IntMatrix):
         for rows in combinations(range(m.rows), k):
             for cols in combinations(range(m.cols), k):
                 sub = IntMatrix([[m[r, c] for c in cols] for r in rows])
-                g = gcd(g, abs(sub.det()))
+                g = gcd(g, abs(det(sub)))
         if g == 0:
             break
         out.append(g // prev)

@@ -3,6 +3,7 @@
 from itertools import combinations
 
 import pytest
+from corpus import character_class, cube, doubled_cone, hypertoric_3lines, p2
 
 from fanpoly.cones import Cone
 from fanpoly.errors import (
@@ -13,7 +14,6 @@ from fanpoly.errors import (
     NotAPoset,
 )
 from fanpoly.fans import Fan
-from fanpoly.fixtures import cube, doubled_cone, hypertoric_3lines, p2
 from fanpoly.multifans import (
     Multifan,
     hypertoric_multifan,
@@ -22,7 +22,7 @@ from fanpoly.multifans import (
     multifan_from_fan,
     multifan_validate,
 )
-from fanpoly.polynomials import LocalPolynomial, character_class
+from fanpoly.polynomials import LocalPolynomial
 from fanpoly.ppring import pp_basis
 
 

@@ -14,9 +14,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from corpus import ambient_lattice
 from reference_polynomials import reference_degree_matrix, reference_substitute
 
-from fanpoly.cones import ambient_lattice
 from fanpoly.intlinalg import IntMatrix
 from fanpoly.polynomials import (
     LocalPolynomial,

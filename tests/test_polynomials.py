@@ -8,14 +8,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from corpus import ambient_lattice, character_class
 
-from fanpoly.cones import Cone, ambient_lattice
+from fanpoly.cones import Cone
 from fanpoly.errors import IndexOutOfRange, LatticeMismatch, NotAFace
 from fanpoly.intlinalg import IntMatrix
 from fanpoly.polynomials import (
     LocalPolynomial,
     RationalLocalPolynomial,
-    character_class,
     degree_matrix,
     elementary_symmetric,
     integrality_certificate,

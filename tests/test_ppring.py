@@ -10,13 +10,13 @@ import random
 from itertools import combinations_with_replacement
 
 import pytest
+from corpus import blp2, character_class, cube, diamond, p1, p1xp1, p2, p2_blowup
 
 from fanpoly.cones import Cone
 from fanpoly.errors import ConeNotInFan, FanMismatch, Incompatible, LatticeMismatch
 from fanpoly.fans import Fan, star_subdivision
-from fanpoly.fixtures import blp2, cube, diamond, p1, p1xp1, p2, p2_blowup
 from fanpoly.intlinalg import IntMatrix, rank as matrix_rank
-from fanpoly.polynomials import LocalPolynomial, character_class
+from fanpoly.polynomials import LocalPolynomial
 from fanpoly.ppring import (
     GradedBasis,
     PPElement,
@@ -362,15 +362,14 @@ def test_pullback_equals_restriction_then_substitution(name, fan):
                 for src in m.source.maximal_cones:
                     tgt = tops[m.assignment[src.id_str]]
                     r = src.quotient.projection * tgt.quotient.section
-                    f = pp_restrict_orbit(a, tgt).substitute(r, src.quotient)
-                    expected[src.id_str] = f
+                    expected[src.id_str] = pp_restrict_orbit(a, tgt).substitute(r, src.quotient)
                 assert pp_pullback(m, a) == PPElement(m.source, expected)
 
 
 def test_pullback_rejects_a_part_on_the_wrong_lattice():
     fan = low_rank_fan()
     m = star_subdivisions(fan)[0]
-    (a, sigma), (b, tau) = fan.parts[:2]
+    (a, sigma), (_, tau) = fan.parts[:2]
     assert sigma.quotient != tau.quotient
     parts = {pid: LocalPolynomial.zero(cone.quotient) for pid, cone in fan.parts}
     parts[a] = LocalPolynomial.variable(tau.quotient, 0)

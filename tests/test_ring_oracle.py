@@ -12,10 +12,10 @@ nothing with the constraint assembly or the kernel computation that
 from itertools import combinations, combinations_with_replacement
 
 import pytest
+from corpus import blp2, p1, p1xp1, p2
 
 from fanpoly.cones import Cone
 from fanpoly.fans import Fan, star_subdivision
-from fanpoly.fixtures import blp2, p1, p1xp1, p2
 from fanpoly.intlinalg import IntMatrix, lattices_equal
 from fanpoly.ppring import pp_basis, pp_constant, pp_mul
 from fanpoly.stanley_reisner import SimplicialFanSR, courant_function

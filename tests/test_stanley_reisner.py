@@ -5,12 +5,11 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from corpus import blp2, character_class, cube, diamond, p1, p1xp1, p2
 
 from fanpoly.cones import Cone
 from fanpoly.errors import NotSimplicial, RayNotFound
 from fanpoly.fans import Fan
-from fanpoly.fixtures import blp2, cube, diamond, p1, p1xp1, p2
-from fanpoly.polynomials import character_class
 from fanpoly.ppring import pp_add, pp_basis, pp_constant, pp_scale, pp_validate
 from fanpoly.stanley_reisner import (
     SimplicialFanSR,

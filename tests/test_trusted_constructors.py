@@ -12,9 +12,18 @@ bad input.
 from fractions import Fraction
 
 import pytest
+from corpus import (
+    ambient_lattice,
+    blp2,
+    cube,
+    diamond,
+    doubled_cone,
+    hypertoric_3lines,
+    p1,
+    p1xp1,
+    p2,
+)
 
-from fanpoly.cones import ambient_lattice
-from fanpoly.fixtures import blp2, cube, diamond, doubled_cone, hypertoric_3lines, p1, p1xp1, p2
 from fanpoly.intlinalg import IntMatrix, hnf, hnf_basis, kernel_lattice
 from fanpoly.multifans import mpp_basis
 from fanpoly.polynomials import LocalPolynomial, degree_matrix
