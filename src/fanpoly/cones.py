@@ -104,6 +104,7 @@ class Cone:
         "span_basis",
         "span_perp",
         "facet_normals",
+        "_id_str",
         "_quotient",
         "_lattice",
         "_faces",
@@ -174,6 +175,7 @@ class Cone:
             self.generators = tuple(extremal)
             self.facet_normals = tuple(ambient_normals)
 
+        self._id_str = None
         self._quotient = None
         self._lattice = None
         self._faces = None
@@ -187,9 +189,10 @@ class Cone:
 
     @property
     def id_str(self) -> str:
-        if not self.generators:
-            return "0"
-        return ";".join(",".join(str(x) for x in g) for g in self.generators)
+        """Canonical id, joined on first read: lookups by id read it again and again."""
+        if self._id_str is None:
+            self._id_str = ";".join(",".join(map(str, g)) for g in self.generators) or "0"
+        return self._id_str
 
     def contains(self, point) -> bool:
         v = tuple(point)

