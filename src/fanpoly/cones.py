@@ -14,7 +14,8 @@ Every cone carries a quotient character lattice M_sigma = M / (sigma^perp
 cap M): a projection matrix with kernel exactly sigma^perp cap M and an
 integral section.  Both come from one Smith decomposition, so equal spans
 give identical coordinates.  Polynomials on a cone are written in these
-quotient coordinates, and each cone stores its restriction to each face.
+quotient coordinates, and each cone stores its restriction to each face
+(and the powers of its columns that restrictions have needed).
 """
 
 from __future__ import annotations
@@ -110,6 +111,7 @@ class Cone:
         "_faces",
         "_face_keys",
         "_restrictions",
+        "_powers",
     )
 
     def __init__(self, ambient_rank: int, generators):
@@ -181,6 +183,7 @@ class Cone:
         self._faces = None
         self._face_keys = None
         self._restrictions = {}
+        self._powers = {}
 
     @property
     def key(self):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .errors import NotComplete
 from .fans import Fan, is_complete
-from .intlinalg import IntMatrix, kernel_lattice, lattices_equal
+from .intlinalg import IntMatrix, kernel_lattice
 from .ppring import constraint_matrix, pp_basis
 
 
@@ -71,6 +71,7 @@ def gkm_compare(fan: Fan, k: int) -> bool:
     Both lattices are expressed over the same coefficient layout (every
     maximal cone of a complete fan is full-dimensional, so its quotient
     coordinates are the ambient characters), making this an exact integer
-    lattice equality.
+    lattice equality.  Both bases are canonical (Hermite form), so the
+    lattices are equal exactly when the bases are.
     """
-    return lattices_equal(gkm_kernel_basis(fan, k), pp_basis(fan, k).coefficients)
+    return gkm_kernel_basis(fan, k) == pp_basis(fan, k).coefficients

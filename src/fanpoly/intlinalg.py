@@ -406,13 +406,6 @@ def solve_left(a: IntMatrix, b: IntMatrix):
     return IntMatrix(xs, cols=a.rows)
 
 
-def lattices_equal(a: IntMatrix, b: IntMatrix) -> bool:
-    """Do two row-generating sets span the same integer lattice?"""
-    if a.cols != b.cols:
-        raise ValueError("ambient rank mismatch")
-    return hnf_basis(a) == hnf_basis(b)
-
-
 def unimodular_inverse(v: IntMatrix) -> IntMatrix:
     """Inverse of a unimodular matrix, via ``U * V = HNF(V) = I``."""
     h, u = hnf(v)

@@ -197,8 +197,10 @@ class LocalPolynomial:
                 f"substitution matrix {matrix.shape} does not map rank "
                 f"{self.lattice.rank} into rank {target.rank}"
             )
-        tops = [max((e[i] for e in self.terms), default=0) for i in range(self.lattice.rank)]
-        powers = _column_powers(matrix, tops)
+        return self._expand(_column_powers(matrix, map(max, zip(*self.terms))), target)
+
+    def _expand(self, powers, target):
+        """Each term replaced by the product of the column powers its exponents name."""
         terms: dict = {}
         for e, c in self.terms.items():
             for m, a in _monomial_image(powers, e, target.rank).items():
@@ -240,10 +242,23 @@ class RationalLocalPolynomial(LocalPolynomial):
 
 
 def restrict_to_face(f: LocalPolynomial, sigma: Cone, tau: Cone):
-    """Restriction Sym M_sigma -> Sym M_tau along a face inclusion."""
+    """Restriction Sym M_sigma -> Sym M_tau along a face inclusion.
+
+    Only f's own terms are expanded, from the column powers kept on sigma
+    (:func:`restriction_powers`): restricting many elements along one face
+    builds each power once, and a sparse high-degree term costs its powers.
+    """
     if f.lattice != sigma.quotient:
         raise LatticeMismatch("polynomial does not live on the given cone")
-    return f.substitute(restriction_matrix(sigma, tau), tau.quotient)
+    return f._expand(restriction_powers(sigma, tau, map(max, zip(*f.terms))), tau.quotient)
+
+
+def restriction_powers(sigma: Cone, tau: Cone, tops):
+    """Powers of the columns of ``restriction_matrix(sigma, tau)``, kept on
+    sigma; column i grows to ``tops[i]`` if it is not that far yet."""
+    r = restriction_matrix(sigma, tau)
+    powers = sigma._powers[tau.key] = _column_powers(r, tops, sigma._powers.get(tau.key))
+    return powers
 
 
 def elementary_symmetric(polys, i: int):
@@ -287,7 +302,7 @@ def integrality_certificate(f: LocalPolynomial):
     return LocalPolynomial(f.lattice, {e: int(c) for e, c in f.terms.items()}), {}
 
 
-def degree_matrix(matrix: IntMatrix, k: int) -> IntMatrix:
+def degree_matrix(matrix: IntMatrix, k: int, powers=None) -> IntMatrix:
     """Action of a linear substitution on degree-k coefficient vectors.
 
     ``matrix`` (t x s) sends variable i of the source to the linear form
@@ -299,7 +314,7 @@ def degree_matrix(matrix: IntMatrix, k: int) -> IntMatrix:
     t, s = matrix.shape
     src = monomials_of_degree(s, k)
     tgt = monomials_of_degree(t, k)
-    powers = _column_powers(matrix, [k] * s)
+    powers = _column_powers(matrix, [k] * s, powers)
     cols = []
     for e in src:
         poly = _monomial_image(powers, e, t)
@@ -307,17 +322,21 @@ def degree_matrix(matrix: IntMatrix, k: int) -> IntMatrix:
     return IntMatrix._of(tuple(cols), len(tgt)).transpose()
 
 
-def _column_powers(matrix: IntMatrix, tops):
-    """Powers 0..tops[i] of each column's linear form, as exponent-keyed dicts."""
+def _column_powers(matrix: IntMatrix, tops, powers=None):
+    """Powers 0..tops[i] of each column's linear form, as exponent-keyed dicts.
+
+    Given ``powers`` from an earlier call on the same matrix, grows each
+    column's list in place to at least ``tops[i] + 1`` entries.
+    """
     t = matrix.rows
-    units = monomials_of_degree(t, 1)
-    powers = []
+    if powers is None:
+        powers = [[{(0,) * t: 1}] for _ in range(matrix.cols)]
     for i, top in enumerate(tops):
-        linear = [(u, a) for u, a in zip(units, matrix.column(i)) if a]
-        column_powers = [{(0,) * t: 1}]
-        for _ in range(top):
-            column_powers.append(_times(column_powers[-1], linear))
-        powers.append(column_powers)
+        column_powers = powers[i]
+        if len(column_powers) <= top:
+            linear = [(u, a) for u, a in zip(monomials_of_degree(t, 1), matrix.column(i)) if a]
+            while len(column_powers) <= top:
+                column_powers.append(_times(column_powers[-1], linear))
     return powers
 
 

@@ -32,6 +32,7 @@ a pullback restricts nothing, it copies each part onto the cones inside it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, compress
 
 from .cones import Cone, restriction_matrix
 from .errors import ConeNotInFan, FanMismatch, Incompatible, LatticeMismatch
@@ -43,6 +44,7 @@ from .polynomials import (
     integrality_certificate,
     monomials_of_degree,
     restrict_to_face,
+    restriction_powers,
 )
 
 
@@ -58,6 +60,14 @@ class PPElement:
     def __init__(self, fan, parts):
         self.fan = fan
         self.parts = dict(sorted(parts.items()))
+
+    @classmethod
+    def _trusted(cls, fan, parts: dict):
+        """Wrap parts already keyed in sorted id order; nothing is checked."""
+        self = object.__new__(cls)
+        self.fan = fan
+        self.parts = parts
+        return self
 
     @property
     def degree(self) -> int:
@@ -243,7 +253,7 @@ def constraint_matrix(parts, incidences, k: int):
     def restricted(pid, tau):
         r = restriction_matrix(cones[pid], tau)
         if r not in sym:
-            sym[r] = degree_matrix(r, k)
+            sym[r] = degree_matrix(r, k, restriction_powers(cones[pid], tau, [k] * r.cols))
         return sym[r]
 
     rows = []
@@ -259,22 +269,35 @@ def constraint_matrix(parts, incidences, k: int):
 
 
 def piecewise_basis(container, k: int) -> GradedBasis:
-    """Canonical lattice basis of the degree-k piece of a fan or multifan."""
+    """Canonical lattice basis of the degree-k piece of a fan or multifan.
+
+    Each kernel row becomes an element whose parts are read off the row's
+    slices.  A part whose slice is zero is one zero polynomial shared by
+    every element of the basis; parts are never modified in place.
+    """
     if k < 0:
         raise ValueError("negative degree")
     layout, matrix = constraint_matrix(container.parts, container.gluing, k)
     kernel = kernel_lattice(matrix)
 
+    # each part's slice and zero polynomial, worked out once, in part id order
+    starts = accumulate((len(monos) for _, monos in layout), initial=0)
+    blocks = sorted(
+        (pid, monos, lo, lo + len(monos), LocalPolynomial._trusted(cone.quotient, {}))
+        for (pid, monos), (_, cone), lo in zip(layout, container.parts, starts)
+    )
+
     # monomials_of_degree lists one degree in canonical order, so a part's
     # nonzero coefficients in layout order are already canonical terms
     elements = []
     for row in kernel.entries:
-        vec = iter(row)
         parts = {
-            pid: LocalPolynomial._trusted(cone.quotient, {m: x for m, x in zip(monos, vec) if x})
-            for (pid, monos), (_, cone) in zip(layout, container.parts)
+            pid: LocalPolynomial._trusted(zero.lattice, dict(compress(zip(monos, seg), seg)))
+            if any(seg := row[lo:hi])
+            else zero
+            for pid, monos, lo, hi, zero in blocks
         }
-        elements.append(PPElement(container, parts))
+        elements.append(PPElement._trusted(container, parts))
     return GradedBasis(
         degree=k,
         elements=tuple(elements),

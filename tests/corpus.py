@@ -1,15 +1,19 @@
 """The small corpus of fans the tests share, and helpers only tests use.
 
 None of this is part of the library: the fan builders, the free lattice
-``ambient_lattice``, ``character_class``, an integer determinant and the
-saturation of a row lattice are written here, on top of fanpoly.
+``ambient_lattice``, ``character_class``, an integer determinant, the
+saturation of a row lattice and lattice equality are written here, on top
+of fanpoly.
 """
 
 from __future__ import annotations
 
+import random
+from itertools import combinations
+
 from fanpoly.cones import Cone, QuotientCharacterLattice
 from fanpoly.fans import Fan, star_subdivision
-from fanpoly.intlinalg import IntMatrix, kernel_lattice
+from fanpoly.intlinalg import IntMatrix, hnf_basis, kernel_lattice
 from fanpoly.multifans import Multifan, hypertoric_multifan, multifan_validate
 from fanpoly.polynomials import LocalPolynomial
 
@@ -41,6 +45,26 @@ def diamond() -> Fan:
     rays = [(1, 1), (-1, 1), (-1, -1), (1, -1)]
     cones = [Cone(2, [rays[i], rays[(i + 1) % 4]]) for i in range(4)]
     return Fan(2, cones)
+
+
+def projective_space(n: int) -> Fan:
+    """The complete smooth fan of P^n: rays e_1, ..., e_n and -(e_1 + ... + e_n)."""
+    rays = [tuple(int(i == j) for j in range(n)) for i in range(n)] + [(-1,) * n]
+    return Fan(n, [Cone(n, gens) for gens in combinations(rays, n)])
+
+
+def subdivided_p3(rng, steps: int) -> Fan:
+    """P^3 starred ``steps`` times at 2- and 3-dimensional cones (stays smooth)."""
+    fan = projective_space(3)
+    for _ in range(steps):
+        targets = [f for f, _ in fan.face_index.values() if f.dim >= 2]
+        fan, _ = star_subdivision(fan, rng.choice(targets))
+    return fan
+
+
+def p3_starred3() -> Fan:
+    """P^3 starred three times, at cones drawn with a fixed seed."""
+    return subdivided_p3(random.Random(3), 3)
 
 
 def blp2() -> Fan:
@@ -155,3 +179,10 @@ def saturate(basis: IntMatrix) -> IntMatrix:
     annihilated by everything that annihilates the generators.
     """
     return kernel_lattice(kernel_lattice(basis))
+
+
+def lattices_equal(a: IntMatrix, b: IntMatrix) -> bool:
+    """Do two row-generating sets span the same integer lattice?"""
+    if a.cols != b.cols:
+        raise ValueError("ambient rank mismatch")
+    return hnf_basis(a) == hnf_basis(b)

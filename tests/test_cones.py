@@ -9,7 +9,7 @@ using the library's own facet machinery.
 from itertools import product
 
 import pytest
-from corpus import ambient_lattice
+from corpus import ambient_lattice, lattices_equal
 
 from fanpoly.cones import (
     Cone,
@@ -17,7 +17,7 @@ from fanpoly.cones import (
     restriction_matrix,
 )
 from fanpoly.errors import NotAFace, NotPointed, ZeroVector
-from fanpoly.intlinalg import IntMatrix, dot, kernel_lattice, lattices_equal
+from fanpoly.intlinalg import IntMatrix, dot, kernel_lattice
 
 
 def exposed_face_generator_sets(gens, bound=2):

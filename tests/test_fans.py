@@ -1,8 +1,7 @@
 """Fan validation, completeness and star subdivisions."""
 
 import pytest
-from corpus import blp2, cube, diamond, p1, p1xp1, p2
-from test_multifans import projective_space
+from corpus import blp2, cube, diamond, p1, p1xp1, p2, projective_space
 
 from fanpoly import fans
 from fanpoly.cones import Cone, intersect

@@ -4,13 +4,13 @@ import random
 from collections import Counter
 
 import pytest
-from corpus import blp2, cube, diamond, p1, p1xp1, p2
+from corpus import blp2, cube, diamond, lattices_equal, p1, p1xp1, p2
 
 from fanpoly.cones import Cone
 from fanpoly.errors import NotComplete
 from fanpoly.fans import Fan
 from fanpoly.gkm import GKMGraph, beta_system, gkm_compare, gkm_graph, gkm_kernel_basis
-from fanpoly.intlinalg import IntMatrix, kernel_lattice, lattices_equal
+from fanpoly.intlinalg import IntMatrix, kernel_lattice
 from fanpoly.ppring import pp_basis
 
 

@@ -17,10 +17,9 @@ to three star subdivisions at random cones of dimension at least two.
 
 import json
 import random
-from itertools import combinations
 
 import pytest
-from corpus import cube, p1xp1, p2
+from corpus import cube, lattices_equal, p1xp1, p2, projective_space, subdivided_p3
 from test_constraint_oracle import FAN_CASES, HYPERTORIC_5, MULTIFANS, first_failing_fan_pair
 
 from fanpoly.cli import main
@@ -29,16 +28,11 @@ from fanpoly.cones import Cone
 from fanpoly.errors import Incompatible, IncompatibleMultisets
 from fanpoly.fans import Fan, is_complete, star_subdivision
 from fanpoly.gkm import gkm_graph
-from fanpoly.intlinalg import kernel_lattice, lattices_equal
+from fanpoly.intlinalg import kernel_lattice
 from fanpoly.jsonio import fan_to_json
 from fanpoly.multifans import hypertoric_multifan, mpp_validate, multifan_from_fan
 from fanpoly.polynomials import LocalPolynomial
 from fanpoly.ppring import constraint_matrix, pp_validate
-
-
-def projective_space(n):
-    rays = [tuple(int(i == j) for j in range(n)) for i in range(n)] + [(-1,) * n]
-    return Fan(n, [Cone(n, gens) for gens in combinations(rays, n)])
 
 
 def gl_image(fan, rng):
@@ -115,15 +109,6 @@ def test_complete_simplicial_cases_cover_the_random_fans():
 def test_gluing_is_the_wall_list_on_complete_simplicial_fans(name, fan):
     walls = sorted(tau.key for tau, _, _ in gkm_graph(fan).edges)
     assert sorted(tau.key for _, _, _, tau in fan.gluing) == walls
-
-
-def subdivided_p3(rng, steps):
-    """P^3 starred ``steps`` times at 2- and 3-dimensional cones (stays smooth)."""
-    fan = projective_space(3)
-    for _ in range(steps):
-        targets = [f for f, _ in fan.face_index.values() if f.dim >= 2]
-        fan, _ = star_subdivision(fan, rng.choice(targets))
-    return fan
 
 
 # primitive directions in the upper half plane, by angle; consecutive pairs

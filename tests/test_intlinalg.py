@@ -10,7 +10,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from corpus import det, saturate
+from corpus import det, lattices_equal, saturate
 
 from fanpoly.intlinalg import (
     IntMatrix,
@@ -20,7 +20,6 @@ from fanpoly.intlinalg import (
     hnf_basis,
     in_row_lattice,
     kernel_lattice,
-    lattices_equal,
     primitive,
     rank,
     snf,

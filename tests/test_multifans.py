@@ -1,9 +1,7 @@
 """Posets of cones and their piecewise polynomial rings."""
 
-from itertools import combinations
-
 import pytest
-from corpus import character_class, cube, doubled_cone, hypertoric_3lines, p2
+from corpus import character_class, cube, doubled_cone, hypertoric_3lines, p2, projective_space
 
 from fanpoly.cones import Cone
 from fanpoly.errors import (
@@ -24,11 +22,6 @@ from fanpoly.multifans import (
 )
 from fanpoly.polynomials import LocalPolynomial
 from fanpoly.ppring import pp_basis
-
-
-def projective_space(n):
-    rays = [tuple(int(i == j) for j in range(n)) for i in range(n)] + [(-1,) * n]
-    return Fan(n, [Cone(n, gens) for gens in combinations(rays, n)])
 
 
 QUAD = Cone(2, [(1, 0), (0, 1)])

@@ -7,22 +7,26 @@ entries, and the same class, lattice, term order and coefficient types.
 Inputs are seeded random integer matrices of every shape t x s with
 t, s in 0..4 (negative entries and zero columns included) at k = 0..5,
 mixed-degree integer and rational polynomials, and single terms of
-degree up to 24.
+degree up to 24.  Restriction along a face of a subdivided P^3 reads the
+column powers kept on the cone; x^16 and x^64 there must match the frozen
+expansion and store powers only as far as the term needs.
 """
 
 import random
 from fractions import Fraction
 
 import pytest
-from corpus import ambient_lattice
+from corpus import ambient_lattice, subdivided_p3
 from reference_polynomials import reference_degree_matrix, reference_substitute
 
+from fanpoly.cones import restriction_matrix
 from fanpoly.intlinalg import IntMatrix
 from fanpoly.polynomials import (
     LocalPolynomial,
     RationalLocalPolynomial,
     degree_matrix,
     monomials_of_degree,
+    restrict_to_face,
 )
 
 
@@ -101,3 +105,31 @@ def test_substitute_shape_check_matches_frozen_expansion():
             apply(matrix, ambient_lattice(1))
         messages.append(str(exc.value))
     assert messages[0] == messages[1]
+
+
+def test_sparse_high_degree_restriction_stores_only_the_powers_it_uses():
+    """x^16 then x^64 along a 2-dimensional face, x a variable whose image
+    on the face has two terms: the powers kept on the cone grow to 64 in
+    that column only, and (a*y0 + b*y1)^p has p + 1 terms."""
+    fan = subdivided_p3(random.Random(5), 6)
+    sigma, tau, i = next(
+        (sigma, tau, i)
+        for sigma in fan.maximal_cones
+        for tau, _ in fan.face_index.values()
+        if tau.dim == 2 and tau.is_face_of(sigma)
+        for i in range(sigma.dim)
+        if sum(1 for a in restriction_matrix(sigma, tau).column(i) if a) == 2
+    )
+    matrix = restriction_matrix(sigma, tau)
+    assert matrix.shape == (2, 3)
+    for d in (16, 64):
+        exp = tuple(d if j == i else 0 for j in range(3))
+        f = LocalPolynomial(sigma.quotient, {exp: 3})
+        got = restrict_to_face(f, sigma, tau)
+        assert same_polynomial(got, reference_substitute(f, matrix, tau.quotient))
+        assert len(got.terms) == d + 1
+    stored = sigma._powers[tau.key]
+    assert [len(column) for column in stored] == [65 if j == i else 1 for j in range(3)]
+    assert [sum(map(len, column)) for column in stored] == [
+        65 * 66 // 2 if j == i else 1 for j in range(3)
+    ]

@@ -9,21 +9,15 @@ nothing with the constraint assembly or the kernel computation that
 ``pp_basis`` runs.
 """
 
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations_with_replacement
 
 import pytest
-from corpus import blp2, p1, p1xp1, p2
+from corpus import blp2, lattices_equal, p1, p1xp1, p2, projective_space
 
-from fanpoly.cones import Cone
-from fanpoly.fans import Fan, star_subdivision
-from fanpoly.intlinalg import IntMatrix, lattices_equal
+from fanpoly.fans import star_subdivision
+from fanpoly.intlinalg import IntMatrix
 from fanpoly.ppring import pp_basis, pp_constant, pp_mul
 from fanpoly.stanley_reisner import SimplicialFanSR, courant_function
-
-
-def projective_space(n):
-    rays = [tuple(int(i == j) for j in range(n)) for i in range(n)] + [(-1,) * n]
-    return Fan(n, [Cone(n, gens) for gens in combinations(rays, n)])
 
 
 def starred_twice(fan):

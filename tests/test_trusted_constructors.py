@@ -5,8 +5,10 @@ the integer layer wraps its own results through ``IntMatrix._of``; neither
 validates nor reorders anything.  On the fixture fans and multifans at
 k = 0..3 every such object must equal, term for term and row for row, what
 the public constructor makes of the same data, and hash alike (constraint
-assembly keys a dict by matrices).  The public constructors keep rejecting
-bad input.
+assembly keys a dict by matrices).  Basis elements read back the kernel
+rows they were wrapped from, keep their parts in id order, and share one
+zero polynomial per part.  The public constructors keep rejecting bad
+input.
 """
 
 from fractions import Fraction
@@ -22,12 +24,23 @@ from corpus import (
     p1,
     p1xp1,
     p2,
+    p3_starred3,
 )
 
+from fanpoly.cones import Cone
+from fanpoly.fans import Fan
 from fanpoly.intlinalg import IntMatrix, hnf, hnf_basis, kernel_lattice
 from fanpoly.multifans import mpp_basis
 from fanpoly.polynomials import LocalPolynomial, degree_matrix
-from fanpoly.ppring import constraint_matrix, pp_basis
+from fanpoly.ppring import PPElement, constraint_matrix, pp_basis
+
+
+def pentagon():
+    """A complete fan whose cones in key order are not in id order: the id
+    "-1,0;0,1" sorts before "-2,-1;-1,0", its key after."""
+    rays = [(1, 0), (0, 1), (-1, 0), (-2, -1), (0, -1)]
+    return Fan(2, [Cone(2, [rays[i], rays[(i + 1) % 5]]) for i in range(5)])
+
 
 CONTAINERS = {
     "p1": (p1, pp_basis),
@@ -36,6 +49,8 @@ CONTAINERS = {
     "blp2": (blp2, pp_basis),
     "diamond": (diamond, pp_basis),
     "cube": (cube, pp_basis),
+    "p3_starred3": (p3_starred3, pp_basis),
+    "pentagon": (pentagon, pp_basis),
     "doubled_cone": (doubled_cone, mpp_basis),
     "hypertoric_3lines": (hypertoric_3lines, mpp_basis),
 }
@@ -62,6 +77,23 @@ def test_basis_parts_equal_checked_polynomials(name, k):
             assert type(p) is LocalPolynomial
             assert checked == p
             assert list(checked.terms.items()) == list(p.terms.items())
+
+
+@pytest.mark.parametrize("name,k", CASES)
+def test_basis_elements_round_trip(name, k):
+    build, basis = CONTAINERS[name]
+    container = build()
+    lattices = {pid: cone.quotient for pid, cone in container.parts}
+    gb = basis(container, k)
+    zeros = {}
+    for elem, row in zip(gb.elements, gb.coefficients.entries, strict=True):
+        assert gb.coefficient_vector(elem) == row
+        assert list(elem.parts) == sorted(lattices)
+        assert elem == PPElement(container, dict(elem.parts))
+        for pid, p in elem.parts.items():
+            if p.is_zero:
+                assert p == LocalPolynomial.zero(lattices[pid])
+                assert zeros.setdefault(pid, p) is p
 
 
 @pytest.mark.parametrize("name,k", CASES)
