@@ -8,7 +8,8 @@ malformed documents.
 
 The environment variable FANPOLY_MAX_DEGREE caps the --degree arguments
 (default 4); graded pieces grow quickly and the cap keeps accidental huge
-computations from starting.
+computations from starting.  It is read on every call, while the argument
+parser is built once per process.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass, field
+from functools import cache
 
 from .chern import bundle_validate, chern_class
 from .errors import FanPolyError, FormatError
@@ -274,7 +276,9 @@ _HANDLERS = {
 }
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="fanpoly",
         description="piecewise polynomial rings on rational fans and multifans",

@@ -6,9 +6,12 @@ deduplicated, reduced to the extremal rays, and sorted, so two descriptions
 of the same cone produce identical objects and identical string ids.  One
 exact double-description routine (Fukuda and Prodon 1996) finds the facet
 normals, as extreme rays of the dual cone inside the span, and the rays of
-intersections, returned as keys.  Faces come from closure over
-generator-facet incidences (Kaibel and Pfetsch 2002), at a cost that grows
-with the number of faces.
+intersections, returned as keys.  The routine works in coordinates on the
+saturated span, read off the span's Hermite basis by exact division, with
+no linear solve; a full-dimensional span, the kernel of an empty system, is
+the identity basis.  Faces come from closure over generator-facet
+incidences (Kaibel and Pfetsch 2002), at a cost that grows with the number
+of faces.
 
 Every cone carries a quotient character lattice M_sigma = M / (sigma^perp
 cap M): a projection matrix with kernel exactly sigma^perp cap M and an
@@ -25,6 +28,7 @@ from dataclasses import dataclass
 from .errors import NotAFace, NotPointed, ZeroVector
 from .intlinalg import (
     IntMatrix,
+    _divide,
     complement_projection,
     dot,
     kernel_lattice,
@@ -144,9 +148,9 @@ class Cone:
             self.generators = ()
             self.facet_normals = ()
         else:
-            coords = solve_left(span, gmat)
-            assert coords is not None, "generators must lie in their own saturated span"
-            local_gens = [coords.row(i) for i in range(coords.rows)]
+            # span is a Hermite basis, so dividing by its rows gives the coordinates
+            local_gens = [_divide(span.entries, g) for g in gens]
+            assert None not in local_gens, "generators must lie in their own saturated span"
 
             # the dual cone inside the span is pointed because the generators span it
             local_normals = _extreme_rays(local_gens, d)
@@ -166,14 +170,13 @@ class Cone:
 
             lift = solve_left(span.transpose(), IntMatrix.identity(d))
             assert lift is not None, "saturated spans always split"
+            lift_cols = lift.transpose().entries
             ambient_normals = sorted(
-                tuple(dot(w, lift.column(j)) for j in range(lift.cols))
-                for w in local_normals
+                tuple(dot(w, c) for c in lift_cols) for w in local_normals
             )
 
-            extremal = sorted(
-                {tuple(dot(g, span.column(j)) for j in range(span.cols)) for g in keep}
-            )
+            span_cols = span.transpose().entries
+            extremal = sorted({tuple(dot(g, c) for c in span_cols) for g in keep})
             self.generators = tuple(extremal)
             self.facet_normals = tuple(ambient_normals)
 
@@ -317,9 +320,10 @@ def intersect(c1: Cone, c2: Cone):
     s0 = kernel_lattice(IntMatrix(eqs, cols=n))
     e = s0.rows
     ineqs = sorted(
-        {tuple(dot(u, s0.row(l)) for l in range(e)) for u in c1.facet_normals + c2.facet_normals}
+        {tuple(dot(u, r) for r in s0.entries) for u in c1.facet_normals + c2.facet_normals}
         - {(0,) * e}
     )
-    rays = sorted(tuple(dot(w, s0.column(j)) for j in range(n)) for w in _extreme_rays(ineqs, e))
+    s0_cols = s0.transpose().entries
+    rays = sorted(tuple(dot(w, c) for c in s0_cols) for w in _extreme_rays(ineqs, e))
     key = (n, tuple(rays))
     return key, key in c1.face_keys() and key in c2.face_keys()

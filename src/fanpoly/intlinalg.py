@@ -13,6 +13,11 @@ canonical output:
 * ``snf`` computes the Smith normal form ``U * A * V = S`` with unimodular
   ``U, V`` and a nonnegative diagonal ``d_1 | d_2 | ...``.
 
+``kernel_lattice`` returns its canonical basis in Hermite form, so a vector
+in its row lattice has its coefficients read off by division, row by row
+(``_divide``): cones get their local coordinates this way.  The kernel of
+an empty system is the identity basis, returned with no elimination.
+
 Conventions used throughout the package: lattice bases are stored as matrix
 *rows*, linear maps act on *column* vectors, and ``dot`` is the standard
 pairing of a covector row with a vector.
@@ -23,12 +28,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import compress
 from math import gcd
+from operator import mul
 
 
 def dot(u, v):
     if len(u) != len(v):
         raise ValueError("length mismatch in dot product")
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 class IntMatrix:
@@ -75,7 +81,7 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls([[int(i == j) for j in range(n)] for i in range(n)], cols=n)
+        return cls._of(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), n)
 
     def row(self, i: int):
         return self.entries[i]
@@ -350,7 +356,13 @@ def kernel_lattice(a: IntMatrix) -> IntMatrix:
     touch fall from 495,745 to 68,896 on the 9-vector hypertoric system at
     k = 2 (522 x 420), from 21,378 to 6,175 on the cube at k = 4, and from
     31,436 to 17,031 on the 7-vector hypertoric system at k = 2.
+
+    A system with no constraints (the span of a full-dimensional cone, the
+    meet of two of them) has all of Z^n as its kernel, and the identity is
+    already its Hermite basis, so it is returned with no elimination.
     """
+    if not a.rows:
+        return IntMatrix.identity(a.cols)
     h, u = hnf(IntMatrix._of(a.entries[::-1], a.cols).transpose())
     ker = tuple(urow for hrow, urow in zip(h.entries, u.entries) if not any(hrow))
     return hnf_basis(IntMatrix._of(ker, a.cols))
@@ -360,7 +372,9 @@ def _divide(basis, v):
     """Coefficients of ``v`` on the echelon rows ``basis``, or None.
 
     ``v`` is reduced against the rows top-down; each pivot must divide the
-    current coordinate exactly, and ``v`` must reduce to zero.
+    current coordinate exactly, and ``v`` must reduce to zero.  On a Hermite
+    basis this is what ``solve_left`` returns, whose ``hnf`` step is then
+    the identity.
     """
     w = v
     y = []
@@ -439,9 +453,7 @@ def complement_projection(k: IntMatrix):
 
 def primitive(v):
     """Divide an integer vector by the gcd of its entries, keeping direction."""
-    g = 0
-    for x in v:
-        g = gcd(g, x)
+    g = gcd(*v)
     if g == 0:
         raise ValueError("zero vector has no primitive representative")
     return tuple(x // g for x in v)

@@ -36,6 +36,11 @@ def monomials_of_degree(rank: int, degree: int):
     return tuple(out)
 
 
+def _term_order(term):
+    """Sort key of a term: degree, then exponent; terms are kept largest first."""
+    return sum(term[0]), term[0]
+
+
 class LocalPolynomial:
     """Integer polynomial in the coordinates of a quotient character lattice."""
 
@@ -71,12 +76,13 @@ class LocalPolynomial:
                     raise ValueError(f"duplicate exponent {e!r}")
                 clean[e] = c
         self.lattice = lattice
-        self.terms = dict(sorted(clean.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True))
+        self.terms = dict(sorted(clean.items(), key=_term_order, reverse=True))
 
     @classmethod
     def _trusted(cls, lattice, terms: dict):
-        """Wrap nonzero int coefficients on exponent tuples of the lattice's
-        rank, already in canonical order; nothing is checked."""
+        """Wrap nonzero coefficients of the class's kind (ints, or Fractions
+        for the rational class) on exponent tuples of the lattice's rank,
+        already in canonical order; nothing is checked."""
         self = object.__new__(cls)
         self.lattice = lattice
         self.terms = terms
@@ -200,12 +206,17 @@ class LocalPolynomial:
         return self._expand(_column_powers(matrix, map(max, zip(*self.terms))), target)
 
     def _expand(self, powers, target):
-        """Each term replaced by the product of the column powers its exponents name."""
+        """Each term replaced by the product of the column powers its exponents name.
+
+        The sums are this polynomial's own coefficient class, so the result
+        is wrapped unchecked once the zeros are dropped and the terms sorted.
+        """
         terms: dict = {}
         for e, c in self.terms.items():
             for m, a in _monomial_image(powers, e, target.rank).items():
                 terms[m] = terms.get(m, 0) + c * a
-        return type(self)(target, terms)
+        kept = sorted((kv for kv in terms.items() if kv[1]), key=_term_order, reverse=True)
+        return type(self)._trusted(target, dict(kept))
 
     def __eq__(self, other):
         if not isinstance(other, LocalPolynomial):

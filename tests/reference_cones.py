@@ -48,6 +48,7 @@ class ReferenceCone:
         d = span.rows
         self.ambient_rank = ambient_rank
         self.dim = d
+        self.span_basis = span
         self.span_perp = kernel_lattice(span)
         if d == 0:
             self.generators = ()

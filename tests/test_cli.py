@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from fanpoly import cli
 from fanpoly.cli import main
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -118,6 +119,41 @@ def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+def test_cached_parser_carries_no_state(monkeypatch, capsys):
+    """main reuses one parser per process; each call exits and prints exactly
+    what a parser built fresh for it gives, whatever ran before."""
+    p2 = fx("p2.fan.json")
+    calls = [
+        (["no-such-verb"], None),
+        (["pp-basis", p2, "--degree", "5"], None),
+        (["pp-basis", p2, "--degree", "5"], "5"),
+        (["validate", p2, "--json"], None),
+    ]
+
+    def run_all():
+        outcomes = []
+        for argv, cap in calls:
+            if cap is None:
+                monkeypatch.delenv("FANPOLY_MAX_DEGREE", raising=False)
+            else:
+                monkeypatch.setenv("FANPOLY_MAX_DEGREE", cap)
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            out = capsys.readouterr()
+            outcomes.append((code, out.out, out.err))
+        return outcomes
+
+    assert cli.build_parser() is cli.build_parser()
+    cached = run_all()
+    assert run_all() == cached
+    assert [code for code, _, _ in cached] == [2, 2, 0, 0]
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    assert cli.build_parser() is not cli.build_parser()
+    assert run_all() == cached
 
 
 def test_pp_basis_json(capsys):

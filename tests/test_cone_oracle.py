@@ -2,15 +2,18 @@
 
 Every cone is built twice, by ``fanpoly.cones`` and by the frozen subset
 enumeration in ``reference_cones``, and the two must agree on generators,
-facet normals, dimension, NotPointed, face keys, face order and pairwise
-intersections (cone and common-face flag).  Inputs: cones over m-gons, the
-cube's cones and the cone over the cube, seeded random generator sets in
-Z^3 and Z^4 (pointed or not, full or lower dimensional), their images under
-random signed permutations, and shuffled input orders.
+facet normals, dimension, span basis and its annihilator, NotPointed, face
+keys, face order and pairwise intersections (cone and common-face flag).
+Inputs: cones over m-gons, the cube's cones and the cone over the cube,
+seeded random generator sets in Z^3 and Z^4 (pointed or not, full or lower
+dimensional), their images under random signed permutations, and shuffled
+input orders.  In Z^5 and Z^6, where most cones are lower dimensional and
+their coordinates are read off the span's Hermite basis: faces of P^5 and
+P^6 and cones over polygons, under seeded shears.
 """
 
 import random
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from corpus import cube
@@ -18,6 +21,7 @@ from reference_cones import ReferenceCone, reference_intersect
 
 from fanpoly.cones import Cone, intersect
 from fanpoly.errors import NotPointed
+from fanpoly.intlinalg import dot
 
 OCTAGON = [(2, 1), (1, 2), (-1, 2), (-2, 1), (-2, -1), (-1, -2), (1, -2), (2, -1)]
 
@@ -56,6 +60,30 @@ def signed_permutation(rng, n):
     return lambda v: tuple(signs[i] * v[perm[i]] for i in range(n))
 
 
+def shear(rng, n):
+    """A seeded GL_n(Z) image: 2n elementary row operations, then a signed permutation."""
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(2 * n):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
+    g = signed_permutation(rng, n)
+    return lambda v: g(tuple(dot(r, v) for r in rows))
+
+
+def high_rank_cones(rng):
+    """(n, generator lists), each list a cone of one shear image in Z^5 or Z^6:
+    a seeded sample of faces of P^n, then cones over a quadrilateral and the octagon."""
+    out = []
+    for n in (5, 6):
+        g = shear(rng, n)
+        rays = [tuple(int(i == j) for j in range(n)) for i in range(n)] + [(-1,) * n]
+        faces = [list(c) for d in range(1, n + 1) for c in combinations(rays, d)]
+        polygons = [[(x, y, 1) + (0,) * (n - 3) for x, y in OCTAGON[:m]] for m in (4, 8)]
+        out += [(n, [g(v) for v in gens]) for gens in rng.sample(faces, 14) + polygons]
+    return out
+
+
 def build_both(n, gens):
     """(Cone, ReferenceCone), or None when both raise NotPointed."""
     try:
@@ -71,6 +99,8 @@ def assert_same(cone, ref):
     assert cone.generators == ref.generators
     assert cone.facet_normals == ref.facet_normals
     assert cone.dim == ref.dim
+    assert cone.span_basis == ref.span_basis
+    assert cone.span_perp == ref.span_perp
     assert cone.face_keys() == ref.face_keys()
     ref_faces = ref.faces()
     assert [f.key for f in cone.faces()] == [f.key for f in ref_faces]
@@ -100,6 +130,32 @@ def test_cones_match_reference():
             pointed += 1
     # the random sets must exercise both outcomes
     assert 100 < pointed < len(cases)
+
+
+def test_high_rank_cones_match_reference():
+    rng = random.Random(271828)
+    dims = set()
+    for n, gens in high_rank_cones(rng):
+        shuffled = list(gens)
+        rng.shuffle(shuffled)
+        for order in (gens, shuffled):
+            cone, ref = build_both(n, order)
+            assert_same(cone, ref)
+            dims.add((n, cone.dim))
+    # lower dimensional cones of every dimension, and full ones, in both ranks
+    assert dims == {(n, d) for n in (5, 6) for d in range(1, n + 1)}
+
+
+def test_high_rank_intersections_match_reference():
+    """Faces of one shear image of P^n pairwise: all meet in common faces."""
+    rng = random.Random(161803)
+    cones = high_rank_cones(rng)
+    for n in (5, 6):
+        built = [build_both(m, gens) for m, gens in cones if m == n][:14]
+        for (a, ra), (b, rb) in rng.sample(list(combinations(built, 2)), 12):
+            key, ok = intersect(a, b)
+            want, want_ok = reference_intersect(ra, rb)
+            assert (key, ok) == (want.key, want_ok) and ok
 
 
 def pairs(rng):

@@ -7,8 +7,9 @@ k = 0..3 every such object must equal, term for term and row for row, what
 the public constructor makes of the same data, and hash alike (constraint
 assembly keys a dict by matrices).  Basis elements read back the kernel
 rows they were wrapped from, keep their parts in id order, and share one
-zero polynomial per part.  The public constructors keep rejecting bad
-input.
+zero polynomial per part.  Restricting and substituting wrap their results
+unchecked too, keeping the class and coefficient kind of the input.  The
+public constructors keep rejecting bad input.
 """
 
 from fractions import Fraction
@@ -26,12 +27,18 @@ from corpus import (
     p2,
     p3_starred3,
 )
+from reference_polynomials import reference_substitute
 
-from fanpoly.cones import Cone
+from fanpoly.cones import Cone, restriction_matrix
 from fanpoly.fans import Fan
 from fanpoly.intlinalg import IntMatrix, hnf, hnf_basis, kernel_lattice
 from fanpoly.multifans import mpp_basis
-from fanpoly.polynomials import LocalPolynomial, degree_matrix
+from fanpoly.polynomials import (
+    LocalPolynomial,
+    RationalLocalPolynomial,
+    degree_matrix,
+    restrict_to_face,
+)
 from fanpoly.ppring import PPElement, constraint_matrix, pp_basis
 
 
@@ -107,6 +114,43 @@ def test_internal_matrices_equal_checked_matrices(name, k):
         assert_checked_copy(matrix * kernel_lattice(matrix).transpose())
     for _, cone in container.parts:
         assert_checked_copy(degree_matrix(cone.quotient.projection, k))
+
+
+def assert_same_terms(got, want):
+    """Equal, term for term in order, with the same class and coefficient types."""
+    assert type(got) is type(want)
+    assert got == want
+    assert list(got.terms.items()) == list(want.terms.items())
+    assert [type(c) for c in got.terms.values()] == [type(c) for c in want.terms.values()]
+
+
+@pytest.mark.parametrize("name,k", [(name, k) for name in CONTAINERS for k in (1, 2)])
+def test_restrictions_equal_checked_polynomials(name, k):
+    build, basis = CONTAINERS[name]
+    container = build()
+    cones = dict(container.parts)
+    elements = basis(container, k).elements
+    seen = 0
+    for a, b, _, face in container.incidences:
+        for pid in (a, b):
+            sigma = cones[pid]
+            matrix = restriction_matrix(sigma, face)
+            for elem in elements:
+                p = elem.parts[pid]
+                halves = RationalLocalPolynomial(
+                    p.lattice, {e: Fraction(c, 2) for e, c in p.terms.items()}
+                )
+                for poly in (p, halves):
+                    want = reference_substitute(poly, matrix, face.quotient)
+                    for got in (
+                        restrict_to_face(poly, sigma, face),
+                        poly.substitute(matrix, face.quotient),
+                    ):
+                        assert_same_terms(got, want)
+                        assert_same_terms(got, type(got)(got.lattice, got.terms))
+                        seen += not got.is_zero
+    # only restrictions to the zero cone (all of p1's faces) vanish throughout
+    assert seen or all(face.dim == 0 for *_, face in container.incidences)
 
 
 @pytest.mark.parametrize(
