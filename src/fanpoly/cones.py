@@ -112,7 +112,6 @@ class Cone:
         "_id_str",
         "_quotient",
         "_lattice",
-        "_faces",
         "_face_keys",
         "_restrictions",
         "_powers",
@@ -134,7 +133,7 @@ class Cone:
             gens.append(primitive(v))
         gens = sorted(set(gens))
 
-        gmat = IntMatrix(gens, cols=ambient_rank)
+        gmat = IntMatrix._of(tuple(gens), ambient_rank)
         # the annihilator of the generators is also that of their saturated span
         perp = kernel_lattice(gmat)
         span = kernel_lattice(perp)
@@ -157,33 +156,27 @@ class Cone:
             if lattice_rank(IntMatrix(local_normals, cols=d)) != d:
                 raise NotPointed(f"cone on {gens!r} contains a line")
 
-            # a generator is extremal unless another is tight on all its facets
+            # an input generator is extremal unless another is tight on all its facets
             tight = [
                 sum(1 << i for i, w in enumerate(local_normals) if dot(w, g) == 0)
                 for g in local_gens
             ]
-            keep = [
+            self.generators = tuple(
                 g
-                for i, (g, z) in enumerate(zip(local_gens, tight))
+                for i, (g, z) in enumerate(zip(gens, tight))
                 if not any(w & z == z for j, w in enumerate(tight) if j != i)
-            ]
+            )
 
             lift = solve_left(span.transpose(), IntMatrix.identity(d))
             assert lift is not None, "saturated spans always split"
             lift_cols = lift.transpose().entries
-            ambient_normals = sorted(
-                tuple(dot(w, c) for c in lift_cols) for w in local_normals
+            self.facet_normals = tuple(
+                sorted(tuple(dot(w, c) for c in lift_cols) for w in local_normals)
             )
-
-            span_cols = span.transpose().entries
-            extremal = sorted({tuple(dot(g, c) for c in span_cols) for g in keep})
-            self.generators = tuple(extremal)
-            self.facet_normals = tuple(ambient_normals)
 
         self._id_str = None
         self._quotient = None
         self._lattice = None
-        self._faces = None
         self._face_keys = None
         self._restrictions = {}
         self._powers = {}
@@ -251,14 +244,12 @@ class Cone:
         """All faces, including the cone itself and the zero cone.
 
         Found by incidence closure, not by subsets of facets; returned
-        sorted by (dimension, key).
+        sorted by (dimension, key) and built anew on each call.
         """
-        if self._faces is None:
-            self._faces = tuple(
-                self if gens == self.generators else Cone(self.ambient_rank, gens)
-                for _, gens in self._face_lattice()
-            )
-        return self._faces
+        return tuple(
+            self if gens == self.generators else Cone(self.ambient_rank, gens)
+            for _, gens in self._face_lattice()
+        )
 
     def face_keys(self):
         """Keys of all faces, read off the incidences without building any Cone."""

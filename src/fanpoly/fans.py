@@ -1,10 +1,13 @@
-"""Fans of pointed cones and star subdivisions.
+"""Fans of pointed cones, their gluing, and star subdivisions.
 
 A fan stores its maximal cones in a canonical order (lexicographic on the
 generator tuples) and a face index: one Cone per face of a maximal cone,
 with the maximal cones it sits in.  Validation checks, on keys, that all
 pairwise intersections are common faces, which by transitivity of the face
 relation is enough for the whole collection of faces to be a fan.
+
+Fans and multifans hold a gluing next to their incidences
+(:func:`spanning_gluing`); a subdivision map keeps its tiles.
 """
 
 from __future__ import annotations
@@ -30,8 +33,8 @@ class Fan:
     ``incidences`` lists ``(id a, id b, face id, face)`` for every pair of
     maximal cones, in the order of ``pair_faces``.  ``gluing``, computed
     on first use, lists the incidences that form one spanning forest per
-    shared face (:func:`fanpoly.ppring.spanning_gluing`); on a complete
-    simplicial fan it is one incidence per wall.
+    shared face (:func:`spanning_gluing`); on a complete simplicial fan it
+    is one incidence per wall.
     """
 
     __slots__ = (
@@ -89,8 +92,6 @@ class Fan:
     @property
     def gluing(self):
         if self._gluing is None:
-            from .ppring import spanning_gluing  # ppring imports this module
-
             ids = [pid for pid, _ in self.parts]
             tops = {f.id_str: [ids[i] for i in idxs] for f, idxs in self.face_index.values()}
             self._gluing = spanning_gluing(self.incidences, tops.__getitem__)
@@ -118,6 +119,37 @@ class Fan:
         return f"Fan({self.ambient_rank}, {len(self.maximal_cones)} maximal cones)"
 
 
+def spanning_gluing(incidences, above):
+    """The incidences of one spanning forest per shared face.
+
+    ``above(face id)`` lists the ids of the parts above that face, in part
+    order.  Two parts above a face tau with no incidence at tau share a
+    strictly larger face, and agreeing there they agree on tau.  Merging
+    such pairs splits the parts above tau into groups; the incidences
+    chaining the first part of each group, in part order, imply all the
+    others at tau, by induction from larger faces down.  Returns those
+    incidences face by face, faces in id order, each face's in the order of
+    ``incidences``.  The kernel eliminates these rows last face first (see
+    ``kernel_lattice``); with the rows of one face adjacent, that costs less
+    than in pair order.
+    """
+    at_face = {}
+    for a, b, face, _ in incidences:
+        at_face.setdefault(face, set()).add((a, b))
+    kept = set()
+    for face, pairs in at_face.items():
+        tops = above(face)
+        # group[i] is the position in tops of the first part in tops[i]'s group
+        group = []
+        for i, p in enumerate(tops):
+            joined = {group[j] for j in range(i) if (tops[j], p) not in pairs}
+            first = min(joined, default=i)
+            group = [first if g in joined else g for g in group] + [first]
+        firsts = sorted(set(group))
+        kept.update((tops[i], tops[j], face) for i, j in zip(firsts, firsts[1:]))
+    return tuple(sorted((inc for inc in incidences if inc[:3] in kept), key=lambda inc: inc[2]))
+
+
 def is_complete(fan: Fan) -> bool:
     """Does the support of the fan cover the whole ambient space?
 
@@ -141,12 +173,13 @@ class SubdivisionMap:
     """A refinement Delta' -> Delta with its cone assignment.
 
     assignment maps the id of each maximal cone of the source to the unique
-    minimal cone of the target containing it.  Construction verifies that
-    the source really tiles the target: every maximal target cone is the
-    union of the source cones assigned to it.
+    minimal cone of the target containing it, in source id order; tiles
+    groups it by target id, each target's source ids sorted.  Construction
+    verifies that the source really tiles the target: every maximal target
+    cone is the union of the source cones assigned to it.
     """
 
-    __slots__ = ("source", "target", "assignment")
+    __slots__ = ("source", "target", "assignment", "tiles")
 
     def __init__(self, source: Fan, target: Fan):
         if source.ambient_rank != target.ambient_rank:
@@ -177,6 +210,9 @@ class SubdivisionMap:
         self.source = source
         self.target = target
         self.assignment = dict(sorted(assignment.items()))
+        self.tiles = {
+            tid: tuple(sorted(c.id_str for c in cs)) for tid, cs in sorted(by_target.items())
+        }
 
     def __repr__(self):
         return f"SubdivisionMap({len(self.assignment)} cones)"

@@ -4,7 +4,8 @@ Every document is a dict with a ``kind`` field.  Vector entries and ranks
 are plain JSON integers; polynomial coefficients and elementary divisors
 are decimal strings, so arbitrarily large values survive any JSON parser
 unharmed (rationals use the ``p/q`` form).  Readers accept integers where
-strings are expected, but writers always emit strings.
+strings are expected, but writers always emit strings.  Coefficient
+strings match ``[+-]?[0-9]+(/[0-9]+)?`` (ASCII digits, no exponents).
 
 Structural problems (wrong kind, missing fields, malformed numbers) raise
 FormatError.  Documents that parse but describe invalid mathematics raise
@@ -14,6 +15,7 @@ the matching validation error when the object is built.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 from .cones import Cone
@@ -67,6 +69,9 @@ def _coeff(value, what: str):
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        # Fraction alone also reads exponents, which build numbers of any size
+        if not re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", value):
+            raise FormatError(f"{what}: bad coefficient {value!r}")
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as e:

@@ -22,9 +22,9 @@ from itertools import combinations
 
 from .cones import Cone
 from .errors import FaceBijectionFailure, FanMismatch, NotAPoset
-from .fans import Fan
+from .fans import Fan, spanning_gluing
 from .intlinalg import IntMatrix, rank as matrix_rank
-from .ppring import GradedBasis, PPElement, check_parts, piecewise_basis, spanning_gluing
+from .ppring import GradedBasis, PPElement, check_parts, piecewise_basis
 
 
 class Multifan:
@@ -34,7 +34,7 @@ class Multifan:
     the face-bijection condition at every node.  ``incidences`` and
     ``gluing`` are computed on first use; ``gluing`` lists the incidences
     that form one spanning forest of maximal nodes per shared lower node
-    (:func:`fanpoly.ppring.spanning_gluing`).
+    (:func:`fanpoly.fans.spanning_gluing`).
     """
 
     __slots__ = (

@@ -285,16 +285,13 @@ def elementary_symmetric(polys, i: int):
             raise LatticeMismatch("multiset members live on different lattices")
         if not p.is_homogeneous(1):
             raise ValueError("multiset members must be homogeneous of degree one")
-    # coefficient of t^i in prod (1 + t*u): build the t-truncated product
-    coeffs = [LocalPolynomial.constant(lattice, 1)]
+    # coefficient of t^i in prod (1 + t*u), truncated at t^i and updated in
+    # place from the top so that c[j - 1] still holds the previous product
+    c = [LocalPolynomial.constant(lattice, 1)] + [LocalPolynomial.zero(lattice)] * i
     for u in items:
-        nxt = [coeffs[0]]
-        for k in range(1, len(coeffs) + 1):
-            term = coeffs[k] if k < len(coeffs) else None
-            prev = coeffs[k - 1] * u
-            nxt.append(prev if term is None else term + prev)
-        coeffs = nxt
-    return coeffs[i]
+        for j in range(i, 0, -1):
+            c[j] = c[j] + c[j - 1] * u
+    return c[i]
 
 
 def integrality_certificate(f: LocalPolynomial):

@@ -18,11 +18,12 @@ is the basis of the degree-k piece (:func:`piecewise_basis`).
 
 Most incidences are redundant.  Restriction to a face factors through any
 larger face, so two parts that agree on a larger shared face agree on the
-smaller one too (Billera 1989).  :func:`spanning_gluing` keeps one spanning
-forest of incidences per shared face, the ``gluing`` of a fan or
-multifan: on a complete simplicial fan these are exactly its walls.  Every
-family that agrees along the gluing agrees on every incidence, so the
-basis is assembled over the gluing alone and the checker tests it first.
+smaller one too (Billera 1989).  :func:`fanpoly.fans.spanning_gluing`
+keeps one spanning forest of incidences per shared face, the ``gluing`` of
+a fan or multifan: on a complete simplicial fan these are exactly its
+walls.  Every family that agrees along the gluing agrees on every
+incidence, so the basis is assembled over the gluing alone and the checker
+tests it first.
 
 A subdivision assigns each of its maximal cones to a maximal cone of the
 same dimension, which has the same span and so the same quotient lattice:
@@ -198,37 +199,6 @@ class GradedBasis:
         return in_row_lattice(self.coefficients, self.coefficient_vector(elem))
 
 
-def spanning_gluing(incidences, above):
-    """The incidences of one spanning forest per shared face.
-
-    ``above(face id)`` lists the ids of the parts above that face, in part
-    order.  Two parts above a face tau with no incidence at tau share a
-    strictly larger face, and agreeing there they agree on tau.  Merging
-    such pairs splits the parts above tau into groups; the incidences
-    chaining the first part of each group, in part order, imply all the
-    others at tau, by induction from larger faces down.  Returns those
-    incidences face by face, faces in id order, each face's in the order of
-    ``incidences``.  The kernel eliminates these rows last face first (see
-    ``kernel_lattice``); with the rows of one face adjacent, that costs less
-    than in pair order.
-    """
-    at_face = {}
-    for a, b, face, _ in incidences:
-        at_face.setdefault(face, set()).add((a, b))
-    kept = set()
-    for face, pairs in at_face.items():
-        tops = above(face)
-        # group[i] is the position in tops of the first part in tops[i]'s group
-        group = []
-        for i, p in enumerate(tops):
-            joined = {group[j] for j in range(i) if (tops[j], p) not in pairs}
-            first = min(joined, default=i)
-            group = [first if g in joined else g for g in group] + [first]
-        firsts = sorted(set(group))
-        kept.update((tops[i], tops[j], face) for i, j in zip(firsts, firsts[1:]))
-    return tuple(sorted((inc for inc in incidences if inc[:3] in kept), key=lambda inc: inc[2]))
-
-
 def constraint_matrix(parts, incidences, k: int):
     """Layout and difference-of-restrictions matrix of the degree-k conditions.
 
@@ -361,13 +331,10 @@ def pp_is_pullback(m: SubdivisionMap, a: PPElement):
     """
     if a.fan != m.source:
         raise FanMismatch("element does not live on the subdivision's source fan")
-    grouped: dict = {}
-    for src_id, tgt_id in m.assignment.items():
-        grouped.setdefault(tgt_id, []).append(src_id)
     parts = {}
     for sigma in m.target.maximal_cones:
         sigma_id = sigma.id_str
-        assigned = grouped[sigma_id]  # subdivision validation guarantees coverage
+        assigned = m.tiles[sigma_id]  # subdivision validation guarantees coverage
         candidate = a.parts[assigned[0]]
         assert candidate.lattice == sigma.quotient, "subcones share the target cone's span"
         for other in assigned[1:]:

@@ -16,8 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
-from math import lcm
+from math import comb, lcm
 
 from .errors import NotSimplicial, RayNotFound
 from .fans import Fan
@@ -52,16 +51,13 @@ class SimplicialFanSR:
         return frozenset(indices) in self.faces
 
     def hilbert(self, k: int) -> int:
-        """Degree-k monomials in the rays supported on a single cone."""
+        """Degree-k monomials in the rays supported on a single cone: those
+        whose support is a given face of size s number C(k - 1, s - 1)."""
         if k < 0:
             raise ValueError("negative degree")
         if k == 0:
             return 1
-        count = 0
-        for combo in combinations_with_replacement(range(len(self.rays)), k):
-            if self.is_face(set(combo)):
-                count += 1
-        return count
+        return sum(comb(k - 1, len(f) - 1) for f in self.faces if f)
 
 
 def sr_hilbert(fan: Fan, k: int) -> int:

@@ -9,7 +9,9 @@ seeded random generator sets in Z^3 and Z^4 (pointed or not, full or lower
 dimensional), their images under random signed permutations, and shuffled
 input orders.  In Z^5 and Z^6, where most cones are lower dimensional and
 their coordinates are read off the span's Hermite basis: faces of P^5 and
-P^6 and cones over polygons, under seeded shears.
+P^6 and cones over polygons, under seeded shears, and lower dimensional
+ones given with redundant vectors (sums of rays, scaled and repeated rays)
+that the constructor must drop.
 """
 
 import random
@@ -71,17 +73,33 @@ def shear(rng, n):
     return lambda v: g(tuple(dot(r, v) for r in rows))
 
 
+def with_redundant(gens):
+    """gens, then positive sums of two and of three of them, a multiple and a repeat."""
+    a, b, c = gens[0], gens[1], gens[-1]
+    return gens + [
+        tuple(x + y for x, y in zip(a, b)),
+        tuple(x + y + z for x, y, z in zip(a, b, c)),
+        tuple(3 * x for x in a),
+        b,
+    ]
+
+
 def high_rank_cones(rng):
     """(n, generator lists), each list a cone of one shear image in Z^5 or Z^6:
-    a seeded sample of faces of P^n, then cones over a quadrilateral and the octagon."""
-    out = []
+    a seeded sample of faces of P^n, cones over a quadrilateral and the octagon,
+    then the first and last face of P^n of each size from 2 to n - 1 and the
+    octagon's cone, each with redundant vectors."""
+    out, extra = [], []
     for n in (5, 6):
         g = shear(rng, n)
         rays = [tuple(int(i == j) for j in range(n)) for i in range(n)] + [(-1,) * n]
         faces = [list(c) for d in range(1, n + 1) for c in combinations(rays, d)]
         polygons = [[(x, y, 1) + (0,) * (n - 3) for x, y in OCTAGON[:m]] for m in (4, 8)]
         out += [(n, [g(v) for v in gens]) for gens in rng.sample(faces, 14) + polygons]
-    return out
+        sized = [[f for f in faces if len(f) == d] for d in range(2, n)]
+        redundant = [fs[0] for fs in sized] + [fs[-1] for fs in sized] + polygons[-1:]
+        extra += [(n, [g(v) for v in with_redundant(gens)]) for gens in redundant]
+    return out + extra
 
 
 def build_both(n, gens):
@@ -135,6 +153,7 @@ def test_cones_match_reference():
 def test_high_rank_cones_match_reference():
     rng = random.Random(271828)
     dims = set()
+    dropped = set()
     for n, gens in high_rank_cones(rng):
         shuffled = list(gens)
         rng.shuffle(shuffled)
@@ -142,8 +161,12 @@ def test_high_rank_cones_match_reference():
             cone, ref = build_both(n, order)
             assert_same(cone, ref)
             dims.add((n, cone.dim))
+            if len(cone.generators) < len(gens):
+                dropped.add((n, cone.dim))
     # lower dimensional cones of every dimension, and full ones, in both ranks
     assert dims == {(n, d) for n in (5, 6) for d in range(1, n + 1)}
+    # redundant input vectors dropped in every proper dimension from 2 up
+    assert dropped == {(n, d) for n in (5, 6) for d in range(2, n)}
 
 
 def test_high_rank_intersections_match_reference():

@@ -85,6 +85,11 @@ def test_poly_rejections():
         poly_from_json(lattice, [[[1, 0], 1.5]])
     with pytest.raises(FormatError):
         poly_from_json(lattice, [[[1, 0]]])
+    # coefficient strings outside [+-]?[0-9]+(/[0-9]+)?: Fraction reads them,
+    # and exponents would build numbers of any size
+    for bad in ("1e5000", "0.5", " 3"):
+        with pytest.raises(FormatError, match="bad coefficient"):
+            poly_from_json(lattice, [[[1, 0], bad]])
 
 
 def test_ppelement_roundtrip():

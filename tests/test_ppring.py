@@ -10,7 +10,17 @@ import random
 from itertools import combinations_with_replacement
 
 import pytest
-from corpus import blp2, character_class, cube, diamond, p1, p1xp1, p2, p2_blowup
+from corpus import (
+    blp2,
+    character_class,
+    cube,
+    diamond,
+    p1,
+    p1xp1,
+    p2,
+    p2_blowup,
+    projective_space,
+)
 
 from fanpoly.cones import Cone
 from fanpoly.errors import ConeNotInFan, FanMismatch, Incompatible, LatticeMismatch
@@ -364,6 +374,23 @@ def test_pullback_equals_restriction_then_substitution(name, fan):
                     r = src.quotient.projection * tgt.quotient.section
                     expected[src.id_str] = pp_restrict_orbit(a, tgt).substitute(r, src.quotient)
                 assert pp_pullback(m, a) == PPElement(m.source, expected)
+
+
+@pytest.mark.parametrize(
+    "build", [p2, blp2, lambda: projective_space(3)], ids=["p2", "blp2", "p3"]
+)
+def test_subdivision_tiles_group_the_assignment(build):
+    fan = build()
+    rng = random.Random(15)
+    faces = [c for c, _ in fan.face_index.values() if c.dim >= 1]
+    for target in rng.sample(faces, 4):
+        _, m = star_subdivision(fan, target)
+        grouped = {}
+        for sid, tid in m.assignment.items():
+            grouped.setdefault(tid, []).append(sid)
+        assert m.tiles == {tid: tuple(sorted(ids)) for tid, ids in grouped.items()}
+        assert list(m.tiles) == sorted(m.tiles)
+        assert set(m.tiles) == {c.id_str for c in fan.maximal_cones}
 
 
 def test_pullback_rejects_a_part_on_the_wrong_lattice():

@@ -2,10 +2,10 @@
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 import pytest
-from corpus import blp2, character_class, cube, diamond, p1, p1xp1, p2
+from corpus import blp2, character_class, cube, diamond, p1, p1xp1, p2, p3_starred3
 
 from fanpoly.cones import Cone
 from fanpoly.errors import NotSimplicial, RayNotFound
@@ -50,6 +50,21 @@ def test_hilbert_frozen_values():
     assert [sr_hilbert(diamond(), k) for k in range(5)] == [1, 4, 8, 12, 16]
     assert [sr_hilbert(blp2(), k) for k in range(5)] == [1, 4, 8, 12, 16]
     assert [sr_hilbert(p1(), k) for k in range(4)] == [1, 2, 2, 2]
+
+
+def enumerated_hilbert(sr, k):
+    """Frozen oracle: every size-k multiset of rays, kept when its support is a face."""
+    if k == 0:
+        return 1
+    return sum(
+        1 for combo in combinations_with_replacement(range(len(sr.rays)), k) if sr.is_face(combo)
+    )
+
+
+@pytest.mark.parametrize("build", [p1, p2, p1xp1, blp2, diamond, p3_starred3])
+def test_hilbert_closed_form_matches_enumeration(build):
+    sr = SimplicialFanSR(build())
+    assert [sr.hilbert(k) for k in range(7)] == [enumerated_hilbert(sr, k) for k in range(7)]
 
 
 def test_hilbert_matches_graded_ranks():
