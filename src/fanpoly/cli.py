@@ -23,12 +23,11 @@ from functools import cache
 
 from .chern import bundle_validate, chern_class
 from .errors import FanPolyError, FormatError
-from .fans import Fan, SubdivisionMap, is_complete, star_subdivision
+from .fans import Fan, is_complete, star_subdivision
 from .gkm import gkm_compare
 from .jsonio import (
     bundle_characters_from_json,
     fan_from_json,
-    fan_to_json,
     graded_basis_to_json,
     multifan_from_json,
     multifan_to_json,
@@ -261,21 +260,6 @@ def _cmd_hypertoric(args) -> RunReport:
     )
 
 
-_HANDLERS = {
-    "validate": _cmd_validate,
-    "pp-basis": _cmd_pp_basis,
-    "mpp-basis": _cmd_mpp_basis,
-    "gkm-check": _cmd_gkm_check,
-    "chern": _cmd_chern,
-    "courant": _cmd_courant,
-    "sr-hilbert": _cmd_sr_hilbert,
-    "mv-h3": _cmd_mv_h3,
-    "subdivide": _cmd_subdivide,
-    "pullback-check": _cmd_pullback_check,
-    "hypertoric": _cmd_hypertoric,
-}
-
-
 @cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser, built once per process: parsing leaves it unchanged."""
@@ -285,52 +269,53 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def add(name, help_text):
+    def add(name, help_text, run):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--json", action="store_true", help="emit a JSON document")
+        p.set_defaults(run=run)
         return p
 
-    p = add("validate", "check a fan, multifan, or subdivision document")
+    p = add("validate", "check a fan, multifan, or subdivision document", _cmd_validate)
     p.add_argument("file")
 
-    p = add("pp-basis", "graded basis of the piecewise ring of a fan")
-    p.add_argument("file")
-    p.add_argument("--degree", type=int, required=True)
-
-    p = add("mpp-basis", "graded basis of the piecewise ring of a multifan")
+    p = add("pp-basis", "graded basis of the piecewise ring of a fan", _cmd_pp_basis)
     p.add_argument("file")
     p.add_argument("--degree", type=int, required=True)
 
-    p = add("gkm-check", "compare wall conditions against the piecewise ring")
+    p = add("mpp-basis", "graded basis of the piecewise ring of a multifan", _cmd_mpp_basis)
     p.add_argument("file")
     p.add_argument("--degree", type=int, required=True)
 
-    p = add("chern", "characteristic class of a character multiset bundle")
+    p = add("gkm-check", "compare wall conditions against the piecewise ring", _cmd_gkm_check)
+    p.add_argument("file")
+    p.add_argument("--degree", type=int, required=True)
+
+    p = add("chern", "characteristic class of a character multiset bundle", _cmd_chern)
     p.add_argument("fan")
     p.add_argument("bundle")
     p.add_argument("--index", type=int, required=True)
 
-    p = add("courant", "piecewise linear dual function of a ray")
+    p = add("courant", "piecewise linear dual function of a ray", _cmd_courant)
     p.add_argument("file")
     p.add_argument("--ray", required=True, help="comma separated, e.g. --ray=-1,-1")
 
-    p = add("sr-hilbert", "face-ring monomial count of a simplicial fan")
+    p = add("sr-hilbert", "face-ring monomial count of a simplicial fan", _cmd_sr_hilbert)
     p.add_argument("file")
     p.add_argument("--degree", type=int, required=True)
 
-    p = add("mv-h3", "cokernel torsion of the wall restriction matrix")
+    p = add("mv-h3", "cokernel torsion of the wall restriction matrix", _cmd_mv_h3)
     p.add_argument("file")
 
-    p = add("subdivide", "star subdivision at a cone of the fan")
+    p = add("subdivide", "star subdivision at a cone of the fan", _cmd_subdivide)
     p.add_argument("file")
     p.add_argument("--target", required=True, help="cone id, e.g. --target=-1,-1;0,1")
     p.add_argument("--point", help="interior point, comma separated, e.g. --point=-1,0")
 
-    p = add("pullback-check", "does an element descend along a subdivision")
+    p = add("pullback-check", "does an element descend along a subdivision", _cmd_pullback_check)
     p.add_argument("subdivision")
     p.add_argument("element")
 
-    p = add("hypertoric", "multifan of independent subsets of vectors")
+    p = add("hypertoric", "multifan of independent subsets of vectors", _cmd_hypertoric)
     p.add_argument("--rank", type=int, required=True)
     p.add_argument("--vectors", required=True, help="semicolon separated, e.g. --vectors=-1,0;0,1")
 
@@ -356,7 +341,7 @@ def main(argv=None) -> int:
             )
 
     try:
-        report = _HANDLERS[args.verb](args)
+        report = args.run(args)
     except (FormatError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3

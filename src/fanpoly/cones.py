@@ -7,9 +7,9 @@ of the same cone produce identical objects and identical string ids.  One
 exact double-description routine (Fukuda and Prodon 1996) finds the facet
 normals, as extreme rays of the dual cone inside the span, and the rays of
 intersections, returned as keys.  The routine works in coordinates on the
-saturated span, read off the span's Hermite basis by exact division, with
-no linear solve; a full-dimensional span, the kernel of an empty system, is
-the identity basis.  Faces come from closure over generator-facet
+saturated span, read off the top rows of the transform of one Hermite step
+on the span's transpose: a left inverse of the span, whose columns also
+lift covectors back to Z^n.  Faces come from closure over generator-facet
 incidences (Kaibel and Pfetsch 2002), at a cost that grows with the number
 of faces.
 
@@ -28,13 +28,12 @@ from dataclasses import dataclass
 from .errors import NotAFace, NotPointed, ZeroVector
 from .intlinalg import (
     IntMatrix,
-    _divide,
     complement_projection,
     dot,
+    hnf,
     kernel_lattice,
     primitive,
     rank as lattice_rank,
-    solve_left,
 )
 
 
@@ -147,9 +146,10 @@ class Cone:
             self.generators = ()
             self.facet_normals = ()
         else:
-            # span is a Hermite basis, so dividing by its rows gives the coordinates
-            local_gens = [_divide(span.entries, g) for g in gens]
-            assert None not in local_gens, "generators must lie in their own saturated span"
+            # a saturated span's columns generate Z^d, so hnf(span^T) is I_d over
+            # zero rows and its transform's top rows L have L * span^T = I_d
+            lift = hnf(span.transpose())[1].entries[:d]
+            local_gens = [tuple(dot(r, g) for r in lift) for g in gens]
 
             # the dual cone inside the span is pointed because the generators span it
             local_normals = _extreme_rays(local_gens, d)
@@ -167,9 +167,7 @@ class Cone:
                 if not any(w & z == z for j, w in enumerate(tight) if j != i)
             )
 
-            lift = solve_left(span.transpose(), IntMatrix.identity(d))
-            assert lift is not None, "saturated spans always split"
-            lift_cols = lift.transpose().entries
+            lift_cols = tuple(zip(*lift))
             self.facet_normals = tuple(
                 sorted(tuple(dot(w, c) for c in lift_cols) for w in local_normals)
             )
@@ -203,6 +201,8 @@ class Cone:
 
     def contains_relint(self, point) -> bool:
         v = tuple(point)
+        if len(v) != self.ambient_rank:
+            raise ValueError("point has wrong length")
         if self.dim == 0:
             return all(x == 0 for x in v)
         if any(dot(k, v) != 0 for k in self.span_perp.entries):

@@ -193,11 +193,8 @@ class SubdivisionMap:
                 raise NotASubdivision(
                     f"source cone {c.id_str} is not contained in any target cone"
                 )
+            # two containers meet in a face containing c: the least is unique
             least = min(containers, key=lambda t: t.dim)
-            if sum(1 for t in containers if t.dim == least.dim) > 1:
-                raise NotASubdivision(
-                    f"no unique minimal target cone for {c.id_str}"
-                )
             assignment[c.id_str] = least.id_str
             by_target.setdefault(least.id_str, []).append(c)
 
@@ -224,14 +221,13 @@ def _tiles(sigma: Cone, parts) -> bool:
     All parts must have sigma's dimension.  Because the parts come from a
     fan they cannot overlap, so covering is equivalent to a pairing
     condition: every facet of a part either lies on the boundary of sigma
-    or is shared with exactly one other part.
+    or is shared with exactly one other part.  A single part other than
+    sigma has a facet off the boundary, counted once.
     """
     if not parts:
         return False
     if any(p.dim != sigma.dim for p in parts):
         return False
-    if len(parts) == 1:
-        return parts[0] == sigma
     counts: Counter = Counter()
     for p in parts:
         for facet in p.facets():
@@ -272,7 +268,9 @@ def star_subdivision(fan: Fan, target: Cone, point=None):
                 f"{point!r} is not in the relative interior of {target.id_str}"
             )
 
-    # a face of c lies in a facet of c exactly when its generators do
+    # a face of c lies in a facet of c exactly when its generators do; a
+    # facet off the target lies in only one cone containing the target, and
+    # a new cone holds an interior point of the target, so none repeats
     new_cones = []
     for c in fan.maximal_cones:
         if target.key not in c.face_keys():
@@ -281,9 +279,6 @@ def star_subdivision(fan: Fan, target: Cone, point=None):
         for facet in c.facets():
             if not set(target.generators) <= set(facet):
                 new_cones.append(Cone(fan.ambient_rank, facet + (point,)))
-    seen = {}
-    for c in new_cones:
-        seen.setdefault(c.key, c)
-    refined = Fan(fan.ambient_rank, seen.values())
+    refined = Fan(fan.ambient_rank, new_cones)
     return refined, SubdivisionMap(refined, fan)
 

@@ -15,8 +15,8 @@ canonical output:
 
 ``kernel_lattice`` returns its canonical basis in Hermite form, so a vector
 in its row lattice has its coefficients read off by division, row by row
-(``_divide``): cones get their local coordinates this way.  The kernel of
-an empty system is the identity basis, returned with no elimination.
+(``_divide``).  The kernel of an empty system is the identity basis,
+returned with no elimination.
 
 Conventions used throughout the package: lattice bases are stored as matrix
 *rows*, linear maps act on *column* vectors, and ``dot`` is the standard

@@ -1,9 +1,9 @@
 """The small corpus of fans the tests share, and helpers only tests use.
 
-None of this is part of the library: the fan builders, the free lattice
-``ambient_lattice``, ``character_class``, an integer determinant, the
-saturation of a row lattice and lattice equality are written here, on top
-of fanpoly.
+None of this is part of the library: the fan builders, their GL_n(Z)
+images, the free lattice ``ambient_lattice``, ``character_class``, an
+integer determinant, the saturation of a row lattice and lattice equality
+are written here, on top of fanpoly.
 """
 
 from __future__ import annotations
@@ -131,6 +131,23 @@ def doubled_cone() -> Multifan:
         ("y", "bot"),
     ]
     return multifan_validate(2, cones, covers)
+
+
+def gl_image(fan, rng):
+    """Image under a signed permutation times a unipotent shear."""
+    n = fan.ambient_rank
+    perm = list(range(n))
+    rng.shuffle(perm)
+    signs = [rng.choice((1, -1)) for _ in range(n)]
+    shear = [rng.randint(-1, 1) for _ in range(n - 1)]
+
+    def move(v):
+        w = [signs[i] * v[perm[i]] for i in range(n)]
+        for i in range(n - 1):
+            w[i] += shear[i] * w[i + 1]
+        return tuple(w)
+
+    return Fan(n, [Cone(n, [move(g) for g in c.generators]) for c in fan.maximal_cones])
 
 
 def ambient_lattice(n: int) -> QuotientCharacterLattice:

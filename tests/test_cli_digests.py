@@ -61,6 +61,21 @@ def invocations():
     ]
     bundle = "fixtures/p2_incompatible.bundle.json"
     out.append(["chern", _fan("p2"), bundle, "--index", "1", "--json"])
+    hypertoric = ["hypertoric", "--rank", "2", "--vectors=1,0;0,1;1,1"]
+    out += [hypertoric, hypertoric + ["--json"]]
+    # the human summaries, one invocation of every other verb
+    out += [
+        ["validate", _fan("p2")],
+        ["pp-basis", _fan("p2"), "--degree", "2"],
+        ["mpp-basis", _multifan("hypertoric_3lines"), "--degree", "2"],
+        ["gkm-check", _fan("p2"), "--degree", "2"],
+        ["chern", _fan("p2"), "fixtures/p2_divisor.bundle.json", "--index", "1"],
+        ["courant", _fan("p2"), "--ray=-1,-1"],
+        ["sr-hilbert", _fan("p2"), "--degree", "2"],
+        ["mv-h3", _fan("blp2")],
+        ["subdivide", _fan("p2"), "--target", "0,1;1,0"],
+        ["pullback-check", sub, "fixtures/blp2_kink.element.json"],
+    ]
     return out
 
 

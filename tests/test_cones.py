@@ -84,6 +84,15 @@ def test_membership():
     assert not zero.contains((1, 0))
 
 
+def test_membership_rejects_wrong_length():
+    for c in (Cone(2, []), Cone(2, [(1, 0)])):
+        for point in ((0, 0, 0), (1, 0, 0), (1,)):
+            with pytest.raises(ValueError, match="point has wrong length"):
+                c.contains(point)
+            with pytest.raises(ValueError, match="point has wrong length"):
+                c.contains_relint(point)
+
+
 def test_faces_quadrant():
     c = Cone(2, [(1, 0), (0, 1)])
     fs = c.faces()

@@ -1,7 +1,9 @@
 """Fan validation, completeness and star subdivisions."""
 
+import random
+
 import pytest
-from corpus import blp2, cube, diamond, p1, p1xp1, p2, projective_space
+from corpus import blp2, cube, diamond, gl_image, p1, p1xp1, p2, projective_space, subdivided_p3
 
 from fanpoly import fans
 from fanpoly.cones import Cone, intersect
@@ -153,6 +155,62 @@ def test_subdivision_map_rejects_non_refinement():
     # a genuine coarsening fails in the other direction too
     with pytest.raises(NotASubdivision):
         SubdivisionMap(p2(), blp2())
+
+
+def test_single_part_must_be_its_target():
+    source = Fan(2, [Cone(2, [(1, 0), (1, 1)])])
+    target = Fan(2, [Cone(2, [(1, 0), (0, 1)])])
+    with pytest.raises(NotASubdivision, match="not tiled"):
+        SubdivisionMap(source, target)
+
+
+def star_cases():
+    """Each base fan and three seeded GL_n(Z) images of it."""
+    rng = random.Random(16)
+    bases = [
+        ("p2", p2()),
+        ("p1xp1", p1xp1()),
+        ("blp2", blp2()),
+        ("diamond", diamond()),
+        ("cube", cube()),
+        ("p3s1", subdivided_p3(random.Random(1), 1)),
+        ("p3s2", subdivided_p3(random.Random(2), 2)),
+    ]
+    return [
+        (f"{name}.{i}", fan)
+        for name, base in bases
+        for i, fan in enumerate([base] + [gl_image(base, rng) for _ in range(3)])
+    ]
+
+
+STAR_CASES = star_cases()
+
+
+@pytest.mark.parametrize("name, fan", STAR_CASES, ids=[name for name, _ in STAR_CASES])
+def test_star_subdivision_at_every_face(name, fan):
+    cones = [t for t, _ in fan.face_index.values()]
+    for face in cones:
+        if face.dim == 0:
+            continue
+        refined, sub = star_subdivision(fan, face)
+        # a facet off the face lies in only one cone containing the face, and
+        # a new cone holds a relative-interior point of the face, which no
+        # untouched cone does: so no cone is built twice
+        expected = 0
+        for c in fan.maximal_cones:
+            if face.key in c.face_keys():
+                expected += sum(1 for f in c.facets() if not set(face.generators) <= set(f))
+            else:
+                expected += 1
+        assert len(refined.maximal_cones) == expected, face
+
+        # two target cones containing a source cone meet in a face containing
+        # it, so the least such cone is unique
+        for c in refined.maximal_cones:
+            containers = [t for t in cones if t.contains_cone(c)]
+            least = min(t.dim for t in containers)
+            (assigned,) = [t for t in containers if t.dim == least]
+            assert sub.assignment[c.id_str] == assigned.id_str, (face, c)
 
 
 def test_completeness_preserved_by_subdivision():

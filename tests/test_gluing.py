@@ -19,7 +19,7 @@ import json
 import random
 
 import pytest
-from corpus import cube, lattices_equal, p1xp1, p2, projective_space, subdivided_p3
+from corpus import cube, gl_image, lattices_equal, p1xp1, p2, projective_space, subdivided_p3
 from test_constraint_oracle import FAN_CASES, HYPERTORIC_5, MULTIFANS, first_failing_fan_pair
 
 from fanpoly.cli import main
@@ -33,23 +33,6 @@ from fanpoly.jsonio import fan_to_json
 from fanpoly.multifans import hypertoric_multifan, mpp_validate, multifan_from_fan
 from fanpoly.polynomials import LocalPolynomial
 from fanpoly.ppring import constraint_matrix, pp_validate
-
-
-def gl_image(fan, rng):
-    """Image under a signed permutation times a unipotent shear."""
-    n = fan.ambient_rank
-    perm = list(range(n))
-    rng.shuffle(perm)
-    signs = [rng.choice((1, -1)) for _ in range(n)]
-    shear = [rng.randint(-1, 1) for _ in range(n - 1)]
-
-    def move(v):
-        w = [signs[i] * v[perm[i]] for i in range(n)]
-        for i in range(n - 1):
-            w[i] += shear[i] * w[i + 1]
-        return tuple(w)
-
-    return Fan(n, [Cone(n, [move(g) for g in c.generators]) for c in fan.maximal_cones])
 
 
 def random_fan_cases():
