@@ -9,9 +9,9 @@ normals, as extreme rays of the dual cone inside the span, and the rays of
 intersections, returned as keys.  The routine works in coordinates on the
 saturated span, read off the top rows of the transform of one Hermite step
 on the span's transpose: a left inverse of the span, whose columns also
-lift covectors back to Z^n.  Faces come from closure over generator-facet
-incidences (Kaibel and Pfetsch 2002), at a cost that grows with the number
-of faces.
+lift covectors back to Z^n.  It keeps which generators lie on which facet
+as bit masks, and pointedness, the extremal generators and the faces (by
+incidence closure, Kaibel and Pfetsch 2002) are read off these masks.
 
 Every cone carries a quotient character lattice M_sigma = M / (sigma^perp
 cap M): a projection matrix with kernel exactly sigma^perp cap M and an
@@ -33,7 +33,6 @@ from .intlinalg import (
     hnf,
     kernel_lattice,
     primitive,
-    rank as lattice_rank,
 )
 
 
@@ -57,13 +56,14 @@ class QuotientCharacterLattice:
 
 
 def _extreme_rays(ineqs, e: int):
-    """Sorted primitive extreme rays of the pointed cone {x in Q^e : q.x >= 0}.
+    """Sorted (ray, mask) pairs of the pointed cone {x in Q^e : q.x >= 0}: each
+    ray primitive and extreme, bit k of its mask set exactly when ineqs[k] is 0 on it.
 
     Double description from Q^e, one inequality q at a time.  If q is
-    nonzero on a lineality vector l, l (signed) becomes a ray and the rest
-    shift along l onto q = 0.  Otherwise rays with q < 0 are dropped and
-    each adjacent pair across q = 0 (no third ray is tight everywhere both
-    are, tight sets kept as bit masks) is combined into a ray on it.
+    nonzero on a lineality vector l, l (signed) becomes a ray tight on every
+    earlier q, and the rest shift along l onto q = 0, keeping their masks.
+    Otherwise rays with q < 0 are dropped and each adjacent pair across q = 0
+    (no third ray is tight everywhere both are) is combined into a ray on it.
     """
     lin = [tuple(int(i == j) for j in range(e)) for i in range(e)]
     rays = []
@@ -95,7 +95,7 @@ def _extreme_rays(ineqs, e: int):
                 ray = tuple(vals[i] * x - vals[j] * y for x, y in zip(rn, rp))
                 kept.append((primitive(ray), z | bit))
         rays = kept
-    return sorted(r for r, _ in rays)
+    return sorted(rays)
 
 
 class Cone:
@@ -108,6 +108,7 @@ class Cone:
         "span_basis",
         "span_perp",
         "facet_normals",
+        "_facet_masks",
         "_id_str",
         "_quotient",
         "_lattice",
@@ -143,33 +144,32 @@ class Cone:
         self.span_perp = perp
 
         if d == 0:
-            self.generators = ()
-            self.facet_normals = ()
+            self.generators = self.facet_normals = self._facet_masks = ()
         else:
             # a saturated span's columns generate Z^d, so hnf(span^T) is I_d over
             # zero rows and its transform's top rows L have L * span^T = I_d
             lift = hnf(span.transpose())[1].entries[:d]
             local_gens = [tuple(dot(r, g) for r in lift) for g in gens]
 
-            # the dual cone inside the span is pointed because the generators span it
-            local_normals = _extreme_rays(local_gens, d)
-            if lattice_rank(IntMatrix(local_normals, cols=d)) != d:
+            # the dual cone inside the span is pointed because the generators span it;
+            # its rays are the facet normals, bit i of a mask set if gens[i] is on the facet
+            normals = _extreme_rays(local_gens, d)
+            masks = [m for _, m in normals]
+            tight = [sum((m >> i & 1) << j for j, m in enumerate(masks)) for i in range(len(gens))]
+            # the facets cut out the lineality space: a generator on all of them lies in it
+            if (1 << len(masks)) - 1 in tight:
                 raise NotPointed(f"cone on {gens!r} contains a line")
 
-            # an input generator is extremal unless another is tight on all its facets
-            tight = [
-                sum(1 << i for i, w in enumerate(local_normals) if dot(w, g) == 0)
-                for g in local_gens
-            ]
-            self.generators = tuple(
-                g
-                for i, (g, z) in enumerate(zip(gens, tight))
-                if not any(w & z == z for j, w in enumerate(tight) if j != i)
+            # an input generator is extremal unless one besides itself is tight on all its facets
+            keep = [i for i, z in enumerate(tight) if sum(w & z == z for w in tight) == 1]
+            self.generators = tuple(gens[i] for i in keep)
+            self._facet_masks = tuple(
+                sum((m >> i & 1) << j for j, i in enumerate(keep)) for m in masks
             )
 
             lift_cols = tuple(zip(*lift))
             self.facet_normals = tuple(
-                sorted(tuple(dot(w, c) for c in lift_cols) for w in local_normals)
+                sorted(tuple(dot(w, c) for c in lift_cols) for w, _ in normals)
             )
 
         self._id_str = None
@@ -217,22 +217,18 @@ class Cone:
     def _face_lattice(self):
         """(dimension, generators) of every face, sorted.
 
-        Incidence closure, one dimension at a time: the maximal proper
-        intersections of a face with the cone's facets are its facets.
+        Closure over the facet masks, one dimension at a time: the maximal
+        proper intersections of a face with the cone's facets are its facets.
         """
         if self._lattice is None:
             gens = self.generators
-            masks = [
-                sum(1 << i for i, g in enumerate(gens) if dot(u, g) == 0)
-                for u in self.facet_normals
-            ]
             level = {(1 << len(gens)) - 1}
             found = []
             for dim in range(self.dim, -1, -1):
                 found += [(dim, m) for m in level]
                 below = set()
                 for m in level:
-                    cut = {m & f for f in masks} - {m}
+                    cut = {m & f for f in self._facet_masks} - {m}
                     below |= {c for c in cut if not any(c != o and c & o == c for o in cut)}
                 level = below
             self._lattice = sorted(
@@ -315,6 +311,6 @@ def intersect(c1: Cone, c2: Cone):
         - {(0,) * e}
     )
     s0_cols = s0.transpose().entries
-    rays = sorted(tuple(dot(w, c) for c in s0_cols) for w in _extreme_rays(ineqs, e))
+    rays = sorted(tuple(dot(w, c) for c in s0_cols) for w, _ in _extreme_rays(ineqs, e))
     key = (n, tuple(rays))
     return key, key in c1.face_keys() and key in c2.face_keys()

@@ -434,7 +434,8 @@ def complement_projection(k: IntMatrix):
     Returns ``(Q, S)`` where ``Q`` (``d x n``, ``d = n - rank L``) is a
     surjection with kernel exactly ``L`` and ``S`` (``n x d``) is a section,
     ``Q * S = I``.  Both come from one Smith decomposition of the basis, so
-    equal lattices always produce the same pair.
+    equal lattices always produce the same pair.  ``Q * S`` is the transposed
+    trailing block of ``V^-1 * V``, which ``unimodular_inverse`` checks is I.
     """
     n = k.cols
     r = k.rows
@@ -446,8 +447,6 @@ def complement_projection(k: IntMatrix):
     vinv = unimodular_inverse(v)
     q = IntMatrix([[v[i, r + j] for i in range(n)] for j in range(d)], cols=n)
     s = IntMatrix([[vinv[r + j, i] for j in range(d)] for i in range(n)], cols=d)
-    prod = q * s
-    assert prod == IntMatrix.identity(d)
     return q, s
 
 

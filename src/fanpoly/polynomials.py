@@ -68,7 +68,7 @@ class LocalPolynomial:
                 raise ValueError(
                     f"exponent {e!r} has length {len(e)}, lattice rank is {lattice.rank}"
                 )
-            if any((not isinstance(x, int)) or x < 0 for x in e):
+            if any(isinstance(x, bool) or not isinstance(x, int) or x < 0 for x in e):
                 raise ValueError(f"bad exponent tuple {e!r}")
             c = self._coerce(coeff)
             if c != 0:
@@ -180,6 +180,8 @@ class LocalPolynomial:
         Coordinates are paired through the section, which is well defined
         exactly on the span of the cone the lattice came from.
         """
+        if len(point) != self.lattice.projection.cols:
+            raise ValueError("point has wrong length")
         coords = [dot(self.lattice.section.column(l), point) for l in range(self.lattice.rank)]
         total = 0
         for e, c in self.terms.items():

@@ -11,7 +11,8 @@ input orders.  In Z^5 and Z^6, where most cones are lower dimensional and
 their coordinates are read off the span's Hermite basis: faces of P^5 and
 P^6 and cones over polygons, under seeded shears, and lower dimensional
 ones given with redundant vectors (sums of rays, scaled and repeated rays)
-that the constructor must drop.
+that the constructor must drop; and cones containing a line, with spans of
+dimension 2 to n - 1, which both must reject with NotPointed.
 """
 
 import random
@@ -23,7 +24,7 @@ from reference_cones import ReferenceCone, reference_intersect
 
 from fanpoly.cones import Cone, intersect
 from fanpoly.errors import NotPointed
-from fanpoly.intlinalg import dot
+from fanpoly.intlinalg import IntMatrix, dot, rank
 
 OCTAGON = [(2, 1), (1, 2), (-1, 2), (-2, 1), (-2, -1), (-1, -2), (1, -2), (2, -1)]
 
@@ -102,6 +103,32 @@ def high_rank_cones(rng):
     return out + extra
 
 
+def non_pointed_high_rank_cones(rng):
+    """(n, generator lists) of cones containing a line, under one shear of Z^5 and
+    one of Z^6, with spans of every dimension s from 2 to n - 1: a line plus s - 1
+    rays, three vectors summing to zero plus s - 2 rays, the whole span as s + 1
+    vectors summing to zero, and in a 3-dimensional span a half-space; then each
+    again with redundant vectors (those summing to zero left out)."""
+    out = []
+    for n in (5, 6):
+        g = shear(rng, n)
+        e = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+
+        def minus(*vs):
+            return tuple(-sum(xs) for xs in zip(*vs))
+
+        sets = [[e[0], minus(e[0]), e[1], minus(e[1]), e[2]]]
+        for s in range(2, n):
+            sets += [
+                [e[1], e[0], minus(e[0])] + e[2:s],
+                [e[0], e[1], minus(e[0], e[1])] + e[2:s],
+                e[:s] + [minus(*e[:s])],
+            ]
+        sets += [[v for v in with_redundant(gens) if any(v)] for gens in sets]
+        out += [(n, [g(v) for v in gens]) for gens in sets]
+    return out
+
+
 def build_both(n, gens):
     """(Cone, ReferenceCone), or None when both raise NotPointed."""
     try:
@@ -167,6 +194,16 @@ def test_high_rank_cones_match_reference():
     assert dims == {(n, d) for n in (5, 6) for d in range(1, n + 1)}
     # redundant input vectors dropped in every proper dimension from 2 up
     assert dropped == {(n, d) for n in (5, 6) for d in range(2, n)}
+
+    # after the draws above, so that they stay as they were
+    spans = set()
+    for n, gens in non_pointed_high_rank_cones(rng):
+        shuffled = list(gens)
+        rng.shuffle(shuffled)
+        for order in (gens, shuffled):
+            assert build_both(n, order) is None
+        spans.add((n, rank(IntMatrix(gens, cols=n))))
+    assert spans == {(n, s) for n in (5, 6) for s in range(2, n)}
 
 
 def test_high_rank_intersections_match_reference():

@@ -11,8 +11,9 @@ import pytest
 from corpus import ambient_lattice, character_class
 
 from fanpoly.cones import Cone
-from fanpoly.errors import IndexOutOfRange, LatticeMismatch, NotAFace
+from fanpoly.errors import FormatError, IndexOutOfRange, LatticeMismatch, NotAFace
 from fanpoly.intlinalg import IntMatrix
+from fanpoly.jsonio import poly_from_json, poly_to_json
 from fanpoly.polynomials import (
     LocalPolynomial,
     RationalLocalPolynomial,
@@ -79,6 +80,28 @@ def test_evaluate():
     # the class of (2,0) on the span of (1,1) takes value 2k at (k,k)
     assert u.evaluate((1, 1)) == 2
     assert u.evaluate((3, 3)) == 6
+
+
+def test_evaluate_rejects_wrong_length():
+    # on the zero cone's lattice no coordinate reads the point, so only the check sees it
+    constant = LocalPolynomial.constant(Cone(2, []).quotient, 5)
+    assert constant.evaluate((0, 0)) == 5
+    u = character_class(Cone(2, [(1, 1)]).quotient, (2, 0))
+    for f, point in ((constant, (1, 2, 3)), (constant, (1,)), (u, (1, 1, 1)), (u, (1,))):
+        with pytest.raises(ValueError, match="point has wrong length"):
+            f.evaluate(point)
+
+
+def test_bool_exponents_rejected():
+    """A bool exponent would be written as a JSON boolean, which cannot be read back."""
+    lat = ambient_lattice(2)
+    for exps in ((True, False), (0, True)):
+        with pytest.raises(ValueError, match="bad exponent tuple"):
+            LocalPolynomial(lat, {exps: 3})
+    with pytest.raises(FormatError):
+        poly_from_json(lat, [[[True, False], "3"]])
+    f = LocalPolynomial(lat, {(1, 0): 3})
+    assert poly_from_json(lat, poly_to_json(f)) == f
 
 
 def test_character_class_well_defined():
