@@ -11,7 +11,8 @@ saturated span, read off the top rows of the transform of one Hermite step
 on the span's transpose: a left inverse of the span, whose columns also
 lift covectors back to Z^n.  It keeps which generators lie on which facet
 as bit masks, and pointedness, the extremal generators and the faces (by
-incidence closure, Kaibel and Pfetsch 2002) are read off these masks.
+incidence closure, Kaibel and Pfetsch 2002) are read off these masks, the
+faces anew on each call: only their keys are kept.
 
 Every cone carries a quotient character lattice M_sigma = M / (sigma^perp
 cap M): a projection matrix with kernel exactly sigma^perp cap M and an
@@ -111,7 +112,6 @@ class Cone:
         "_facet_masks",
         "_id_str",
         "_quotient",
-        "_lattice",
         "_face_keys",
         "_restrictions",
         "_powers",
@@ -143,38 +143,34 @@ class Cone:
         self.span_basis = span
         self.span_perp = perp
 
-        if d == 0:
-            self.generators = self.facet_normals = self._facet_masks = ()
-        else:
-            # a saturated span's columns generate Z^d, so hnf(span^T) is I_d over
-            # zero rows and its transform's top rows L have L * span^T = I_d
-            lift = hnf(span.transpose())[1].entries[:d]
-            local_gens = [tuple(dot(r, g) for r in lift) for g in gens]
+        # a saturated span's columns generate Z^d, so hnf(span^T) is I_d over
+        # zero rows and its transform's top rows L have L * span^T = I_d
+        lift = hnf(span.transpose())[1].entries[:d]
+        local_gens = [tuple(dot(r, g) for r in lift) for g in gens]
 
-            # the dual cone inside the span is pointed because the generators span it;
-            # its rays are the facet normals, bit i of a mask set if gens[i] is on the facet
-            normals = _extreme_rays(local_gens, d)
-            masks = [m for _, m in normals]
-            tight = [sum((m >> i & 1) << j for j, m in enumerate(masks)) for i in range(len(gens))]
-            # the facets cut out the lineality space: a generator on all of them lies in it
-            if (1 << len(masks)) - 1 in tight:
-                raise NotPointed(f"cone on {gens!r} contains a line")
+        # the dual cone inside the span is pointed because the generators span it;
+        # its rays are the facet normals, bit i of a mask set if gens[i] is on the facet
+        normals = _extreme_rays(local_gens, d)
+        masks = [m for _, m in normals]
+        tight = [sum((m >> i & 1) << j for j, m in enumerate(masks)) for i in range(len(gens))]
+        # the facets cut out the lineality space: a generator on all of them lies in it
+        if (1 << len(masks)) - 1 in tight:
+            raise NotPointed(f"cone on {gens!r} contains a line")
 
-            # an input generator is extremal unless one besides itself is tight on all its facets
-            keep = [i for i, z in enumerate(tight) if sum(w & z == z for w in tight) == 1]
-            self.generators = tuple(gens[i] for i in keep)
-            self._facet_masks = tuple(
-                sum((m >> i & 1) << j for j, i in enumerate(keep)) for m in masks
-            )
+        # an input generator is extremal unless one besides itself is tight on all its facets
+        keep = [i for i, z in enumerate(tight) if sum(w & z == z for w in tight) == 1]
+        self.generators = tuple(gens[i] for i in keep)
+        self._facet_masks = tuple(
+            sum((m >> i & 1) << j for j, i in enumerate(keep)) for m in masks
+        )
 
-            lift_cols = tuple(zip(*lift))
-            self.facet_normals = tuple(
-                sorted(tuple(dot(w, c) for c in lift_cols) for w, _ in normals)
-            )
+        lift_cols = tuple(zip(*lift))
+        self.facet_normals = tuple(
+            sorted(tuple(dot(w, c) for c in lift_cols) for w, _ in normals)
+        )
 
         self._id_str = None
         self._quotient = None
-        self._lattice = None
         self._face_keys = None
         self._restrictions = {}
         self._powers = {}
@@ -203,8 +199,6 @@ class Cone:
         v = tuple(point)
         if len(v) != self.ambient_rank:
             raise ValueError("point has wrong length")
-        if self.dim == 0:
-            return all(x == 0 for x in v)
         if any(dot(k, v) != 0 for k in self.span_perp.entries):
             return False
         return all(dot(u, v) > 0 for u in self.facet_normals)
@@ -215,32 +209,30 @@ class Cone:
         return all(self.contains(g) for g in other.generators)
 
     def _face_lattice(self):
-        """(dimension, generators) of every face, sorted.
+        """(dimension, generators) of every face, sorted, worked out on each call.
 
         Closure over the facet masks, one dimension at a time: the maximal
         proper intersections of a face with the cone's facets are its facets.
         """
-        if self._lattice is None:
-            gens = self.generators
-            level = {(1 << len(gens)) - 1}
-            found = []
-            for dim in range(self.dim, -1, -1):
-                found += [(dim, m) for m in level]
-                below = set()
-                for m in level:
-                    cut = {m & f for f in self._facet_masks} - {m}
-                    below |= {c for c in cut if not any(c != o and c & o == c for o in cut)}
-                level = below
-            self._lattice = sorted(
-                (dim, tuple(g for i, g in enumerate(gens) if m >> i & 1)) for dim, m in found
-            )
-        return self._lattice
+        gens = self.generators
+        level = {(1 << len(gens)) - 1}
+        found = []
+        for dim in range(self.dim, -1, -1):
+            found += [(dim, m) for m in level]
+            below = set()
+            for m in level:
+                cut = {m & f for f in self._facet_masks} - {m}
+                below |= {c for c in cut if not any(c != o and c & o == c for o in cut)}
+            level = below
+        return sorted(
+            (dim, tuple(g for i, g in enumerate(gens) if m >> i & 1)) for dim, m in found
+        )
 
     def faces(self):
         """All faces, including the cone itself and the zero cone.
 
-        Found by incidence closure, not by subsets of facets; returned
-        sorted by (dimension, key) and built anew on each call.
+        Found by incidence closure and sorted by (dimension, key).  The lattice
+        and its Cones are built anew on each call; only face_keys are kept.
         """
         return tuple(
             self if gens == self.generators else Cone(self.ambient_rank, gens)

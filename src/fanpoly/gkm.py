@@ -6,13 +6,13 @@ along it.  A tuple of global polynomials, one per vertex, is in the image
 of the piecewise polynomial ring exactly when for every edge the two
 endpoint polynomials restrict equally to the wall's quotient coordinates.
 
-The walls are a shorter incidence list over the same parts as the fan's
-own: :func:`beta_system` hands the fan's ``parts`` and one incidence per
-wall to the assembler of :mod:`fanpoly.ppring`.  The point of this module
-is that the wall conditions alone cut out the same lattice as the full
-pairwise-face conditions, and that this can be checked exactly: both
-sides are kernels of integer matrices over the same coordinate layout, so
-equality is a lattice comparison.
+On every complete fan the fan's ``gluing``, which ``pp_basis`` assembles,
+is exactly this wall set.  :func:`beta_system` hands the ``parts`` and one
+incidence per wall, picked from the face index by dimension, to the
+assembler of :mod:`fanpoly.ppring`, so :func:`gkm_compare` checks those
+walls against the ones :func:`fanpoly.fans.spanning_gluing` keeps, as a
+lattice over one layout.  The tests check that the walls alone cut out the
+lattice of every incidence, the full pairwise-face conditions.
 """
 
 from __future__ import annotations
@@ -66,12 +66,12 @@ def gkm_kernel_basis(fan: Fan, k: int) -> IntMatrix:
 
 
 def gkm_compare(fan: Fan, k: int) -> bool:
-    """Whether the wall conditions cut out exactly the piecewise ring.
+    """Whether the wall rows and the gluing rows of ``pp_basis`` cut out one lattice.
 
-    Both lattices are expressed over the same coefficient layout (every
-    maximal cone of a complete fan is full-dimensional, so its quotient
-    coordinates are the ambient characters), making this an exact integer
-    lattice equality.  Both bases are canonical (Hermite form), so the
-    lattices are equal exactly when the bases are.
+    The gluing is the wall set on a complete fan, so this cross-checks the
+    dimension filter of :func:`gkm_graph` against ``spanning_gluing``.  Every
+    maximal cone is full-dimensional, so both sides share one coefficient
+    layout, and both bases are canonical (Hermite form): the lattices are
+    equal exactly when the bases are.
     """
     return gkm_kernel_basis(fan, k) == pp_basis(fan, k).coefficients

@@ -110,13 +110,13 @@ def fan_from_json(doc) -> Fan:
 
 
 def multifan_to_json(mf: Multifan) -> dict:
-    covers = []
-    for nid in mf.node_ids:
-        below = mf.lower[nid] - {nid}
-        # emit only covering pairs: lower nodes not under another lower node
-        for b in sorted(below):
-            if not any(b in mf.lower[c] for c in below if c != b):
-                covers.append([b, nid])
+    # face lattices are graded: a node covers exactly its lower nodes one dimension down
+    covers = [
+        [b, nid]
+        for nid in mf.node_ids
+        for b in sorted(mf.lower[nid])
+        if mf.cones[b].dim == mf.cones[nid].dim - 1
+    ]
     return {
         "kind": "multifan",
         "ambient_rank": mf.ambient_rank,

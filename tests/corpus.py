@@ -107,6 +107,15 @@ def hypertoric_3lines() -> Multifan:
     return hypertoric_multifan(2, hypertoric_3lines_vectors())
 
 
+_E3 = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+# vector configurations in Z^3 by size; the 9-vector one has a basis of determinant 2
+HYPERTORIC_VECTORS = {
+    5: _E3 + [(1, 1, 0), (1, 1, 1)],
+    7: _E3 + [(1, 1, 0), (0, 1, 1), (1, 0, 1), (1, 1, 1)],
+    9: _E3 + [(1, 1, 0), (0, 1, 1), (1, 0, 1), (1, 1, 1), (1, -1, 0), (0, 1, -1)],
+}
+
+
 def doubled_cone() -> Multifan:
     """Two copies of the first quadrant glued along both boundary rays.
 

@@ -12,14 +12,17 @@ their coordinates are read off the span's Hermite basis: faces of P^5 and
 P^6 and cones over polygons, under seeded shears, and lower dimensional
 ones given with redundant vectors (sums of rays, scaled and repeated rays)
 that the constructor must drop; and cones containing a line, with spans of
-dimension 2 to n - 1, which both must reject with NotPointed.
+dimension 2 to n - 1, which both must reject with NotPointed.  The zero
+cone of Z^0 to Z^6, given no generators, must also agree, and contain only
+the origin.  Faces are read off the facet masks on every call, so reading
+them twice must give the same answer.
 """
 
 import random
 from itertools import combinations, product
 
 import pytest
-from corpus import cube
+from corpus import cube, p3_starred3
 from reference_cones import ReferenceCone, reference_intersect
 
 from fanpoly.cones import Cone, intersect
@@ -175,6 +178,28 @@ def test_cones_match_reference():
             pointed += 1
     # the random sets must exercise both outcomes
     assert 100 < pointed < len(cases)
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_zero_cone_matches_reference(n):
+    cone, ref = Cone(n, []), ReferenceCone(n, [])
+    assert_same(cone, ref)
+    origin = (0,) * n
+    assert cone.contains(origin) and cone.contains_relint(origin)
+    for i in range(n):
+        e = tuple(int(i == j) for j in range(n))
+        assert not cone.contains(e) and not cone.contains_relint(e)
+
+
+def test_face_reads_repeat():
+    """facets() and faces() read twice, also after face_keys(), give the same answer."""
+    fans = [cube(), p3_starred3()]
+    for cone in [f for fan in fans for f, _ in fan.face_index.values()]:
+        keys = cone.face_keys()
+        facets, faces = cone.facets(), cone.faces()
+        assert cone.facets() == facets and cone.faces() == faces
+        assert frozenset(f.key for f in faces) == keys
+        assert facets == tuple(f.generators for f in faces if f.dim == cone.dim - 1)
 
 
 def test_high_rank_cones_match_reference():

@@ -4,14 +4,26 @@ import random
 from collections import Counter
 
 import pytest
-from corpus import blp2, cube, diamond, lattices_equal, p1, p1xp1, p2
+from corpus import (
+    blp2,
+    cube,
+    diamond,
+    gl_image,
+    lattices_equal,
+    p1,
+    p1xp1,
+    p2,
+    p3_starred3,
+    projective_space,
+    subdivided_p3,
+)
 
 from fanpoly.cones import Cone
 from fanpoly.errors import NotComplete
 from fanpoly.fans import Fan
 from fanpoly.gkm import GKMGraph, beta_system, gkm_compare, gkm_graph, gkm_kernel_basis
 from fanpoly.intlinalg import IntMatrix, kernel_lattice
-from fanpoly.ppring import pp_basis
+from fanpoly.ppring import constraint_matrix, pp_basis
 
 
 def test_graph_rejects_incomplete_fan():
@@ -73,6 +85,30 @@ def test_wall_conditions_cut_out_piecewise_ring():
     for fan in [p1(), p2(), diamond()]:
         for k in range(3):
             assert gkm_compare(fan, k)
+
+
+def complete_fans():
+    """Corpus fans, two seeded subdivisions of P^3, and a GL_n(Z) image of each."""
+    fans = [p1(), p2(), p1xp1(), diamond(), blp2(), cube(), p3_starred3(), projective_space(4)]
+    fans += [subdivided_p3(random.Random(seed), 6) for seed in (11, 12)]
+    rng = random.Random(2718)
+    return fans + [gl_image(fan, rng) for fan in fans]
+
+
+def test_walls_cut_out_every_incidence_and_are_the_gluing():
+    """The wall conditions against the definition: every incidence, not the gluing.
+
+    The gluing pp_basis assembles is then exactly the wall set, so gkm_compare
+    checks the gluing against the walls that gkm_graph picks by dimension.
+    """
+    for fan in complete_fans():
+        graph = gkm_graph(fan)
+        walls = [(fan.parts[i][0], fan.parts[j][0], tau.id_str) for tau, i, j in graph.edges]
+        gluing = [inc[:3] for inc in fan.gluing]
+        assert len(gluing) == len(walls) and set(gluing) == set(walls)
+        for k in range(4):
+            every = constraint_matrix(fan.parts, fan.incidences, k)[1]
+            assert kernel_lattice(beta_system(graph, k)) == kernel_lattice(every)
 
 
 def test_beta_rejects_negative_degree():

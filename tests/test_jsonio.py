@@ -1,9 +1,24 @@
 """Round trips and rejection paths for the JSON document layer."""
 
+import random
 from fractions import Fraction
 
 import pytest
-from corpus import diamond, doubled_cone, hypertoric_3lines, p2, p2_blowup
+from corpus import (
+    HYPERTORIC_VECTORS,
+    blp2,
+    cube,
+    diamond,
+    doubled_cone,
+    hypertoric_3lines,
+    p1,
+    p1xp1,
+    p2,
+    p2_blowup,
+    p3_starred3,
+    projective_space,
+    subdivided_p3,
+)
 
 from fanpoly.errors import FormatError
 from fanpoly.jsonio import (
@@ -21,6 +36,7 @@ from fanpoly.jsonio import (
     torsion_report_to_json,
 )
 from fanpoly.mayer_vietoris import h3_torsion
+from fanpoly.multifans import hypertoric_multifan, multifan_from_fan
 from fanpoly.polynomials import LocalPolynomial, RationalLocalPolynomial
 from fanpoly.ppring import pp_basis, pp_validate
 
@@ -39,6 +55,29 @@ def test_multifan_roundtrip():
         back = multifan_from_json(doc)
         assert back == mf
         assert back.maximal_ids == mf.maximal_ids
+
+
+def covers_by_definition(mf):
+    """[b, n] for b below n and under no other node below n, nodes in order."""
+    covers = []
+    for nid in mf.node_ids:
+        below = mf.lower[nid] - {nid}
+        for b in sorted(below):
+            if not any(b in mf.lower[c] for c in below if c != b):
+                covers.append([b, nid])
+    return covers
+
+
+def test_multifan_covers_are_the_covering_pairs():
+    fans = [p1(), p2(), p1xp1(), diamond(), blp2(), cube(), p3_starred3(), projective_space(4)]
+    fans.append(subdivided_p3(random.Random(5), 6))
+    multifans = [doubled_cone(), hypertoric_3lines()]
+    multifans += [hypertoric_multifan(3, vs) for vs in HYPERTORIC_VECTORS.values()]
+    multifans += [multifan_from_fan(fan) for fan in fans]
+    for mf in multifans:
+        doc = multifan_to_json(mf)
+        assert doc["covers"] == covers_by_definition(mf)
+        assert multifan_from_json(doc) == mf
 
 
 def test_bool_is_not_an_int():

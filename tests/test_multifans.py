@@ -1,7 +1,16 @@
 """Posets of cones and their piecewise polynomial rings."""
 
 import pytest
-from corpus import character_class, cube, doubled_cone, hypertoric_3lines, p2, projective_space
+from corpus import (
+    HYPERTORIC_VECTORS,
+    character_class,
+    cube,
+    doubled_cone,
+    hypertoric_3lines,
+    hypertoric_3lines_vectors,
+    p2,
+    projective_space,
+)
 
 from fanpoly.cones import Cone
 from fanpoly.errors import (
@@ -212,11 +221,19 @@ def independence_monomial_count(vectors, rank, k):
     return count
 
 
-def test_hypertoric_ranks_match_independence_complex():
-    vectors = [(1, 0), (0, 1), (1, 1)]
-    mf = hypertoric_multifan(2, vectors)
+@pytest.mark.parametrize(
+    "rank, vectors, ranks",
+    [
+        (2, hypertoric_3lines_vectors(), [1, 3, 6, 9]),
+        (3, HYPERTORIC_VECTORS[5], [1, 5, 15, 33]),
+        (3, HYPERTORIC_VECTORS[7], [1, 7, 28, 78]),
+    ],
+    ids=["3lines", "ht5", "ht7"],
+)
+def test_hypertoric_ranks_match_independence_complex(rank, vectors, ranks):
+    mf = hypertoric_multifan(rank, vectors)
     for k in range(4):
-        assert mpp_basis(mf, k).rank == independence_monomial_count(vectors, 2, k)
+        assert mpp_basis(mf, k).rank == independence_monomial_count(vectors, rank, k) == ranks[k]
 
 
 def test_hypertoric_repeated_vector():
