@@ -159,7 +159,7 @@ def _cmd_chern(args) -> RunReport:
 
 def _cmd_courant(args) -> RunReport:
     fan = _load_fan(args.file)
-    phi = courant_function(fan, _parse_vector(args.ray, "--ray"))
+    phi = courant_function(fan, _parse_vector(args.ray, "--ray", fan.ambient_rank))
     lines = [
         f"ray {','.join(str(x) for x in phi.ray)}",
         f"integral: {'yes' if phi.is_integral else 'no'}",

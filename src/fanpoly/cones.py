@@ -100,17 +100,22 @@ def _extreme_rays(ineqs, e: int):
 
 
 class Cone:
-    """A pointed rational polyhedral cone, canonically presented."""
+    """A pointed rational polyhedral cone, canonically presented.
+
+    Set once: ``key`` = ``(ambient_rank, generators)``, its sorted primitive
+    extremal generators, and ``id_str`` = ``"x,y;..."`` (``"0"`` if zero).
+    """
 
     __slots__ = (
         "ambient_rank",
         "generators",
+        "key",
+        "id_str",
         "dim",
         "span_basis",
         "span_perp",
         "facet_normals",
         "_facet_masks",
-        "_id_str",
         "_quotient",
         "_face_keys",
         "_restrictions",
@@ -160,6 +165,8 @@ class Cone:
         # an input generator is extremal unless one besides itself is tight on all its facets
         keep = [i for i, z in enumerate(tight) if sum(w & z == z for w in tight) == 1]
         self.generators = tuple(gens[i] for i in keep)
+        self.key = (ambient_rank, self.generators)
+        self.id_str = ";".join(",".join(map(str, g)) for g in self.generators) or "0"
         self._facet_masks = tuple(
             sum((m >> i & 1) << j for j, i in enumerate(keep)) for m in masks
         )
@@ -169,23 +176,10 @@ class Cone:
             sorted(tuple(dot(w, c) for c in lift_cols) for w, _ in normals)
         )
 
-        self._id_str = None
         self._quotient = None
         self._face_keys = None
         self._restrictions = {}
         self._powers = {}
-
-    @property
-    def key(self):
-        """Canonical identity: the sorted tuple of primitive extremal generators."""
-        return (self.ambient_rank, self.generators)
-
-    @property
-    def id_str(self) -> str:
-        """Canonical id, joined on first read: lookups by id read it again and again."""
-        if self._id_str is None:
-            self._id_str = ";".join(",".join(map(str, g)) for g in self.generators) or "0"
-        return self._id_str
 
     def contains(self, point) -> bool:
         v = tuple(point)
@@ -214,8 +208,7 @@ class Cone:
         Closure over the facet masks, one dimension at a time: the maximal
         proper intersections of a face with the cone's facets are its facets.
         """
-        gens = self.generators
-        level = {(1 << len(gens)) - 1}
+        level = {(1 << len(self.generators)) - 1}
         found = []
         for dim in range(self.dim, -1, -1):
             found += [(dim, m) for m in level]
@@ -224,9 +217,11 @@ class Cone:
                 cut = {m & f for f in self._facet_masks} - {m}
                 below |= {c for c in cut if not any(c != o and c & o == c for o in cut)}
             level = below
-        return sorted(
-            (dim, tuple(g for i, g in enumerate(gens) if m >> i & 1)) for dim, m in found
-        )
+        return sorted((dim, self._masked(m)) for dim, m in found)
+
+    def _masked(self, mask):
+        """The generators whose bits are set in mask, in order."""
+        return tuple(g for i, g in enumerate(self.generators) if mask >> i & 1)
 
     def faces(self):
         """All faces, including the cone itself and the zero cone.
@@ -246,8 +241,8 @@ class Cone:
         return self._face_keys
 
     def facets(self):
-        """Generator tuples of the facets, sorted, read off the face lattice."""
-        return tuple(gens for dim, gens in self._face_lattice() if dim == self.dim - 1)
+        """Generator tuples of the facets, sorted, read off the facet masks."""
+        return tuple(sorted(map(self._masked, self._facet_masks)))
 
     def is_face_of(self, other: "Cone") -> bool:
         return self.key in other.face_keys()

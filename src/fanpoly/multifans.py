@@ -30,11 +30,11 @@ from .ppring import GradedBasis, PPElement, check_parts, piecewise_basis
 class Multifan:
     """A finite poset of nodes, each labeled with a cone.
 
-    Build through :func:`multifan_validate`, which checks the poset and
-    the face-bijection condition at every node.  ``incidences`` and
-    ``gluing`` are computed on first use; ``gluing`` lists the incidences
-    that form one spanning forest of maximal nodes per shared lower node
-    (:func:`fanpoly.fans.spanning_gluing`).
+    Build through :func:`multifan_validate`, which checks the poset and the
+    face-bijection condition at every node.  ``parts`` is ``(node id, cone)``
+    per maximal node, in node order; ``incidences`` and ``gluing``, one
+    spanning forest of incidences per shared lower node
+    (:func:`fanpoly.fans.spanning_gluing`), are computed on first use.
     """
 
     __slots__ = (
@@ -43,6 +43,7 @@ class Multifan:
         "cones",
         "lower",
         "maximal_ids",
+        "parts",
         "_incidences",
         "_gluing",
     )
@@ -53,6 +54,7 @@ class Multifan:
         self.cones = cones
         self.lower = lower
         self.maximal_ids = maximal_ids
+        self.parts = tuple((nid, cones[nid]) for nid in maximal_ids)
         self._incidences = None
         self._gluing = None
 
@@ -68,11 +70,6 @@ class Multifan:
             if not any(d != c and c in self.lower[d] for d in shared)
         ]
         return tuple(sorted(out))
-
-    @property
-    def parts(self):
-        """``(node id, cone)`` for each maximal node, in node order."""
-        return tuple((nid, self.cones[nid]) for nid in self.maximal_ids)
 
     @property
     def incidences(self):

@@ -7,7 +7,8 @@ behaviour:
 * fans: one block of rows per pair of maximal cones in ``pair_faces``
   order, columns in maximal-cone order;
 * multifans: one block per maximal common lower node of each pair of
-  maximal nodes (pairs in ``combinations`` order of ``maximal_ids``);
+  maximal nodes (pairs in ``combinations`` order of ``maximal_ids``, the
+  nodes found from the order relation, not ``maximal_common_lower``);
 * wall graphs: one block per edge of the graph, columns in blocks of the
   ambient monomial count.
 
@@ -54,11 +55,16 @@ def reference_fan_system(fan, k):
 
 
 def reference_maximal_pairs(mf):
-    """(a, b, shared lower nodes) for each pair of maximal nodes that meet."""
+    """(a, b, maximal shared lower nodes) for each pair of maximal nodes that meet.
+
+    Read off ``mf.lower`` alone: the shared lower nodes, less every node
+    strictly below one of them, sorted by id.
+    """
     for a, b in combinations(mf.maximal_ids, 2):
-        shared = mf.maximal_common_lower(a, b)
+        shared = mf.lower[a] & mf.lower[b]
         if shared:
-            yield a, b, shared
+            below = set().union(*(mf.lower[d] - {d} for d in shared))
+            yield a, b, tuple(sorted(shared - below))
 
 
 def reference_multifan_system(mf, k):

@@ -356,6 +356,8 @@ def test_subdivide_missing_target_exits_1(capsys):
             "does not have length 2",
         ),
         (["courant", fx("diamond.fan.json"), "--ray", "0,0"], 1, "not a ray"),
+        (["courant", fx("p2.fan.json"), "--ray", "1"], 3, "does not have length 2"),
+        (["courant", fx("p2.fan.json"), "--ray=1,0,0"], 3, "does not have length 2"),
     ],
 )
 def test_bad_vector_arguments_exit_cleanly(capsys, argv, code, message):

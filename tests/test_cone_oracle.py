@@ -15,14 +15,17 @@ that the constructor must drop; and cones containing a line, with spans of
 dimension 2 to n - 1, which both must reject with NotPointed.  The zero
 cone of Z^0 to Z^6, given no generators, must also agree, and contain only
 the origin.  Faces are read off the facet masks on every call, so reading
-them twice must give the same answer.
+them twice must give the same answer.  Facets are read off the masks
+directly, and must equal the face lattice at dimension dim - 1 on every
+face of the cube, of P^3 starred three times, of P^5 and of P^6, and on
+the polygon cones in Z^5 and Z^6.
 """
 
 import random
 from itertools import combinations, product
 
 import pytest
-from corpus import cube, p3_starred3
+from corpus import cube, p3_starred3, projective_space
 from reference_cones import ReferenceCone, reference_intersect
 
 from fanpoly.cones import Cone, intersect
@@ -192,14 +195,20 @@ def test_zero_cone_matches_reference(n):
 
 
 def test_face_reads_repeat():
-    """facets() and faces() read twice, also after face_keys(), give the same answer."""
-    fans = [cube(), p3_starred3()]
-    for cone in [f for fan in fans for f, _ in fan.face_index.values()]:
+    """facets() and faces() read twice, also after face_keys(), give the same
+    answer, and facets() is the face lattice at dimension dim - 1."""
+    fans = [cube(), p3_starred3(), projective_space(5), projective_space(6)]
+    cones = [f for fan in fans for f, _ in fan.face_index.values()]
+    # the quadrilateral and octagon cones, the octagon also with redundant vectors
+    polygons = [Cone(n, gens) for n, gens in high_rank_cones(random.Random(271828))]
+    polygons = [c for c in polygons if c.dim == 3 and len(c.generators) in (4, 8)]
+    assert len(polygons) == 6
+    for cone in cones + polygons:
         keys = cone.face_keys()
         facets, faces = cone.facets(), cone.faces()
         assert cone.facets() == facets and cone.faces() == faces
         assert frozenset(f.key for f in faces) == keys
-        assert facets == tuple(f.generators for f in faces if f.dim == cone.dim - 1)
+        assert facets == tuple(g for d, g in cone._face_lattice() if d == cone.dim - 1)
 
 
 def test_high_rank_cones_match_reference():

@@ -227,13 +227,14 @@ def independence_monomial_count(vectors, rank, k):
         (2, hypertoric_3lines_vectors(), [1, 3, 6, 9]),
         (3, HYPERTORIC_VECTORS[5], [1, 5, 15, 33]),
         (3, HYPERTORIC_VECTORS[7], [1, 7, 28, 78]),
+        (3, HYPERTORIC_VECTORS[9], [1, 9, 45]),
     ],
-    ids=["3lines", "ht5", "ht7"],
+    ids=["3lines", "ht5", "ht7", "ht9"],
 )
 def test_hypertoric_ranks_match_independence_complex(rank, vectors, ranks):
     mf = hypertoric_multifan(rank, vectors)
-    for k in range(4):
-        assert mpp_basis(mf, k).rank == independence_monomial_count(vectors, rank, k) == ranks[k]
+    for k, want in enumerate(ranks):
+        assert mpp_basis(mf, k).rank == independence_monomial_count(vectors, rank, k) == want
 
 
 def test_hypertoric_repeated_vector():
