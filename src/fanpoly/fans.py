@@ -1,18 +1,21 @@
 """Fans of pointed cones, their gluing, and star subdivisions.
 
 A fan stores its maximal cones in a canonical order (lexicographic on the
-generator tuples) and a face index: one Cone per face of a maximal cone,
-with the maximal cones it sits in.  Validation checks, on keys, that all
-pairwise intersections are common faces, which by transitivity of the face
-relation is enough for the whole collection of faces to be a fan.
+generator tuples).  Validation checks, on keys, that all pairwise
+intersections are common faces, which by transitivity of the face relation
+is enough for the whole collection of faces to be a fan; it builds no face
+Cone.  What a fan derives (the face index, one Cone per face of a maximal
+cone with the maximal cones it sits in, its pair faces, incidences and
+gluing) is built on first read and kept.
 
-Fans and multifans hold a gluing next to their incidences
-(:func:`spanning_gluing`); a subdivision map keeps its tiles.
+Completeness, tiling and walls all rest on one rule, read off the facet
+masks by :func:`facet_owners`: a codimension-one face shared by exactly
+two cones.  A subdivision map keeps its tiles.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from functools import cached_property
 
 from .cones import Cone, intersect
 from .errors import (
@@ -29,23 +32,15 @@ from .intlinalg import dot, primitive
 class Fan:
     """A finite fan, presented by its maximal cones.
 
-    ``parts`` pairs each maximal cone's id with the cone, in cone order;
-    ``incidences`` lists ``(id a, id b, face id, face)`` for every pair of
-    maximal cones, in the order of ``pair_faces``.  ``gluing``, computed
-    on first use, lists the incidences that form one spanning forest per
-    shared face (:func:`spanning_gluing`); on a complete simplicial fan it
-    is one incidence per wall.
+    ``parts`` pairs each maximal cone's id with the cone, in cone order.
+    Construction meets the maximal cones pairwise on keys and builds no
+    face Cone.  Built on first read: ``face_index``, one Cone per face with
+    the maximal cones it sits in, shared by ``pair_faces`` and
+    ``incidences``, which lists ``(id a, id b, face id, face)`` for every
+    pair of maximal cones, in the order of ``pair_faces``; and ``gluing``,
+    the incidences that form one spanning forest per shared face
+    (:func:`spanning_gluing`), on a complete simplicial fan one per wall.
     """
-
-    __slots__ = (
-        "ambient_rank",
-        "maximal_cones",
-        "face_index",
-        "pair_faces",
-        "parts",
-        "incidences",
-        "_gluing",
-    )
 
     def __init__(self, ambient_rank: int, maximal_cones):
         cones = list(maximal_cones)
@@ -69,33 +64,34 @@ class Fan:
                     raise NotAFan(i, j, "one maximal cone is a face of the other")
                 pair_keys[i, j] = key
 
-        # one Cone per face, built here and shared by pair_faces and incidences
-        above: dict = {}
-        for i, c in enumerate(cones):
-            for key in c.face_keys():
-                above.setdefault(key, []).append(i)
-        tops = {c.key: c for c in cones}
-        self.face_index = {
-            k: (tops.get(k) or Cone(*k), tuple(idxs)) for k, idxs in sorted(above.items())
-        }
-
-        ids = [c.id_str for c in cones]
         self.ambient_rank = ambient_rank
         self.maximal_cones = tuple(cones)
-        self.pair_faces = {ij: self.face_index[key][0] for ij, key in pair_keys.items()}
-        self.parts = tuple(zip(ids, cones))
-        self.incidences = tuple(
-            (ids[i], ids[j], f.id_str, f) for (i, j), f in self.pair_faces.items()
-        )
-        self._gluing = None
+        self.parts = tuple((c.id_str, c) for c in cones)
+        self._pair_keys = pair_keys
 
-    @property
+    @cached_property
+    def face_index(self):
+        above: dict = {}
+        for i, c in enumerate(self.maximal_cones):
+            for key in c.face_keys():
+                above.setdefault(key, []).append(i)
+        tops = {c.key: c for c in self.maximal_cones}
+        return {k: (tops.get(k) or Cone(*k), tuple(idxs)) for k, idxs in sorted(above.items())}
+
+    @cached_property
+    def pair_faces(self):
+        return {ij: self.face_index[key][0] for ij, key in self._pair_keys.items()}
+
+    @cached_property
+    def incidences(self):
+        ids = [pid for pid, _ in self.parts]
+        return tuple((ids[i], ids[j], f.id_str, f) for (i, j), f in self.pair_faces.items())
+
+    @cached_property
     def gluing(self):
-        if self._gluing is None:
-            ids = [pid for pid, _ in self.parts]
-            tops = {f.id_str: [ids[i] for i in idxs] for f, idxs in self.face_index.values()}
-            self._gluing = spanning_gluing(self.incidences, tops.__getitem__)
-        return self._gluing
+        ids = [pid for pid, _ in self.parts]
+        tops = {f.id_str: [ids[i] for i in idxs] for f, idxs in self.face_index.values()}
+        return spanning_gluing(self.incidences, tops.__getitem__)
 
     def cone_by_id(self, id_str: str) -> Cone:
         for f, _ in self.face_index.values():
@@ -150,23 +146,29 @@ def spanning_gluing(incidences, above):
     return tuple(sorted((inc for inc in incidences if inc[:3] in kept), key=lambda inc: inc[2]))
 
 
+def facet_owners(cones):
+    """Each facet's generator tuple, from ``Cone.facets()``, mapped to the
+    positions of the given cones that have it as a facet, in order."""
+    owners: dict = {}
+    for i, c in enumerate(cones):
+        for facet in c.facets():
+            owners.setdefault(facet, []).append(i)
+    return owners
+
+
 def is_complete(fan: Fan) -> bool:
     """Does the support of the fan cover the whole ambient space?
 
     A nonempty pure fan of full-dimensional cones covers R^n exactly when
-    every ridge (codimension-one face) lies in precisely two maximal cones:
-    the support is closed, and the pairing condition makes it open minus a
-    set of codimension two, hence everything.
+    every ridge (codimension-one face, so a facet of its maximal cones)
+    lies in precisely two maximal cones: the support is closed, and the
+    pairing condition makes it open minus a set of codimension two, hence
+    everything.
     """
-    n = fan.ambient_rank
-    if not fan.maximal_cones:
+    cones = fan.maximal_cones
+    if not cones or any(c.dim != fan.ambient_rank for c in cones):
         return False
-    if any(c.dim != n for c in fan.maximal_cones):
-        return False
-    for f, idxs in fan.face_index.values():
-        if f.dim == n - 1 and len(idxs) != 2:
-            return False
-    return True
+    return all(len(owners) == 2 for owners in facet_owners(cones).values())
 
 
 class SubdivisionMap:
@@ -224,20 +226,13 @@ def _tiles(sigma: Cone, parts) -> bool:
     or is shared with exactly one other part.  A single part other than
     sigma has a facet off the boundary, counted once.
     """
-    if not parts:
+    if not parts or any(p.dim != sigma.dim for p in parts):
         return False
-    if any(p.dim != sigma.dim for p in parts):
-        return False
-    counts: Counter = Counter()
-    for p in parts:
-        for facet in p.facets():
-            on_boundary = any(
-                all(dot(u, g) == 0 for g in facet)
-                for u in sigma.facet_normals
-            )
-            if not on_boundary:
-                counts[facet] += 1
-    return all(v == 2 for v in counts.values())
+    return all(
+        len(owners) == 2
+        for facet, owners in facet_owners(parts).items()
+        if not any(all(dot(u, g) == 0 for g in facet) for u in sigma.facet_normals)
+    )
 
 
 def star_subdivision(fan: Fan, target: Cone, point=None):

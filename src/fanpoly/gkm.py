@@ -8,10 +8,11 @@ endpoint polynomials restrict equally to the wall's quotient coordinates.
 
 On every complete fan the fan's ``gluing``, which ``pp_basis`` assembles,
 is exactly this wall set.  :func:`beta_system` hands the ``parts`` and one
-incidence per wall, picked from the face index by dimension, to the
-assembler of :mod:`fanpoly.ppring`, so :func:`gkm_compare` checks those
-walls against the ones :func:`fanpoly.fans.spanning_gluing` keeps, as a
-lattice over one layout.  The tests check that the walls alone cut out the
+incidence per wall, read off the facet owners, not picked by dimension
+(:func:`fanpoly.fans.facet_owners`), to the assembler of
+:mod:`fanpoly.ppring`, so :func:`gkm_compare` checks those walls against
+the ones :func:`fanpoly.fans.spanning_gluing` keeps, as a lattice over one
+layout.  The tests check that the walls alone cut out the
 lattice of every incidence, the full pairwise-face conditions.
 """
 
@@ -20,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotComplete
-from .fans import Fan, is_complete
+from .fans import Fan, facet_owners, is_complete
 from .intlinalg import IntMatrix, kernel_lattice
 from .ppring import constraint_matrix, pp_basis
 
@@ -40,10 +41,10 @@ class GKMGraph:
 def gkm_graph(fan: Fan) -> GKMGraph:
     if not is_complete(fan):
         raise NotComplete("the fixed-point graph is defined for complete fans")
-    wall_dim = fan.ambient_rank - 1
-    # face_index is sorted by key, and a wall of a complete fan lies in two cones
-    walls = ((face, *incident) for face, incident in fan.face_index.values())
-    return GKMGraph(fan, tuple(e for e in walls if e[0].dim == wall_dim))
+    n = fan.ambient_rank
+    # a wall of a complete fan is a facet of two cones; sorted, in face_index order
+    walls = sorted(facet_owners(fan.maximal_cones).items())
+    return GKMGraph(fan, tuple((fan.face_index[n, f][0], i, j) for f, (i, j) in walls))
 
 
 def beta_system(graph: GKMGraph, k: int) -> IntMatrix:
@@ -69,7 +70,7 @@ def gkm_compare(fan: Fan, k: int) -> bool:
     """Whether the wall rows and the gluing rows of ``pp_basis`` cut out one lattice.
 
     The gluing is the wall set on a complete fan, so this cross-checks the
-    dimension filter of :func:`gkm_graph` against ``spanning_gluing``.  Every
+    facet owners of :func:`gkm_graph` against ``spanning_gluing``.  Every
     maximal cone is full-dimensional, so both sides share one coefficient
     layout, and both bases are canonical (Hermite form): the lattices are
     equal exactly when the bases are.

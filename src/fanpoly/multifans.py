@@ -18,6 +18,7 @@ ids, and its checker and graded bases are the ones of
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import combinations
 
 from .cones import Cone
@@ -34,19 +35,8 @@ class Multifan:
     face-bijection condition at every node.  ``parts`` is ``(node id, cone)``
     per maximal node, in node order; ``incidences`` and ``gluing``, one
     spanning forest of incidences per shared lower node
-    (:func:`fanpoly.fans.spanning_gluing`), are computed on first use.
+    (:func:`fanpoly.fans.spanning_gluing`), are built on first read and kept.
     """
-
-    __slots__ = (
-        "ambient_rank",
-        "node_ids",
-        "cones",
-        "lower",
-        "maximal_ids",
-        "parts",
-        "_incidences",
-        "_gluing",
-    )
 
     def __init__(self, ambient_rank, node_ids, cones, lower, maximal_ids):
         self.ambient_rank = ambient_rank
@@ -55,8 +45,6 @@ class Multifan:
         self.lower = lower
         self.maximal_ids = maximal_ids
         self.parts = tuple((nid, cones[nid]) for nid in maximal_ids)
-        self._incidences = None
-        self._gluing = None
 
     def cone_of(self, node_id: str) -> Cone:
         return self.cones[node_id]
@@ -71,25 +59,21 @@ class Multifan:
         ]
         return tuple(sorted(out))
 
-    @property
+    @cached_property
     def incidences(self):
         """``(a, b, c, cone of c)`` for each maximal common lower node c of a < b."""
-        if self._incidences is None:
-            self._incidences = tuple(
-                (a, b, c, self.cones[c])
-                for a, b in combinations(self.maximal_ids, 2)
-                for c in self.maximal_common_lower(a, b)
-            )
-        return self._incidences
+        return tuple(
+            (a, b, c, self.cones[c])
+            for a, b in combinations(self.maximal_ids, 2)
+            for c in self.maximal_common_lower(a, b)
+        )
 
-    @property
+    @cached_property
     def gluing(self):
-        if self._gluing is None:
-            self._gluing = spanning_gluing(
-                self.incidences,
-                lambda c: [m for m in self.maximal_ids if c in self.lower[m]],
-            )
-        return self._gluing
+        return spanning_gluing(
+            self.incidences,
+            lambda c: [m for m in self.maximal_ids if c in self.lower[m]],
+        )
 
     def __eq__(self, other):
         if not isinstance(other, Multifan):
@@ -193,10 +177,9 @@ def multifan_from_fan(fan: Fan) -> Multifan:
     index = fan.face_index
     cones = {face.id_str: face for face, _ in index.values()}
     covers = [
-        (index[key][0].id_str, face.id_str)
+        (index[fan.ambient_rank, facet][0].id_str, face.id_str)
         for face in cones.values()
-        for key in face.face_keys()
-        if index[key][0].dim == face.dim - 1
+        for facet in face.facets()
     ]
     return multifan_validate(fan.ambient_rank, cones, covers)
 

@@ -98,6 +98,31 @@ def cube() -> Fan:
     return Fan(3, cones)
 
 
+def completeness_cases():
+    """Fans to pin completeness and walls on, complete or not.
+
+    The corpus fans and a GL_n(Z) image of each, a star subdivision at every
+    nonzero face of each corpus fan, then incomplete and degenerate fans:
+    one quadrant, a cone and a ray, two of P^2's three cones, the zero cone
+    in ranks 0 and 2, a ray in rank 1 and the empty fan.
+    """
+    corpus = [p1(), p2(), p1xp1(), diamond(), blp2(), cube(), p3_starred3(), projective_space(4)]
+    rng = random.Random(1729)
+    fans = corpus + [gl_image(fan, rng) for fan in corpus]
+    for fan in corpus:
+        fans += [star_subdivision(fan, f)[0] for f, _ in fan.face_index.values() if f.dim]
+    quadrant = Cone(2, [(1, 0), (0, 1)])
+    return fans + [
+        Fan(2, [quadrant]),
+        Fan(2, [quadrant, Cone(2, [(-1, -1)])]),
+        Fan(2, p2().maximal_cones[:2]),
+        Fan(0, [Cone(0, [])]),
+        Fan(2, [Cone(2, [])]),
+        Fan(1, [Cone(1, [(1,)])]),
+        Fan(2, []),
+    ]
+
+
 def hypertoric_3lines_vectors():
     """Three pairwise independent vectors in Z^2 with a dependent triple."""
     return [(1, 0), (0, 1), (1, 1)]
@@ -157,6 +182,33 @@ def gl_image(fan, rng):
         return tuple(w)
 
     return Fan(n, [Cone(n, [move(g) for g in c.generators]) for c in fan.maximal_cones])
+
+
+def random_refinement(base: Fan, rng, steps: int, weighted: bool):
+    """``base`` starred ``steps`` times, each time at a random face of dimension two or more.
+
+    Unweighted, each star is at the primitive sum of the face's generators,
+    which keeps a smooth fan smooth.  Weighted, it is at a sum with weights
+    drawn from 1 to 3: a point interior to the face, which in general makes
+    the fan non-smooth.  Returns the refined fan and the map of the last star.
+    """
+    fan, n = base, base.ambient_rank
+    for _ in range(steps):
+        target = rng.choice([f for f, _ in fan.face_index.values() if f.dim >= 2])
+        point = None
+        if weighted:
+            weights = [rng.randint(1, 3) for _ in target.generators]
+            point = [sum(w * g[i] for w, g in zip(weights, target.generators)) for i in range(n)]
+        fan, sub = star_subdivision(fan, target, point)
+    return fan, sub
+
+
+def shuffled_image(fan: Fan, rng) -> Fan:
+    """A ``gl_image`` of the fan, its cones and their generators listed in random order."""
+    image = gl_image(fan, rng).maximal_cones
+    cones = [Cone(c.ambient_rank, rng.sample(c.generators, len(c.generators))) for c in image]
+    rng.shuffle(cones)
+    return Fan(fan.ambient_rank, cones)
 
 
 def ambient_lattice(n: int) -> QuotientCharacterLattice:

@@ -1,32 +1,11 @@
-"""A certificate for canonical bases that shares no code with the kernel.
-
-A basis B (r x n) of the degree-k piece of a fan or multifan is the
-canonical basis of PP^k exactly when:
-
-1. B is in Hermite form: each row's first nonzero entry is positive and
-   lies right of the row above's, and the entries above it lie in
-   [0, pivot);
-2. every row of B satisfies the evaluation conditions: for each incidence
-   ``(a, b, _, tau)`` of the full ``incidences`` list, the parts a and b
-   take equal values at the points sum c_i g_i, c_i >= 0, sum c_i <= k,
-   for dim tau independent generators g_i of tau.  These points determine
-   a polynomial of degree k on the span of tau, and the values are taken
-   through each part's section (``LocalPolynomial.evaluate``), with no
-   restriction matrix, no ``degree_matrix`` and no stored powers;
-3. the evaluation system E, one row per condition over the coefficient
-   layout, has rank n - r modulo the prime 2^61 - 1.  Then
-   rank_p(E) <= rank_Q(E) <= n - r, so B spans the rational kernel: a
-   wrong basis cannot pass, and an unlucky prime could only fail a
-   correct one;
-4. B is saturated: the product of its pivots is 1, or else every
-   elementary divisor from ``snf`` (its own loop, not ``_echelon``) is 1.
-"""
+"""Canonical bases certified by :mod:`certificate`, which shares no code with the kernel."""
 
 from dataclasses import replace
-from itertools import product
 
 import pytest
+from certificate import failed_checks
 from corpus import (
+    HYPERTORIC_VECTORS,
     blp2,
     cube,
     diamond,
@@ -38,12 +17,9 @@ from corpus import (
     p3_starred3,
 )
 
-from fanpoly.intlinalg import IntMatrix, snf
-from fanpoly.multifans import mpp_basis
-from fanpoly.polynomials import LocalPolynomial
+from fanpoly.intlinalg import IntMatrix
+from fanpoly.multifans import hypertoric_multifan, mpp_basis
 from fanpoly.ppring import pp_basis
-
-PRIME = 2**61 - 1
 
 CONTAINERS = {
     "p1": (p1, pp_basis),
@@ -54,105 +30,10 @@ CONTAINERS = {
     "cube": (cube, pp_basis),
     "doubled_cone": (doubled_cone, mpp_basis),
     "hypertoric_3lines": (hypertoric_3lines, mpp_basis),
+    # ranks 1, 5, 15, 33 at k <= 3
+    "hypertoric_5": (lambda: hypertoric_multifan(3, HYPERTORIC_VECTORS[5]), mpp_basis),
     "p3_starred3": (p3_starred3, pp_basis),
 }
-
-
-class RankModP:
-    """Rows reduced one at a time modulo PRIME; ``rank`` counts the independent ones."""
-
-    def __init__(self):
-        self.pivots = []  # (column, row scaled to 1 there)
-
-    @property
-    def rank(self):
-        return len(self.pivots)
-
-    def add(self, row) -> bool:
-        row = [x % PRIME for x in row]
-        for col, prow in self.pivots:
-            c = row[col]
-            if c:
-                row = [(x - c * y) % PRIME for x, y in zip(row, prow)]
-        col = next((j for j, x in enumerate(row) if x), None)
-        if col is None:
-            return False
-        inv = pow(row[col], -1, PRIME)
-        self.pivots.append((col, [x * inv % PRIME for x in row]))
-        return True
-
-
-def is_hermite(rows) -> bool:
-    pivots = []
-    for i, row in enumerate(rows):
-        col = next((j for j, x in enumerate(row) if x), None)
-        if col is None or row[col] <= 0 or (pivots and col <= pivots[-1]):
-            return False
-        if any(not 0 <= above[col] < row[col] for above in rows[:i]):
-            return False
-        pivots.append(col)
-    return True
-
-
-def evaluation_points(tau, k):
-    """sum c_i g_i over dim tau independent generators g_i, c_i >= 0, sum c_i <= k."""
-    independent, gens = RankModP(), []
-    for g in tau.generators:
-        if independent.add(g):
-            gens.append(g)
-    assert len(gens) == tau.dim
-    for cs in product(range(k + 1), repeat=len(gens)):
-        if sum(cs) <= k:
-            yield tuple(sum(c * g[j] for c, g in zip(cs, gens)) for j in range(tau.ambient_rank))
-
-
-def failed_checks(container, gb):
-    """Names of the checks 1-4 that ``gb`` fails: empty when it is certified."""
-    rows = [list(r) for r in gb.coefficients.entries]
-    n, r = gb.coefficients.cols, len(rows)
-    failed = [] if is_hermite(rows) else ["hermite"]
-
-    lattices = {pid: cone.quotient for pid, cone in container.parts}
-    blocks, start = {}, 0
-    for pid, monos in gb.layout:
-        blocks[pid] = (start, monos)
-        start += len(monos)
-    assert start == n
-    monomials = {
-        pid: [LocalPolynomial(lattices[pid], {m: 1}) for m in monos]
-        for pid, (_, monos) in blocks.items()
-    }
-    parts = [
-        {
-            pid: LocalPolynomial(lattices[pid], dict(zip(monos, row[lo : lo + len(monos)])))
-            for pid, (lo, monos) in blocks.items()
-        }
-        for row in rows
-    ]
-
-    system = RankModP()
-    agree = True
-    for a, b, _, tau in container.incidences:
-        for point in evaluation_points(tau, gb.degree):
-            agree = agree and all(f[a].evaluate(point) == f[b].evaluate(point) for f in parts)
-            if system.rank < n - r:
-                e = [0] * n
-                for pid, sign in ((a, 1), (b, -1)):
-                    lo = blocks[pid][0]
-                    for j, mono in enumerate(monomials[pid]):
-                        e[lo + j] += sign * mono.evaluate(point)
-                system.add(e)
-    if not agree:
-        failed.append("evaluation")
-    if system.rank != n - r:
-        failed.append("rank")
-
-    pivot_product = 1
-    for row in rows:
-        pivot_product *= next((x for x in row if x), 0)
-    if pivot_product != 1 and snf(gb.coefficients).nonzero_divisors() != (1,) * r:
-        failed.append("saturation")
-    return failed
 
 
 @pytest.mark.parametrize("name", sorted(CONTAINERS))

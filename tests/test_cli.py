@@ -7,6 +7,7 @@ import pytest
 
 from fanpoly import cli
 from fanpoly.cli import main
+from fanpoly.cones import Cone
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -20,6 +21,23 @@ def test_validate_fan_ok(capsys):
     out = capsys.readouterr().out
     assert "3 maximal cones" in out
     assert "complete: yes" in out
+
+
+@pytest.mark.parametrize("name", ["cube.fan.json", "blp2.fan.json"])
+def test_validate_builds_only_the_maximal_cones(name, monkeypatch, capsys):
+    """Faces are counted off face keys and completeness off facets: no face Cone."""
+    built = []
+    init = Cone.__init__
+
+    def counting_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(Cone, "__init__", counting_init)
+    assert main(["validate", "--json", fx(name)]) == 0
+    monkeypatch.undo()
+    assert json.loads(capsys.readouterr().out)["ok"] is True
+    assert len(built) == len(json.loads(Path(fx(name)).read_text())["maximal_cones"])
 
 
 def test_validate_multifan_ok(capsys):

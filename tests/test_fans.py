@@ -1,9 +1,21 @@
 """Fan validation, completeness and star subdivisions."""
 
 import random
+from functools import cached_property
 
 import pytest
-from corpus import blp2, cube, diamond, gl_image, p1, p1xp1, p2, projective_space, subdivided_p3
+from corpus import (
+    blp2,
+    completeness_cases,
+    cube,
+    diamond,
+    gl_image,
+    p1,
+    p1xp1,
+    p2,
+    projective_space,
+    subdivided_p3,
+)
 
 from fanpoly import fans
 from fanpoly.cones import Cone, intersect
@@ -67,6 +79,33 @@ def test_fan_allows_mixed_dimensions():
     f = Fan(2, [Cone(2, [(1, 0), (0, 1)]), Cone(2, [(-1, -1)])])
     assert len(f.maximal_cones) == 2
     assert not is_complete(f)
+
+
+def ridge_rule(fan):
+    """Completeness as the face index reads it: nonempty, every maximal cone
+    of dimension n, every face of dimension n - 1 in exactly two cones."""
+    n = fan.ambient_rank
+    return (
+        bool(fan.maximal_cones)
+        and all(c.dim == n for c in fan.maximal_cones)
+        and all(len(idxs) == 2 for f, idxs in fan.face_index.values() if f.dim == n - 1)
+    )
+
+
+def test_completeness_reads_facet_owners_as_the_ridge_rule():
+    cases = completeness_cases()
+    assert {is_complete(f) for f in cases} == {True, False}
+    for fan in cases:
+        assert is_complete(fan) == ridge_rule(fan), fan.maximal_cones
+
+
+def test_derived_data_is_built_once_on_first_read():
+    for name in ("face_index", "pair_faces", "incidences", "gluing"):
+        assert isinstance(vars(Fan)[name], cached_property)
+    assert not hasattr(Fan, "__slots__")
+    fan = blp2()
+    assert fan.face_index is fan.face_index
+    assert fan.gluing is fan.gluing
 
 
 def test_completeness():
@@ -272,6 +311,9 @@ def test_fan_builds_each_face_cone_once_outside_intersect(build, monkeypatch):
     monkeypatch.setattr(Cone, "__init__", counting_init)
     monkeypatch.setattr(fans, "intersect", tracked_intersect)
     fan = Fan(maximal[0].ambient_rank, maximal)
+    # validation meets pairs on keys: the face Cones wait for the first read
+    assert built == []
+    fan.face_index, fan.pair_faces, fan.incidences, fan.gluing
     monkeypatch.undo()
     assert not any(during for _, during in built)
     tops = {c.key for c in maximal}

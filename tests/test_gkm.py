@@ -6,6 +6,7 @@ from collections import Counter
 import pytest
 from corpus import (
     blp2,
+    completeness_cases,
     cube,
     diamond,
     gl_image,
@@ -20,7 +21,7 @@ from corpus import (
 
 from fanpoly.cones import Cone
 from fanpoly.errors import NotComplete
-from fanpoly.fans import Fan
+from fanpoly.fans import Fan, is_complete
 from fanpoly.gkm import GKMGraph, beta_system, gkm_compare, gkm_graph, gkm_kernel_basis
 from fanpoly.intlinalg import IntMatrix, kernel_lattice
 from fanpoly.ppring import constraint_matrix, pp_basis
@@ -109,6 +110,19 @@ def test_walls_cut_out_every_incidence_and_are_the_gluing():
         for k in range(4):
             every = constraint_matrix(fan.parts, fan.incidences, k)[1]
             assert kernel_lattice(beta_system(graph, k)) == kernel_lattice(every)
+
+
+def test_walls_are_the_faces_of_codimension_one():
+    """gkm_graph's facet owners against the face index filtered by dimension."""
+    complete = [fan for fan in completeness_cases() if is_complete(fan)]
+    assert len(complete) > 100
+    for fan in complete:
+        wall_dim = fan.ambient_rank - 1
+        want = [(f, *idxs) for f, idxs in fan.face_index.values() if f.dim == wall_dim]
+        edges = gkm_graph(fan).edges
+        assert len(edges) == len(want)
+        for (tau, i, j), (face, a, b) in zip(edges, want):
+            assert tau is face and (i, j) == (a, b)
 
 
 def test_beta_rejects_negative_degree():

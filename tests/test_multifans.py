@@ -1,5 +1,7 @@
 """Posets of cones and their piecewise polynomial rings."""
 
+from functools import cached_property
+
 import pytest
 from corpus import (
     HYPERTORIC_VECTORS,
@@ -123,6 +125,7 @@ def facet_cover_multifan(fan):
 def test_multifan_from_fan_reads_covers_off_the_face_index(name, monkeypatch):
     build = {"p2": p2, "cube": cube, "p4": lambda: projective_space(4)}[name]
     fan = build()
+    fan.face_index  # built on first read, once per face, before the count starts
     built = []
     init = Cone.__init__
 
@@ -142,6 +145,15 @@ def test_multifan_from_fan_reads_covers_off_the_face_index(name, monkeypatch):
         new_basis, old_basis = mpp_basis(mf, k), mpp_basis(old, k)
         assert new_basis.layout == old_basis.layout
         assert new_basis.coefficients == old_basis.coefficients
+
+
+def test_incidences_and_gluing_are_built_once_on_first_read():
+    for name in ("incidences", "gluing"):
+        assert isinstance(vars(Multifan)[name], cached_property)
+    assert not hasattr(Multifan, "__slots__")
+    mf = hypertoric_3lines()
+    assert mf.gluing is mf.gluing
+    assert mf.incidences is mf.incidences
 
 
 def test_single_cone_fan_ranks():
