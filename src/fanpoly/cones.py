@@ -10,9 +10,11 @@ intersections, returned as keys.  The routine works in coordinates on the
 saturated span, read off the top rows of the transform of one Hermite step
 on the span's transpose: a left inverse of the span, whose columns also
 lift covectors back to Z^n.  It keeps which generators lie on which facet
-as bit masks, and pointedness, the extremal generators and the faces (by
-incidence closure, Kaibel and Pfetsch 2002) are read off these masks, the
-faces anew on each call: only their keys are kept.
+as bit masks, and pointedness, the extremal generators and the faces are
+read off these masks.  Every proper face of a pointed cone is the meet of
+the facets containing it (the face lattice is coatomic), so the faces are
+the cone and the meets of its facets: their masks are the full mask closed
+under meets with each facet mask.  Only the faces' keys are kept.
 
 Every cone carries a quotient character lattice M_sigma = M / (sigma^perp
 cap M): a projection matrix with kernel exactly sigma^perp cap M and an
@@ -131,7 +133,7 @@ class Cone:
             if len(v) != ambient_rank:
                 raise ValueError(f"generator {v!r} does not have length {ambient_rank}")
             for x in v:
-                if not isinstance(x, int):
+                if isinstance(x, bool) or not isinstance(x, int):
                     raise TypeError("generators must be integer vectors")
             if all(x == 0 for x in v):
                 raise ZeroVector("zero generator in cone input")
@@ -202,42 +204,27 @@ class Cone:
             raise ValueError("ambient rank mismatch")
         return all(self.contains(g) for g in other.generators)
 
-    def _face_lattice(self):
-        """(dimension, generators) of every face, sorted, worked out on each call.
-
-        Closure over the facet masks, one dimension at a time: the maximal
-        proper intersections of a face with the cone's facets are its facets.
-        """
-        level = {(1 << len(self.generators)) - 1}
-        found = []
-        for dim in range(self.dim, -1, -1):
-            found += [(dim, m) for m in level]
-            below = set()
-            for m in level:
-                cut = {m & f for f in self._facet_masks} - {m}
-                below |= {c for c in cut if not any(c != o and c & o == c for o in cut)}
-            level = below
-        return sorted((dim, self._masked(m)) for dim, m in found)
-
     def _masked(self, mask):
         """The generators whose bits are set in mask, in order."""
         return tuple(g for i, g in enumerate(self.generators) if mask >> i & 1)
 
     def faces(self):
-        """All faces, including the cone itself and the zero cone.
-
-        Found by incidence closure and sorted by (dimension, key).  The lattice
-        and its Cones are built anew on each call; only face_keys are kept.
-        """
-        return tuple(
-            self if gens == self.generators else Cone(self.ambient_rank, gens)
-            for _, gens in self._face_lattice()
-        )
+        """All faces, the cone and the meets of its facets down to the zero cone,
+        sorted by (dimension, generators).  Built anew on each call from face_keys."""
+        cones = (self if k == self.key else Cone(*k) for k in self.face_keys())
+        return tuple(sorted(cones, key=lambda c: (c.dim, c.generators)))
 
     def face_keys(self):
-        """Keys of all faces, read off the incidences without building any Cone."""
+        """Keys of all faces, read off the facet masks without building any Cone.
+
+        A pointed cone's faces are the cone and the meets of its facets, so
+        closing the full mask under meets with each facet mask finds them all.
+        """
         if self._face_keys is None:
-            self._face_keys = frozenset((self.ambient_rank, g) for _, g in self._face_lattice())
+            masks = {(1 << len(self.generators)) - 1}
+            for f in self._facet_masks:
+                masks |= {m & f for m in masks}
+            self._face_keys = frozenset((self.ambient_rank, self._masked(m)) for m in masks)
         return self._face_keys
 
     def facets(self):

@@ -5,8 +5,13 @@ generator tuples).  Validation checks, on keys, that all pairwise
 intersections are common faces, which by transitivity of the face relation
 is enough for the whole collection of faces to be a fan; it builds no face
 Cone.  What a fan derives (the face index, one Cone per face of a maximal
-cone with the maximal cones it sits in, its pair faces, incidences and
-gluing) is built on first read and kept.
+cone with the maximal cones it sits in, its incidences and gluing) is built
+on first read and kept.
+
+Two cones of a fan meet in the face on the generators they share.  Their
+meet is a face of both, and a face's extremal rays are the cone's extremal
+rays that lie in it; so every generator of the meet is one of both cones,
+and every common generator lies in the meet, where it stays extremal.
 
 Completeness, tiling and walls all rest on one rule, read off the facet
 masks by :func:`facet_owners`: a codimension-one face shared by exactly
@@ -16,6 +21,7 @@ two cones.  A subdivision map keeps its tiles.
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import combinations
 
 from .cones import Cone, intersect
 from .errors import (
@@ -35,11 +41,12 @@ class Fan:
     ``parts`` pairs each maximal cone's id with the cone, in cone order.
     Construction meets the maximal cones pairwise on keys and builds no
     face Cone.  Built on first read: ``face_index``, one Cone per face with
-    the maximal cones it sits in, shared by ``pair_faces`` and
-    ``incidences``, which lists ``(id a, id b, face id, face)`` for every
-    pair of maximal cones, in the order of ``pair_faces``; and ``gluing``,
+    the maximal cones it sits in; ``incidences``, which lists ``(id a, id b,
+    face id, face)`` for every pair of maximal cones in cone order, the face
+    read off ``face_index`` at the pair's common generators; and ``gluing``,
     the incidences that form one spanning forest per shared face
     (:func:`spanning_gluing`), on a complete simplicial fan one per wall.
+    ``pair_faces`` is a view of ``incidences`` keyed by cone positions.
     """
 
     def __init__(self, ambient_rank: int, maximal_cones):
@@ -54,20 +61,16 @@ class Fan:
             if a.key == b.key:
                 raise DuplicateCone(f"cone {a.id_str} listed twice")
 
-        pair_keys = {}
-        for i in range(len(cones)):
-            for j in range(i + 1, len(cones)):
-                key, ok = intersect(cones[i], cones[j])
-                if not ok:
-                    raise NotAFan(i, j)
-                if key == cones[i].key or key == cones[j].key:
-                    raise NotAFan(i, j, "one maximal cone is a face of the other")
-                pair_keys[i, j] = key
+        for i, j in combinations(range(len(cones)), 2):
+            key, ok = intersect(cones[i], cones[j])
+            if not ok:
+                raise NotAFan(i, j)
+            if key == cones[i].key or key == cones[j].key:
+                raise NotAFan(i, j, "one maximal cone is a face of the other")
 
         self.ambient_rank = ambient_rank
         self.maximal_cones = tuple(cones)
         self.parts = tuple((c.id_str, c) for c in cones)
-        self._pair_keys = pair_keys
 
     @cached_property
     def face_index(self):
@@ -79,13 +82,18 @@ class Fan:
         return {k: (tops.get(k) or Cone(*k), tuple(idxs)) for k, idxs in sorted(above.items())}
 
     @cached_property
-    def pair_faces(self):
-        return {ij: self.face_index[key][0] for ij, key in self._pair_keys.items()}
-
-    @cached_property
     def incidences(self):
-        ids = [pid for pid, _ in self.parts]
-        return tuple((ids[i], ids[j], f.id_str, f) for (i, j), f in self.pair_faces.items())
+        n = self.ambient_rank
+        out = []
+        for a, b in combinations(self.maximal_cones, 2):
+            f = self.face_index[n, tuple(g for g in a.generators if g in b.generators)][0]
+            out.append((a.id_str, b.id_str, f.id_str, f))
+        return tuple(out)
+
+    @property
+    def pair_faces(self):
+        pairs = combinations(range(len(self.maximal_cones)), 2)
+        return {ij: inc[3] for ij, inc in zip(pairs, self.incidences)}
 
     @cached_property
     def gluing(self):

@@ -196,7 +196,7 @@ def test_zero_cone_matches_reference(n):
 
 def test_face_reads_repeat():
     """facets() and faces() read twice, also after face_keys(), give the same
-    answer, and facets() is the face lattice at dimension dim - 1."""
+    answer, and facets() lists the faces of dimension dim - 1."""
     fans = [cube(), p3_starred3(), projective_space(5), projective_space(6)]
     cones = [f for fan in fans for f, _ in fan.face_index.values()]
     # the quadrilateral and octagon cones, the octagon also with redundant vectors
@@ -208,7 +208,7 @@ def test_face_reads_repeat():
         facets, faces = cone.facets(), cone.faces()
         assert cone.facets() == facets and cone.faces() == faces
         assert frozenset(f.key for f in faces) == keys
-        assert facets == tuple(g for d, g in cone._face_lattice() if d == cone.dim - 1)
+        assert facets == tuple(f.generators for f in faces if f.dim == cone.dim - 1)
 
 
 def test_high_rank_cones_match_reference():

@@ -59,6 +59,9 @@ def test_bad_inputs():
         Cone(2, [(1, 0), (-1, 1), (-1, -1)])
     with pytest.raises(ValueError):
         Cone(2, [(1, 0, 0)])
+    # as in IntMatrix, a bool is not an integer coordinate
+    with pytest.raises(TypeError):
+        Cone(2, [(True, False), (0, 1)])
 
 
 def test_dims():

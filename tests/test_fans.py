@@ -13,9 +13,14 @@ from corpus import (
     p1,
     p1xp1,
     p2,
+    p3_starred3,
     projective_space,
+    random_refinement,
+    shuffled_image,
     subdivided_p3,
 )
+from test_random_fans import BASES as RANDOM_BASES
+from test_random_fans import CASES as RANDOM_CASES
 
 from fanpoly import fans
 from fanpoly.cones import Cone, intersect
@@ -100,12 +105,25 @@ def test_completeness_reads_facet_owners_as_the_ridge_rule():
 
 
 def test_derived_data_is_built_once_on_first_read():
-    for name in ("face_index", "pair_faces", "incidences", "gluing"):
+    for name in ("face_index", "incidences", "gluing"):
         assert isinstance(vars(Fan)[name], cached_property)
+    # pair_faces is a view of incidences, not kept
+    assert isinstance(vars(Fan)["pair_faces"], property)
     assert not hasattr(Fan, "__slots__")
     fan = blp2()
     assert fan.face_index is fan.face_index
     assert fan.gluing is fan.gluing
+    ids = [c.id_str for c in fan.maximal_cones]
+    pairs = [(ids[i], ids[j], face) for (i, j), face in fan.pair_faces.items()]
+    assert pairs == [(a, b, face) for a, b, _, face in fan.incidences]
+    assert set(vars(fan)) == {
+        "ambient_rank",
+        "maximal_cones",
+        "parts",
+        "face_index",
+        "incidences",
+        "gluing",
+    }
 
 
 def test_completeness():
@@ -262,11 +280,26 @@ def test_completeness_preserved_by_subdivision():
         assert is_complete(refined)
 
 
+def random_fans():
+    """The fans of test_random_fans, each with its shuffled GL_n(Z) image."""
+    for base, seed, weighted in RANDOM_CASES:
+        rng = random.Random(f"{base}.{seed}.{weighted}")
+        fan, _ = random_refinement(RANDOM_BASES[base](), rng, rng.randint(2, 4), weighted)
+        yield fan
+        yield shuffled_image(fan, rng)
+
+
 def test_pair_faces_cached():
-    f = p2()
-    for (i, j), face in f.pair_faces.items():
-        key, ok = intersect(f.maximal_cones[i], f.maximal_cones[j])
-        assert ok and key == face.key
+    """Every pair face, read off the common generators, is intersect's common face."""
+    corpus = [p1(), p2(), p1xp1(), diamond(), blp2(), cube(), p3_starred3()]
+    corpus += [projective_space(n) for n in range(1, 6)]
+    pairs = 0
+    for f in corpus + completeness_cases() + list(random_fans()):
+        for (i, j), face in f.pair_faces.items():
+            key, ok = intersect(f.maximal_cones[i], f.maximal_cones[j])
+            assert ok and key == face.key, (f.maximal_cones[i], f.maximal_cones[j])
+            pairs += 1
+    assert pairs > 6000
 
 
 def test_one_cone_per_face():
