@@ -4,9 +4,9 @@ The input datum is one multiset of characters per maximal cone, written in
 that cone's quotient coordinates; compatibility means the multisets agree
 after restriction to every shared face.  The i-th class is the piecewise
 polynomial whose part on each cone is the i-th elementary symmetric
-polynomial of the cone's characters.  Compatibility of the multisets makes
-these parts agree on shared faces, which is re-checked exactly on
-assembly.
+polynomial of the cone's characters.  Restriction to a face is a ring
+map, so the parts restrict to e_i of the restricted characters, and
+compatible multisets make them agree on shared faces with no re-check.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from .cones import restriction_matrix
 from .errors import FanMismatch, FormatError, IncompatibleMultisets, IndexOutOfRange
 from .fans import Fan
 from .polynomials import LocalPolynomial, elementary_symmetric
-from .ppring import PPElement, first_disagreement, pp_validate
+from .ppring import PPElement, first_disagreement
 
 
 class BundleData:
@@ -92,7 +92,9 @@ def bundle_sum(a: BundleData, b: BundleData) -> BundleData:
 
 
 def chern_class(bundle: BundleData, i: int) -> PPElement:
-    """The i-th characteristic class as a piecewise polynomial."""
+    """The i-th characteristic class as a piecewise polynomial.  ``bundle``
+    must come from :func:`bundle_validate` or sums of such: restriction is a
+    ring map, so its compatible multisets give parts that agree unchecked."""
     if not 0 <= i <= bundle.rank:
         raise IndexOutOfRange(f"class index {i} out of range 0..{bundle.rank}")
     parts = {}
@@ -106,7 +108,7 @@ def chern_class(bundle: BundleData, i: int) -> PPElement:
             for u in bundle.characters[cid]
         ]
         parts[cid] = elementary_symmetric(classes, i)
-    return pp_validate(bundle.fan, parts)
+    return PPElement(bundle.fan, parts)
 
 
 def total_chern(bundle: BundleData):

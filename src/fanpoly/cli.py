@@ -71,7 +71,7 @@ def _cmd_validate(args) -> RunReport:
     kind = doc.get("kind") if isinstance(doc, dict) else None
     if kind == "fan":
         fan = fan_from_json(doc)
-        # the maximal cones cache their face keys, whose union is the face_index keys
+        # the maximal cones carry their face keys, whose union is the face_index keys
         faces = len(frozenset().union(*(c.face_keys() for c in fan.maximal_cones)))
         complete = is_complete(fan)
         return RunReport(

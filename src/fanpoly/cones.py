@@ -14,19 +14,22 @@ as bit masks, and pointedness, the extremal generators and the faces are
 read off these masks.  Every proper face of a pointed cone is the meet of
 the facets containing it (the face lattice is coatomic), so the faces are
 the cone and the meets of its facets: their masks are the full mask closed
-under meets with each facet mask.  Only the faces' keys are kept.
+under meets with each facet mask.  Only the faces' keys are kept, closed
+when the cone is built.
 
 Every cone carries a quotient character lattice M_sigma = M / (sigma^perp
-cap M): a projection matrix with kernel exactly sigma^perp cap M and an
-integral section.  Both come from one Smith decomposition, so equal spans
-give identical coordinates.  Polynomials on a cone are written in these
-quotient coordinates, and each cone stores its restriction to each face
-(and the powers of its columns that restrictions have needed).
+cap M), built on first read: a projection matrix with kernel exactly
+sigma^perp cap M and an integral section.  Both come from one Smith
+decomposition, so equal spans give identical coordinates.  Polynomials on
+a cone are written in these quotient coordinates, and each cone stores its
+restriction to each face (and the powers of its columns that restrictions
+have needed).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import NotAFace, NotPointed, ZeroVector
 from .intlinalg import (
@@ -106,23 +109,8 @@ class Cone:
 
     Set once: ``key`` = ``(ambient_rank, generators)``, its sorted primitive
     extremal generators, and ``id_str`` = ``"x,y;..."`` (``"0"`` if zero).
+    Face keys are closed at construction and ``quotient`` on first read.
     """
-
-    __slots__ = (
-        "ambient_rank",
-        "generators",
-        "key",
-        "id_str",
-        "dim",
-        "span_basis",
-        "span_perp",
-        "facet_normals",
-        "_facet_masks",
-        "_quotient",
-        "_face_keys",
-        "_restrictions",
-        "_powers",
-    )
 
     def __init__(self, ambient_rank: int, generators):
         if ambient_rank < 0:
@@ -172,14 +160,17 @@ class Cone:
         self._facet_masks = tuple(
             sum((m >> i & 1) << j for j, i in enumerate(keep)) for m in masks
         )
+        # the faces are the cone and the meets of its facets
+        face_masks = {(1 << len(keep)) - 1}
+        for f in self._facet_masks:
+            face_masks |= {m & f for m in face_masks}
+        self._face_keys = frozenset((ambient_rank, self._masked(m)) for m in face_masks)
 
         lift_cols = tuple(zip(*lift))
         self.facet_normals = tuple(
             sorted(tuple(dot(w, c) for c in lift_cols) for w, _ in normals)
         )
 
-        self._quotient = None
-        self._face_keys = None
         self._restrictions = {}
         self._powers = {}
 
@@ -215,16 +206,7 @@ class Cone:
         return tuple(sorted(cones, key=lambda c: (c.dim, c.generators)))
 
     def face_keys(self):
-        """Keys of all faces, read off the facet masks without building any Cone.
-
-        A pointed cone's faces are the cone and the meets of its facets, so
-        closing the full mask under meets with each facet mask finds them all.
-        """
-        if self._face_keys is None:
-            masks = {(1 << len(self.generators)) - 1}
-            for f in self._facet_masks:
-                masks |= {m & f for m in masks}
-            self._face_keys = frozenset((self.ambient_rank, self._masked(m)) for m in masks)
+        """Keys of all faces, closed from the facet masks when the cone was built."""
         return self._face_keys
 
     def facets(self):
@@ -234,13 +216,11 @@ class Cone:
     def is_face_of(self, other: "Cone") -> bool:
         return self.key in other.face_keys()
 
-    @property
+    @cached_property
     def quotient(self) -> QuotientCharacterLattice:
-        if self._quotient is None:
-            perp = self.span_perp
-            q, s = complement_projection(perp)
-            self._quotient = QuotientCharacterLattice(perp, self.ambient_rank - perp.rows, q, s)
-        return self._quotient
+        perp = self.span_perp
+        q, s = complement_projection(perp)
+        return QuotientCharacterLattice(perp, self.ambient_rank - perp.rows, q, s)
 
     def __eq__(self, other):
         if not isinstance(other, Cone):

@@ -245,6 +245,8 @@ def piecewise_basis(container, k: int) -> GradedBasis:
     slices.  A part whose slice is zero is one zero polynomial shared by
     every element of the basis; parts are never modified in place.
     """
+    if isinstance(k, bool):
+        raise TypeError("degree must be an integer, not a bool")
     if k < 0:
         raise ValueError("negative degree")
     layout, matrix = constraint_matrix(container.parts, container.gluing, k)
@@ -327,7 +329,9 @@ def pp_is_pullback(m: SubdivisionMap, a: PPElement):
     naming the maximal target cone and the condition that failed: the
     assigned subcones must all carry the same polynomial, and that
     polynomial must have integer coefficients in the target cone's
-    coordinates.
+    coordinates.  ``a`` must be a checked element.  The result is not
+    re-checked: target cones sharing a face tau have tiles that meet in a
+    source face with tau's span, hence tau's quotient lattice, where ``a`` agrees.
     """
     if a.fan != m.source:
         raise FanMismatch("element does not live on the subdivision's source fan")
@@ -354,4 +358,4 @@ def pp_is_pullback(m: SubdivisionMap, a: PPElement):
                 detail=f"non-integer coefficients {bad!r}",
             )
         parts[sigma_id] = witness
-    return pp_validate(m.target, parts), None
+    return PPElement(m.target, parts), None

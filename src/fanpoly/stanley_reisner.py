@@ -22,7 +22,7 @@ from .errors import NotSimplicial, RayNotFound
 from .fans import Fan
 from .intlinalg import IntMatrix, dot, primitive, rank
 from .polynomials import LocalPolynomial, RationalLocalPolynomial
-from .ppring import PPElement, pp_basis, pp_validate
+from .ppring import PPElement, pp_basis
 
 
 class SimplicialFanSR:
@@ -43,8 +43,9 @@ class SimplicialFanSR:
         self.rays = tuple(sorted(rays))
         self.ray_index = {r: i for i, r in enumerate(self.rays)}
         self.faces = frozenset(
-            frozenset(self.ray_index[g] for g in f.generators)
-            for f, _ in fan.face_index.values()
+            frozenset(self.ray_index[g] for g in gens)
+            for c in fan.maximal_cones
+            for _, gens in c.face_keys()
         )
 
     def is_face(self, indices) -> bool:
@@ -83,7 +84,9 @@ def courant_function(fan: Fan, ray) -> CourantFunction:
     The input vector may be any positive multiple of a ray generator.  On
     each simplicial cone containing the ray exactly one facet normal u is
     nonzero at it, and u / (u . ray) is the form that is 1 there and 0 at
-    the cone's other generators; elsewhere the function vanishes.
+    the cone's other generators; elsewhere the function vanishes.  Each form
+    vanishes at every generator but the ray, so two cones' forms agree on the
+    generators of a shared face, which span it: nothing is re-checked.
     """
     sr = SimplicialFanSR(fan)
     ray = tuple(ray)
@@ -108,7 +111,7 @@ def courant_function(fan: Fan, ray) -> CourantFunction:
             bad.append(cone.id_str)
     return CourantFunction(
         ray=r,
-        element=pp_validate(fan, parts),
+        element=PPElement(fan, parts),
         nonintegral_cones=tuple(sorted(bad)),
     )
 

@@ -6,6 +6,7 @@ cone every face is exposed, so this finds the whole face lattice without
 using the library's own facet machinery.
 """
 
+from functools import cached_property
 from itertools import product
 
 import pytest
@@ -189,6 +190,18 @@ def test_quotient_kernel_is_perp():
     for row in q.perp_basis.entries:
         assert q.reduce(row) == (0,)
         assert dot(row, (1, 1)) == 0
+
+
+def test_face_keys_at_construction_and_quotient_on_first_read():
+    assert not hasattr(Cone, "__slots__")
+    assert isinstance(vars(Cone)["quotient"], cached_property)
+    c = Cone(3, [(1, 0, 0), (0, 1, 0), (1, 1, 1)])
+    assert "quotient" not in vars(c)
+    assert c.face_keys() is c.face_keys()
+    assert len(c.face_keys()) == 8
+    q = c.quotient
+    assert vars(c)["quotient"] is q
+    assert c.quotient is q
 
 
 def test_quotient_deterministic():

@@ -162,6 +162,12 @@ def test_single_cone_fan_ranks():
     assert [mpp_basis(mf, k).rank for k in range(4)] == [1, 2, 3, 4]
 
 
+@pytest.mark.parametrize("k", [True, False])
+def test_mpp_basis_rejects_bool_degree(k):
+    with pytest.raises(TypeError):
+        mpp_basis(doubled_cone(), k)
+
+
 def test_doubled_cone_ranks_differ_from_single():
     mf = doubled_cone()
     assert mf.maximal_ids == ("bot", "top")

@@ -165,6 +165,15 @@ def test_pp_basis_degree_zero_is_constants():
         assert gb.contains(pp_constant(f, -7))
 
 
+def test_pp_basis_rejects_bool_and_negative_degrees():
+    # a bool would become GradedBasis.degree and be written as JSON true
+    for k in (True, False):
+        with pytest.raises(TypeError):
+            pp_basis(p2(), k)
+    with pytest.raises(ValueError):
+        pp_basis(p2(), -1)
+
+
 def test_pp_basis_surface_ranks_match_monomial_count():
     for fan in [p2(), p1xp1(), diamond(), blp2()]:
         for k in range(4):

@@ -34,6 +34,24 @@ def test_ray_complex_of_projective_plane():
     assert all(sr.is_face(pair) for pair in combinations(range(3), 2))
 
 
+def test_hilbert_and_courant_build_no_face_cone(monkeypatch):
+    """Faces come off the maximal cones' face keys and the ray duals are not
+    re-checked, so neither reads the fan's face index."""
+    fan = p2()
+    built = []
+    init = Cone.__init__
+
+    def counting_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(Cone, "__init__", counting_init)
+    assert sr_hilbert(fan, 2) == 6
+    courant_function(fan, (-1, -1))
+    monkeypatch.undo()
+    assert built == []
+
+
 def test_minimal_nonfaces_of_quadric_surface():
     sr = SimplicialFanSR(p1xp1())
     assert sr.rays == ((-1, 0), (0, -1), (0, 1), (1, 0))
