@@ -5,17 +5,17 @@ Construction canonicalizes aggressively: generators are made primitive,
 deduplicated, reduced to the extremal rays, and sorted, so two descriptions
 of the same cone produce identical objects and identical string ids.  One
 exact double-description routine (Fukuda and Prodon 1996) finds the facet
-normals, as extreme rays of the dual cone inside the span, and the rays of
-intersections, returned as keys.  The routine works in coordinates on the
-saturated span, read off the top rows of the transform of one Hermite step
-on the span's transpose: a left inverse of the span, whose columns also
-lift covectors back to Z^n.  It keeps which generators lie on which facet
-as bit masks, and pointedness, the extremal generators and the faces are
-read off these masks.  Every proper face of a pointed cone is the meet of
-the facets containing it (the face lattice is coatomic), so the faces are
-the cone and the meets of its facets: their masks are the full mask closed
-under meets with each facet mask.  Only the faces' keys are kept, closed
-when the cone is built.
+normals, as extreme rays of the dual cone inside the span, in coordinates on
+the saturated span read off the top rows of the transform of one Hermite
+step on the span's transpose (a left inverse of the span, whose columns also
+lift covectors back to Z^n), and the rays of the meet of two cones, in Z^n
+on their equations and facet normals, returned as keys.  It keeps which
+generators lie on which facet as bit masks, and pointedness, the extremal
+generators and the faces are read off these masks.  Every proper face of a
+pointed cone is the meet of the facets containing it (the face lattice is
+coatomic), so the faces are the cone and the meets of its facets: their
+masks are the full mask closed under meets with each facet mask.  Only the
+faces' keys are kept, closed when the cone is built.
 
 Every cone carries a quotient character lattice M_sigma = M / (sigma^perp
 cap M), built on first read: a projection matrix with kernel exactly
@@ -65,11 +65,12 @@ def _extreme_rays(ineqs, e: int):
     """Sorted (ray, mask) pairs of the pointed cone {x in Q^e : q.x >= 0}: each
     ray primitive and extreme, bit k of its mask set exactly when ineqs[k] is 0 on it.
 
-    Double description from Q^e, one inequality q at a time.  If q is
-    nonzero on a lineality vector l, l (signed) becomes a ray tight on every
-    earlier q, and the rest shift along l onto q = 0, keeping their masks.
-    Otherwise rays with q < 0 are dropped and each adjacent pair across q = 0
-    (no third ray is tight everywhere both are) is combined into a ray on it.
+    Double description from Q^e, one inequality q at a time (an equality q = 0
+    is entered as the pair q, -q).  If q is nonzero on a lineality vector l, l
+    (signed) becomes a ray tight on every earlier q, and the rest shift along l
+    onto q = 0, keeping their masks.  Otherwise rays with q < 0 are dropped and
+    each adjacent pair across q = 0 (no third ray is tight everywhere both are)
+    is combined into a ray on it.
     """
     lin = [tuple(int(i == j) for j in range(e)) for i in range(e)]
     rays = []
@@ -247,24 +248,19 @@ def restriction_matrix(sigma: Cone, tau: Cone) -> IntMatrix:
 def intersect(c1: Cone, c2: Cone):
     """Key of the intersection of two cones, plus whether it is a common face.
 
-    The intersection is cut out by both spans' equations and both cones'
-    facet inequalities.  Its extreme rays come from double description on
-    those inequalities, restricted to the joint span, where the
-    intersection is pointed because both cones are.  The rays, primitive in
-    a saturated basis and so in Z^n, are the extremal generators: sorted,
-    they form the intersection's key ``(n, generators)`` with no Cone built.
+    One double description in Z^n on both spans' equations, each entered as q
+    then -q, and then on both cones' facet normals.  Equalities go first: q
+    takes a lineality direction as a ray and -q drops it, so every later ray
+    lies on the joint span, where the intersection is pointed because both cones
+    are.  The lineality starts at the unit vectors and each new ray is made
+    primitive, so the sorted rays are the extremal generators, primitive in Z^n:
+    the key ``(n, generators)``, with no Cone built.
     """
     if c1.ambient_rank != c2.ambient_rank:
         raise ValueError("ambient rank mismatch")
     n = c1.ambient_rank
-    eqs = list(c1.span_perp.entries) + list(c2.span_perp.entries)
-    s0 = kernel_lattice(IntMatrix(eqs, cols=n))
-    e = s0.rows
-    ineqs = sorted(
-        {tuple(dot(u, r) for r in s0.entries) for u in c1.facet_normals + c2.facet_normals}
-        - {(0,) * e}
-    )
-    s0_cols = s0.transpose().entries
-    rays = sorted(tuple(dot(w, c) for c in s0_cols) for w, _ in _extreme_rays(ineqs, e))
-    key = (n, tuple(rays))
+    eqs = c1.span_perp.entries + c2.span_perp.entries
+    ineqs = [v for q in eqs for v in (q, tuple(-x for x in q))]
+    ineqs += sorted(set(c1.facet_normals + c2.facet_normals))
+    key = (n, tuple(r for r, _ in _extreme_rays(ineqs, n)))
     return key, key in c1.face_keys() and key in c2.face_keys()

@@ -357,9 +357,9 @@ def kernel_lattice(a: IntMatrix) -> IntMatrix:
     k = 2 (522 x 420), from 21,378 to 6,175 on the cube at k = 4, and from
     31,436 to 17,031 on the 7-vector hypertoric system at k = 2.
 
-    A system with no constraints (the span of a full-dimensional cone, the
-    meet of two of them) has all of Z^n as its kernel, and the identity is
-    already its Hermite basis, so it is returned with no elimination.
+    A system with no constraints (the span of a full-dimensional cone) has
+    all of Z^n as its kernel, and the identity is already its Hermite basis,
+    so it is returned with no elimination.
     """
     if not a.rows:
         return IntMatrix.identity(a.cols)

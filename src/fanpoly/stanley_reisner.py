@@ -25,22 +25,24 @@ from .polynomials import LocalPolynomial, RationalLocalPolynomial
 from .ppring import PPElement, pp_basis
 
 
+def _simplicial_rays(fan: Fan) -> tuple:
+    """The sorted rays of a fan, which must be simplicial."""
+    for c in fan.maximal_cones:
+        if len(c.generators) != c.dim:
+            raise NotSimplicial(
+                f"cone {c.id_str} has {len(c.generators)} rays in dimension {c.dim}"
+            )
+    return tuple(sorted({g for c in fan.maximal_cones for g in c.generators}))
+
+
 class SimplicialFanSR:
     """The ray complex of a simplicial fan."""
 
     __slots__ = ("fan", "rays", "ray_index", "faces")
 
     def __init__(self, fan: Fan):
-        for c in fan.maximal_cones:
-            if len(c.generators) != c.dim:
-                raise NotSimplicial(
-                    f"cone {c.id_str} has {len(c.generators)} rays in dimension {c.dim}"
-                )
         self.fan = fan
-        rays = set()
-        for c in fan.maximal_cones:
-            rays.update(c.generators)
-        self.rays = tuple(sorted(rays))
+        self.rays = _simplicial_rays(fan)
         self.ray_index = {r: i for i, r in enumerate(self.rays)}
         self.faces = frozenset(
             frozenset(self.ray_index[g] for g in gens)
@@ -88,12 +90,12 @@ def courant_function(fan: Fan, ray) -> CourantFunction:
     vanishes at every generator but the ray, so two cones' forms agree on the
     generators of a shared face, which span it: nothing is re-checked.
     """
-    sr = SimplicialFanSR(fan)
+    rays = _simplicial_rays(fan)
     ray = tuple(ray)
     if not any(ray):
         raise RayNotFound("the zero vector is not a ray of the fan")
     r = primitive(ray)
-    if r not in sr.ray_index:
+    if r not in rays:
         raise RayNotFound(f"{r!r} is not a ray of the fan")
     parts = {}
     bad = []
@@ -120,7 +122,7 @@ def courant_span_rank(fan: Fan) -> int:
     """Rank over the rationals of the span of all the ray dual functions."""
     gb = pp_basis(fan, 1)
     vectors = []
-    for r in SimplicialFanSR(fan).rays:
+    for r in _simplicial_rays(fan):
         vec = gb.coefficient_vector(courant_function(fan, r).element)
         denom = lcm(*(Fraction(x).denominator for x in vec)) if vec else 1
         vectors.append([int(Fraction(x) * denom) for x in vec])

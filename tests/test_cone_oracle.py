@@ -18,19 +18,24 @@ the origin.  Faces are read off the facet masks on every call, so reading
 them twice must give the same answer.  Facets are read off the masks
 directly, and must equal the face lattice at dimension dim - 1 on every
 face of the cube, of P^3 starred three times, of P^5 and of P^6, and on
-the polygon cones in Z^5 and Z^6.
+the polygon cones in Z^5 and Z^6.  Meets of every same-rank pair of the
+Z^5 and Z^6 cones and of seeded lower dimensional cones in Z^4 and Z^5
+must equal the joint-span rule (double description on the kernel of both
+spans' equations, lifted back to Z^n), and must run with the kernel,
+Hermite and matrix routines refused.
 """
 
 import random
 from itertools import combinations, product
 
 import pytest
-from corpus import cube, p3_starred3, projective_space
+from corpus import blp2, cube, hypertoric_3lines, p3_starred3, projective_space
 from reference_cones import ReferenceCone, reference_intersect
 
-from fanpoly.cones import Cone, intersect
+import fanpoly.cones
+from fanpoly.cones import Cone, _extreme_rays, intersect
 from fanpoly.errors import NotPointed
-from fanpoly.intlinalg import IntMatrix, dot, rank
+from fanpoly.intlinalg import IntMatrix, dot, kernel_lattice, rank
 
 OCTAGON = [(2, 1), (1, 2), (-1, 2), (-2, 1), (-2, -1), (-1, -2), (1, -2), (2, -1)]
 
@@ -294,3 +299,89 @@ def test_intersections_match_reference():
         flags.add((ok, got.dim == 0))
     # meeting only at 0, in a common face of positive dimension, and overlapping
     assert {(True, True), (True, False), (False, False)} <= flags
+
+
+def joint_span_intersect(c1, c2):
+    """The meet as it was first written: double description in coordinates on
+    the kernel of both spans' equations, on the facet normals projected there
+    (zeros dropped), with the rays lifted back to Z^n."""
+    n = c1.ambient_rank
+    s0 = kernel_lattice(IntMatrix(list(c1.span_perp.entries) + list(c2.span_perp.entries), cols=n))
+    e = s0.rows
+    ineqs = sorted(
+        {tuple(dot(u, r) for r in s0.entries) for u in c1.facet_normals + c2.facet_normals}
+        - {(0,) * e}
+    )
+    s0_cols = s0.transpose().entries
+    rays = sorted(tuple(dot(w, c) for c in s0_cols) for w, _ in _extreme_rays(ineqs, e))
+    key = (n, tuple(rays))
+    return key, key in c1.face_keys() and key in c2.face_keys()
+
+
+def lower_dimensional_cones(rng):
+    """(n, generator lists) in Z^4 and Z^5: in each of three seeded subspaces, of
+    dimension 2, 3 and n - 1, sixteen cones on two to five nonnegative
+    combinations of a basis with seeded signs, so pointed and below dimension n."""
+    out = []
+    for n in (4, 5):
+        for d in (2, 3, n - 1):
+            basis = []
+            while rank(IntMatrix(basis, cols=n)) < d:
+                basis = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(d)]
+            for _ in range(16):
+                signs = [rng.choice((1, -1)) for _ in range(d)]
+                gens = []
+                for _ in range(rng.randint(2, 5)):
+                    coeffs = [s * rng.randint(0, 2) for s in signs]
+                    v = tuple(sum(c * b[i] for c, b in zip(coeffs, basis)) for i in range(n))
+                    if any(v):
+                        gens.append(v)
+                out.append((n, gens or [basis[0]]))
+    return out
+
+
+def same_rank_pairs():
+    """Every pair of same-rank cones among high_rank_cones and the lower
+    dimensional cones in Z^4 and Z^5, built."""
+    cones = high_rank_cones(random.Random(271828))
+    cones += lower_dimensional_cones(random.Random(141421))
+    built = [Cone(n, gens) for n, gens in cones]
+    return [(a, b) for a, b in combinations(built, 2) if a.ambient_rank == b.ambient_rank]
+
+
+def test_meets_match_joint_span_rule():
+    """Meets in Z^n equal the joint-span rule on cones of every dimension below
+    n, with different spans, bit for bit in key and common-face flag."""
+    flags = set()
+    pairs = same_rank_pairs()
+    for a, b in pairs:
+        key, ok = intersect(a, b)
+        assert (key, ok) == joint_span_intersect(a, b)
+        flags.add((ok, not key[1]))
+    assert len(pairs) == 3913
+    # meeting only at 0, in a common face of positive dimension, and overlapping
+    assert {(True, True), (True, False), (False, False)} <= flags
+
+
+def test_meets_leave_the_integer_layer(monkeypatch):
+    """The meet reads the cones' equations, facet normals and face keys, and
+    makes no kernel, Hermite form or matrix, not even with no equations."""
+    pairs = same_rank_pairs()
+    fan_pairs = []
+    for fan in (projective_space(4), p3_starred3(), blp2(), cube()):
+        fan_pairs += combinations(fan.maximal_cones, 2)
+    # the parts of a multifan may overlap
+    parts = [c for _, c in hypertoric_3lines().parts]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the meet entered the integer layer")
+
+    for name in ("kernel_lattice", "hnf", "IntMatrix"):
+        monkeypatch.setattr(fanpoly.cones, name, refuse)
+    for a, b in pairs:
+        intersect(a, b)
+    fan_flags = [intersect(a, b)[1] for a, b in fan_pairs]
+    part_flags = [intersect(a, b)[1] for a, b in combinations(parts, 2)]
+    monkeypatch.undo()
+    assert len(fan_flags) == 10 + 45 + 6 + 15 and all(fan_flags)
+    assert part_flags == [False, False, True]

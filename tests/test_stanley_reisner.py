@@ -52,6 +52,32 @@ def test_hilbert_and_courant_build_no_face_cone(monkeypatch):
     assert built == []
 
 
+def test_courant_builds_no_ray_complex(monkeypatch):
+    """The ray duals read the simplicial check and the rays off the maximal
+    cones, so the span of all of them builds no ray complex, and a fan that
+    is not simplicial is refused with the ray complex's message."""
+    fans = [blp2(), p3_starred3()]
+    want = [courant_span_rank(fan) for fan in fans]
+    with pytest.raises(NotSimplicial) as complex_error:
+        SimplicialFanSR(cube())
+    built = []
+    init = SimplicialFanSR.__init__
+
+    def counting_init(self, fan):
+        built.append(fan)
+        init(self, fan)
+
+    monkeypatch.setattr(SimplicialFanSR, "__init__", counting_init)
+    assert [courant_span_rank(fan) for fan in fans] == want == [4, 7]
+    with pytest.raises(NotSimplicial) as courant_error:
+        courant_function(cube(), (1, 1, 1))
+    with pytest.raises(RayNotFound, match=r"^\(1, 1\) is not a ray of the fan$"):
+        courant_function(p2(), (2, 2))
+    monkeypatch.undo()
+    assert built == []
+    assert str(courant_error.value) == str(complex_error.value)
+
+
 def test_minimal_nonfaces_of_quadric_surface():
     sr = SimplicialFanSR(p1xp1())
     assert sr.rays == ((-1, 0), (0, -1), (0, 1), (1, 0))
