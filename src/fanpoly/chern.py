@@ -19,14 +19,61 @@ from .ppring import PPElement, first_disagreement
 
 
 class BundleData:
-    """Compatible character multisets on the maximal cones of a fan."""
+    """Compatible character multisets on the maximal cones of a fan.
+
+    ``BundleData(fan, data)`` checks ``data``, which maps cone ids to
+    sequences of integer vectors, each written in the cone's quotient
+    coordinates.  Multisets are kept in sorted order, so the order they are
+    given in does not matter.  Characters of the wrong length or type, and
+    multisets of different sizes, raise FormatError; multisets that
+    restrict differently on a shared face raise IncompatibleMultisets.
+    """
 
     __slots__ = ("fan", "characters", "rank")
 
-    def __init__(self, fan: Fan, characters, rank: int):
+    def __init__(self, fan: Fan, data):
+        want = dict(fan.parts)
+        if set(data) != set(want):
+            raise FanMismatch("bundle data keys do not match the maximal cones")
+        characters = {}
+        sizes = set()
+        for cid, vectors in data.items():
+            cone = want[cid]
+            cleaned = []
+            for u in vectors:
+                u = tuple(u)
+                if len(u) != cone.quotient.rank:
+                    raise FormatError(
+                        f"character {u!r} on cone {cid} has length {len(u)}, "
+                        f"expected {cone.quotient.rank}"
+                    )
+                if not all(isinstance(x, int) and not isinstance(x, bool) for x in u):
+                    raise FormatError(f"character {u!r} on cone {cid} is not integral")
+                cleaned.append(u)
+            characters[cid] = tuple(sorted(cleaned))
+            sizes.add(len(cleaned))
+        if len(sizes) > 1:
+            raise FormatError(f"bundle rank is ambiguous: multiset sizes {sorted(sizes)}")
+
+        def restricted(cid, tau):
+            r = restriction_matrix(want[cid], tau)
+            return sorted(r.mul_vec(u) for u in characters[cid])
+
+        bad = first_disagreement(fan, restricted)
+        if bad:
+            raise IncompatibleMultisets(*bad[:3])
         self.fan = fan
         self.characters = dict(sorted(characters.items()))
+        self.rank = sizes.pop() if sizes else 0
+
+    @classmethod
+    def _trusted(cls, fan, characters: dict, rank: int):
+        """Wrap compatible sorted multisets keyed in id order, unchecked."""
+        self = object.__new__(cls)
+        self.fan = fan
+        self.characters = characters
         self.rank = rank
+        return self
 
     def __eq__(self, other):
         if not isinstance(other, BundleData):
@@ -38,47 +85,8 @@ class BundleData:
 
 
 def bundle_validate(fan: Fan, data) -> BundleData:
-    """Check one character multiset per maximal cone for compatibility.
-
-    ``data`` maps cone ids to sequences of integer vectors, each written
-    in the cone's quotient coordinates.  Multisets are kept in sorted
-    order, so the order they are given in does not matter.  Characters of
-    the wrong length or type, and multisets of different sizes, raise
-    FormatError; multisets that restrict differently on a shared face
-    raise IncompatibleMultisets.
-    """
-    want = dict(fan.parts)
-    if set(data) != set(want):
-        raise FanMismatch("bundle data keys do not match the maximal cones")
-    characters = {}
-    sizes = set()
-    for cid, vectors in data.items():
-        cone = want[cid]
-        cleaned = []
-        for u in vectors:
-            u = tuple(u)
-            if len(u) != cone.quotient.rank:
-                raise FormatError(
-                    f"character {u!r} on cone {cid} has length {len(u)}, "
-                    f"expected {cone.quotient.rank}"
-                )
-            if not all(isinstance(x, int) and not isinstance(x, bool) for x in u):
-                raise FormatError(f"character {u!r} on cone {cid} is not integral")
-            cleaned.append(u)
-        characters[cid] = tuple(sorted(cleaned))
-        sizes.add(len(cleaned))
-    if len(sizes) > 1:
-        raise FormatError(f"bundle rank is ambiguous: multiset sizes {sorted(sizes)}")
-    rank = sizes.pop() if sizes else 0
-
-    def restricted(cid, tau):
-        r = restriction_matrix(want[cid], tau)
-        return sorted(r.mul_vec(u) for u in characters[cid])
-
-    bad = first_disagreement(fan, restricted)
-    if bad:
-        raise IncompatibleMultisets(*bad[:3])
-    return BundleData(fan, characters, rank)
+    """Check one character multiset per maximal cone: ``BundleData(fan, data)``."""
+    return BundleData(fan, data)
 
 
 def bundle_sum(a: BundleData, b: BundleData) -> BundleData:
@@ -88,13 +96,13 @@ def bundle_sum(a: BundleData, b: BundleData) -> BundleData:
         cid: tuple(sorted(a.characters[cid] + b.characters[cid]))
         for cid in a.characters
     }
-    return BundleData(a.fan, merged, a.rank + b.rank)
+    return BundleData._trusted(a.fan, merged, a.rank + b.rank)
 
 
 def chern_class(bundle: BundleData, i: int) -> PPElement:
-    """The i-th characteristic class as a piecewise polynomial.  ``bundle``
-    must come from :func:`bundle_validate` or sums of such: restriction is a
-    ring map, so its compatible multisets give parts that agree unchecked."""
+    """The i-th characteristic class as a piecewise polynomial.  A
+    BundleData is checked when it is built, and restriction is a ring map,
+    so its compatible multisets give parts that agree unchecked."""
     if not 0 <= i <= bundle.rank:
         raise IndexOutOfRange(f"class index {i} out of range 0..{bundle.rank}")
     parts = {}

@@ -22,8 +22,7 @@ cap M), built on first read: a projection matrix with kernel exactly
 sigma^perp cap M and an integral section.  Both come from one Smith
 decomposition, so equal spans give identical coordinates.  Polynomials on
 a cone are written in these quotient coordinates, and each cone stores its
-restriction to each face (and the powers of its columns that restrictions
-have needed).
+restriction matrix to each face.
 """
 
 from __future__ import annotations
@@ -173,7 +172,6 @@ class Cone:
         )
 
         self._restrictions = {}
-        self._powers = {}
 
     def contains(self, point) -> bool:
         v = tuple(point)

@@ -165,18 +165,29 @@ def facet_owners(cones):
 
 
 def is_complete(fan: Fan) -> bool:
-    """Does the support of the fan cover the whole ambient space?
+    """Does the support of the fan cover the whole ambient space?  A nonempty pure
+    fan of full-dimensional cones does when every ridge lies in two (:func:`_covers`)."""
+    return _covers(fan.maximal_cones, fan.ambient_rank, ())
 
-    A nonempty pure fan of full-dimensional cones covers R^n exactly when
-    every ridge (codimension-one face, so a facet of its maximal cones)
-    lies in precisely two maximal cones: the support is closed, and the
-    pairing condition makes it open minus a set of codimension two, hence
-    everything.
+
+def _covers(parts, dim, boundary_normals) -> bool:
+    """Do the given cones, from one fan and all of dimension ``dim``, cover
+    their region: R^n with no ``boundary_normals``, else the cone with
+    those facet normals, which holds every part?
+
+    Every facet of a part (a ridge) must lie in exactly two parts, from
+    :func:`facet_owners`, unless a boundary normal vanishes on it.  Parts of
+    a fan cannot overlap, so the union is closed, and the pairing makes it
+    open in the region away from codimension two, hence all of it.  A
+    single part other than the region has a facet off the boundary.
     """
-    cones = fan.maximal_cones
-    if not cones or any(c.dim != fan.ambient_rank for c in cones):
+    if not parts or any(p.dim != dim for p in parts):
         return False
-    return all(len(owners) == 2 for owners in facet_owners(cones).values())
+    return all(
+        len(owners) == 2
+        for facet, owners in facet_owners(parts).items()
+        if not any(all(dot(u, g) == 0 for g in facet) for u in boundary_normals)
+    )
 
 
 class SubdivisionMap:
@@ -209,7 +220,7 @@ class SubdivisionMap:
             by_target.setdefault(least.id_str, []).append(c)
 
         for t in target.maximal_cones:
-            if not _tiles(t, by_target.get(t.id_str, [])):
+            if not _covers(by_target.get(t.id_str, []), t.dim, t.facet_normals):
                 raise NotASubdivision(
                     f"target cone {t.id_str} is not tiled by its assigned cones"
                 )
@@ -223,24 +234,6 @@ class SubdivisionMap:
 
     def __repr__(self):
         return f"SubdivisionMap({len(self.assignment)} cones)"
-
-
-def _tiles(sigma: Cone, parts) -> bool:
-    """Do the given cones (from one fan, all inside sigma) cover sigma?
-
-    All parts must have sigma's dimension.  Because the parts come from a
-    fan they cannot overlap, so covering is equivalent to a pairing
-    condition: every facet of a part either lies on the boundary of sigma
-    or is shared with exactly one other part.  A single part other than
-    sigma has a facet off the boundary, counted once.
-    """
-    if not parts or any(p.dim != sigma.dim for p in parts):
-        return False
-    return all(
-        len(owners) == 2
-        for facet, owners in facet_owners(parts).items()
-        if not any(all(dot(u, g) == 0 for g in facet) for u in sigma.facet_normals)
-    )
 
 
 def star_subdivision(fan: Fan, target: Cone, point=None):

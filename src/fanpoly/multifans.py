@@ -24,7 +24,7 @@ from itertools import combinations
 from .cones import Cone
 from .errors import FaceBijectionFailure, FanMismatch, NotAPoset
 from .fans import Fan, spanning_gluing
-from .intlinalg import IntMatrix, rank as matrix_rank
+from .intlinalg import dot
 from .ppring import GradedBasis, PPElement, check_parts, piecewise_basis
 
 
@@ -204,11 +204,12 @@ def hypertoric_multifan(ambient_rank: int, vectors) -> Multifan:
         for sub in combinations(range(len(vecs)), size):
             if sub[:-1] not in subset_id:
                 continue
-            chosen = [vecs[i] for i in sub]
-            if matrix_rank(IntMatrix(chosen, cols=ambient_rank)) != size:
+            # the new vector leaves the prefix's span where its annihilator is nonzero
+            v = vecs[sub[-1]]
+            if not any(dot(k, v) for k in cones[subset_id[sub[:-1]]].span_perp.entries):
                 continue
             subset_id[sub] = name(sub)
-            cones[subset_id[sub]] = Cone(ambient_rank, chosen)
+            cones[subset_id[sub]] = Cone(ambient_rank, [vecs[i] for i in sub])
         if len(subset_id) == before:
             break
     covers = [

@@ -6,6 +6,11 @@ used where integrality is the question being asked, not an invariant.
 Monomials are exponent tuples in the quotient coordinates, ordered graded
 lexicographically (largest first exponent first) wherever an order matters,
 so coefficient vectors and matrices are reproducible.
+
+One substitution, ``LocalPolynomial.substitute``, applies a linear map by
+expanding a polynomial's own terms in powers of the matrix columns, built
+per call; ``degree_matrix`` is that map on all degree-k coefficients, and
+restriction to a face substitutes the restriction matrix the cone keeps.
 """
 
 from __future__ import annotations
@@ -197,22 +202,17 @@ class LocalPolynomial:
         Column ``i`` of the matrix is the image of variable ``i`` in the
         target coordinates, so ``matrix`` has shape (target.rank, self rank).
         Each term maps as its column of ``degree_matrix`` would, but only the
-        polynomial's own terms are expanded, so a sparse high-degree
-        polynomial costs what its terms cost.
+        polynomial's own terms are expanded, and each column's powers only up
+        to its variable's top exponent, so a sparse high-degree polynomial
+        costs what its terms cost.  The sums keep the coefficient class, so
+        the result is wrapped unchecked once zeros are dropped and terms sorted.
         """
         if matrix.shape != (target.rank, self.lattice.rank):
             raise ValueError(
                 f"substitution matrix {matrix.shape} does not map rank "
                 f"{self.lattice.rank} into rank {target.rank}"
             )
-        return self._expand(_column_powers(matrix, map(max, zip(*self.terms))), target)
-
-    def _expand(self, powers, target):
-        """Each term replaced by the product of the column powers its exponents name.
-
-        The sums are this polynomial's own coefficient class, so the result
-        is wrapped unchecked once the zeros are dropped and the terms sorted.
-        """
+        powers = _column_powers(matrix, map(max, zip(*self.terms)))
         terms: dict = {}
         for e, c in self.terms.items():
             for m, a in _monomial_image(powers, e, target.rank).items():
@@ -255,23 +255,11 @@ class RationalLocalPolynomial(LocalPolynomial):
 
 
 def restrict_to_face(f: LocalPolynomial, sigma: Cone, tau: Cone):
-    """Restriction Sym M_sigma -> Sym M_tau along a face inclusion.
-
-    Only f's own terms are expanded, from the column powers kept on sigma
-    (:func:`restriction_powers`): restricting many elements along one face
-    builds each power once, and a sparse high-degree term costs its powers.
-    """
+    """Restriction Sym M_sigma -> Sym M_tau along a face inclusion: the
+    substitution of ``restriction_matrix(sigma, tau)``, kept on sigma."""
     if f.lattice != sigma.quotient:
         raise LatticeMismatch("polynomial does not live on the given cone")
-    return f._expand(restriction_powers(sigma, tau, map(max, zip(*f.terms))), tau.quotient)
-
-
-def restriction_powers(sigma: Cone, tau: Cone, tops):
-    """Powers of the columns of ``restriction_matrix(sigma, tau)``, kept on
-    sigma; column i grows to ``tops[i]`` if it is not that far yet."""
-    r = restriction_matrix(sigma, tau)
-    powers = sigma._powers[tau.key] = _column_powers(r, tops, sigma._powers.get(tau.key))
-    return powers
+    return f.substitute(restriction_matrix(sigma, tau), tau.quotient)
 
 
 def elementary_symmetric(polys, i: int):
@@ -312,19 +300,20 @@ def integrality_certificate(f: LocalPolynomial):
     return LocalPolynomial(f.lattice, {e: int(c) for e, c in f.terms.items()}), {}
 
 
-def degree_matrix(matrix: IntMatrix, k: int, powers=None) -> IntMatrix:
+def degree_matrix(matrix: IntMatrix, k: int) -> IntMatrix:
     """Action of a linear substitution on degree-k coefficient vectors.
 
     ``matrix`` (t x s) sends variable i of the source to the linear form
     with coefficients in its column i.  The result has one column per
     source monomial of degree k and one row per target monomial, both in
     the canonical monomial order.  Column e is the expansion of the
-    product of the columns' powers e_i, in exponent tuples and ints.
+    product of the columns' powers e_i, in exponent tuples and ints; the
+    powers up to k are built on each call, for the caller to memoize Sym^k.
     """
     t, s = matrix.shape
     src = monomials_of_degree(s, k)
     tgt = monomials_of_degree(t, k)
-    powers = _column_powers(matrix, [k] * s, powers)
+    powers = _column_powers(matrix, [k] * s)
     cols = []
     for e in src:
         poly = _monomial_image(powers, e, t)
@@ -332,21 +321,17 @@ def degree_matrix(matrix: IntMatrix, k: int, powers=None) -> IntMatrix:
     return IntMatrix._of(tuple(cols), len(tgt)).transpose()
 
 
-def _column_powers(matrix: IntMatrix, tops, powers=None):
-    """Powers 0..tops[i] of each column's linear form, as exponent-keyed dicts.
-
-    Given ``powers`` from an earlier call on the same matrix, grows each
-    column's list in place to at least ``tops[i] + 1`` entries.
-    """
+def _column_powers(matrix: IntMatrix, tops):
+    """Powers 0..tops[i] of column i's linear form, as exponent-keyed dicts,
+    one list per entry of ``tops``."""
     t = matrix.rows
-    if powers is None:
-        powers = [[{(0,) * t: 1}] for _ in range(matrix.cols)]
+    powers = []
     for i, top in enumerate(tops):
-        column_powers = powers[i]
-        if len(column_powers) <= top:
-            linear = [(u, a) for u, a in zip(monomials_of_degree(t, 1), matrix.column(i)) if a]
-            while len(column_powers) <= top:
-                column_powers.append(_times(column_powers[-1], linear))
+        linear = [(u, a) for u, a in zip(monomials_of_degree(t, 1), matrix.column(i)) if a]
+        column = [{(0,) * t: 1}]
+        for _ in range(top):
+            column.append(_times(column[-1], linear))
+        powers.append(column)
     return powers
 
 

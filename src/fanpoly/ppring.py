@@ -45,7 +45,6 @@ from .polynomials import (
     integrality_certificate,
     monomials_of_degree,
     restrict_to_face,
-    restriction_powers,
 )
 
 
@@ -223,7 +222,7 @@ def constraint_matrix(parts, incidences, k: int):
     def restricted(pid, tau):
         r = restriction_matrix(cones[pid], tau)
         if r not in sym:
-            sym[r] = degree_matrix(r, k, restriction_powers(cones[pid], tau, [k] * r.cols))
+            sym[r] = degree_matrix(r, k)
         return sym[r]
 
     rows = []

@@ -72,6 +72,23 @@ def test_bundle_validate_rejects_malformed():
         bundle_validate(f, ragged)
 
 
+def test_hand_built_incompatible_bundle_raises():
+    """The constructor is the check: a BundleData built by hand on multisets
+    that restrict differently raises as ``bundle_validate`` does, and no
+    class is ever read off it."""
+    f = p2()
+    data = {c.id_str: ((i, 0),) for i, c in enumerate(f.maximal_cones)}
+    messages = []
+    for build in (BundleData, bundle_validate):
+        with pytest.raises(IncompatibleMultisets) as exc:
+            build(f, data)
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
+    assert exc.value.face == "-1,-1"
+    good = {c.id_str: ((0, 0),) for c in f.maximal_cones}
+    assert BundleData(f, good) == bundle_validate(f, good)
+
+
 def test_chern_index_range():
     f = p1()
     bundle = bundle_validate(f, {c.id_str: [(0,)] for c in f.maximal_cones})

@@ -1,6 +1,9 @@
 """Posets of cones and their piecewise polynomial rings."""
 
+import random
+from fractions import Fraction
 from functools import cached_property
+from itertools import combinations
 
 import pytest
 from corpus import (
@@ -267,6 +270,70 @@ def test_hypertoric_with_dependent_and_zero_vectors():
     mf = hypertoric_multifan(2, [(1, 0), (2, 0), (0, 0)])
     assert mf.node_ids == ("{1}", "{2}", "{}")
     assert mf.maximal_ids == ("{1}", "{2}")
+
+
+def rational_rank(vectors):
+    """Rank over Q by Fraction elimination, sharing nothing with fanpoly."""
+    rows = [[Fraction(x) for x in v] for v in vectors]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(rank + 1, len(rows)):
+            q = rows[r][col] / rows[rank][col]
+            rows[r] = [a - q * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def rank_rule_nodes(vectors):
+    """{node id: ids of the subsets below it} for every subset of full rank."""
+    name = lambda sub: "{" + ",".join(str(i + 1) for i in sub) + "}"
+    independent = [
+        sub
+        for size in range(len(vectors) + 1)
+        for sub in combinations(range(len(vectors)), size)
+        if rational_rank([vectors[i] for i in sub]) == size
+    ]
+    return {
+        name(sub): {name(low) for low in independent if set(low) <= set(sub)}
+        for sub in independent
+    }
+
+
+def seeded_configuration(rng):
+    """Up to 6 vectors in Z^1..Z^4, with zero, repeated, opposite and scaled ones."""
+    rank = rng.randint(1, 4)
+    vectors = [tuple(rng.randint(-2, 2) for _ in range(rank)) for _ in range(rng.randint(0, 4))]
+    for _ in range(rng.randint(0, 2)):
+        v = rng.choice(vectors) if vectors else (0,) * rank
+        extra = rng.choice([(0,) * rank, v, tuple(-x for x in v), tuple(2 * x for x in v)])
+        vectors.insert(rng.randint(0, len(vectors)), extra)
+    return rank, vectors
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_hypertoric_nodes_match_the_rank_rule(seed):
+    """Each extension is kept where the prefix cone's annihilator is nonzero on
+    the new vector; the nodes and the order below them are the rank rule's."""
+    rank, vectors = seeded_configuration(random.Random(seed))
+    mf = hypertoric_multifan(rank, vectors)
+    want = rank_rule_nodes(vectors)
+    assert mf.node_ids == tuple(sorted(want))
+    assert {nid: set(low) for nid, low in mf.lower.items()} == want
+    assert mf.maximal_ids == tuple(
+        sorted(nid for nid in want if not any(nid in low for m, low in want.items() if m != nid))
+    )
+
+
+def test_hypertoric_zero_repeated_and_opposite_vectors():
+    """The configuration of the command line check: 8 nodes, 3 maximal."""
+    mf = hypertoric_multifan(2, [(0, 0), (1, 0), (1, 0), (-1, 0), (0, 1)])
+    assert mf.node_ids == ("{2,5}", "{2}", "{3,5}", "{3}", "{4,5}", "{4}", "{5}", "{}")
+    assert mf.maximal_ids == ("{2,5}", "{3,5}", "{4,5}")
+    assert mf.lower["{4,5}"] == {"{4,5}", "{4}", "{5}", "{}"}
 
 
 def test_multifan_equality_and_repr():

@@ -7,9 +7,10 @@ entries, and the same class, lattice, term order and coefficient types.
 Inputs are seeded random integer matrices of every shape t x s with
 t, s in 0..4 (negative entries and zero columns included) at k = 0..5,
 mixed-degree integer and rational polynomials, and single terms of
-degree up to 24.  Restriction along a face of a subdivided P^3 reads the
-column powers kept on the cone; x^16 and x^64 there must match the frozen
-expansion and store powers only as far as the term needs.
+degree up to 24.  Restriction along a face of a subdivided P^3 is the
+substitution of the face's restriction matrix, with no powers kept on the
+cone; x^16 and x^64 there must match the frozen expansion and build powers
+only as far as the term needs.
 """
 
 import random
@@ -19,6 +20,7 @@ import pytest
 from corpus import ambient_lattice, subdivided_p3
 from reference_polynomials import reference_degree_matrix, reference_substitute
 
+from fanpoly import polynomials
 from fanpoly.cones import restriction_matrix
 from fanpoly.intlinalg import IntMatrix
 from fanpoly.polynomials import (
@@ -107,9 +109,9 @@ def test_substitute_shape_check_matches_frozen_expansion():
     assert messages[0] == messages[1]
 
 
-def test_sparse_high_degree_restriction_stores_only_the_powers_it_uses():
+def test_sparse_high_degree_restriction_stores_only_the_powers_it_uses(monkeypatch):
     """x^16 then x^64 along a 2-dimensional face, x a variable whose image
-    on the face has two terms: the powers kept on the cone grow to 64 in
+    on the face has two terms: each substitution builds powers up to d in
     that column only, and (a*y0 + b*y1)^p has p + 1 terms."""
     fan = subdivided_p3(random.Random(5), 6)
     sigma, tau, i = next(
@@ -122,14 +124,53 @@ def test_sparse_high_degree_restriction_stores_only_the_powers_it_uses():
     )
     matrix = restriction_matrix(sigma, tau)
     assert matrix.shape == (2, 3)
+    calls = []
+
+    def spy(matrix, tops):
+        tops = list(tops)
+        powers = column_powers(matrix, tops)
+        calls.append((tops, powers))
+        return powers
+
+    column_powers = polynomials._column_powers
+    monkeypatch.setattr(polynomials, "_column_powers", spy)
     for d in (16, 64):
         exp = tuple(d if j == i else 0 for j in range(3))
         f = LocalPolynomial(sigma.quotient, {exp: 3})
+        calls.clear()
         got = restrict_to_face(f, sigma, tau)
         assert same_polynomial(got, reference_substitute(f, matrix, tau.quotient))
         assert len(got.terms) == d + 1
-    stored = sigma._powers[tau.key]
-    assert [len(column) for column in stored] == [65 if j == i else 1 for j in range(3)]
-    assert [sum(map(len, column)) for column in stored] == [
-        65 * 66 // 2 if j == i else 1 for j in range(3)
-    ]
+        assert [tops for tops, _ in calls] == [[d if j == i else 0 for j in range(3)]]
+        powers = calls[0][1]
+        assert [len(column) for column in powers] == [d + 1 if j == i else 1 for j in range(3)]
+        assert [sum(map(len, column)) for column in powers] == [
+            (d + 1) * (d + 2) // 2 if j == i else 1 for j in range(3)
+        ]
+
+
+def test_restriction_is_one_substitution_and_keeps_no_powers(monkeypatch):
+    """``restrict_to_face`` answers through one ``substitute`` call each time,
+    and the cone keeps its restriction matrices but no column powers."""
+    fan = subdivided_p3(random.Random(5), 6)
+    sigma = fan.maximal_cones[0]
+    faces = [tau for tau, _ in fan.face_index.values() if tau.is_face_of(sigma)]
+    count = [0]
+    substitute = LocalPolynomial.substitute
+
+    def counted(self, matrix, target):
+        count[0] += 1
+        return substitute(self, matrix, target)
+
+    monkeypatch.setattr(LocalPolynomial, "substitute", counted)
+    rng = random.Random(6)
+    for n, tau in enumerate(faces * 2, 1):
+        f = random_polynomial(rng, LocalPolynomial, sigma.dim)
+        f = LocalPolynomial(sigma.quotient, f.terms)
+        got = restrict_to_face(f, sigma, tau)
+        assert count[0] == n
+        assert same_polynomial(
+            got, reference_substitute(f, restriction_matrix(sigma, tau), tau.quotient)
+        )
+    assert set(sigma._restrictions) == {tau.key for tau in faces}
+    assert not hasattr(sigma, "_powers")
