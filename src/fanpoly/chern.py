@@ -102,12 +102,13 @@ def bundle_sum(a: BundleData, b: BundleData) -> BundleData:
 def chern_class(bundle: BundleData, i: int) -> PPElement:
     """The i-th characteristic class as a piecewise polynomial.  A
     BundleData is checked when it is built, and restriction is a ring map,
-    so its compatible multisets give parts that agree unchecked."""
+    so its compatible multisets give parts that agree, wrapped unchecked."""
+    if not isinstance(i, int) or isinstance(i, bool):
+        raise TypeError("class index must be an integer")
     if not 0 <= i <= bundle.rank:
         raise IndexOutOfRange(f"class index {i} out of range 0..{bundle.rank}")
     parts = {}
-    for cone in bundle.fan.maximal_cones:
-        cid = cone.id_str
+    for cid, cone in sorted(bundle.fan.parts):
         if i == 0:
             parts[cid] = LocalPolynomial.constant(cone.quotient, 1)
             continue
@@ -116,7 +117,7 @@ def chern_class(bundle: BundleData, i: int) -> PPElement:
             for u in bundle.characters[cid]
         ]
         parts[cid] = elementary_symmetric(classes, i)
-    return PPElement(bundle.fan, parts)
+    return PPElement._trusted(bundle.fan, parts)
 
 
 def total_chern(bundle: BundleData):

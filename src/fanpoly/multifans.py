@@ -25,26 +25,88 @@ from .cones import Cone
 from .errors import FaceBijectionFailure, FanMismatch, NotAPoset
 from .fans import Fan, spanning_gluing
 from .intlinalg import dot
-from .ppring import GradedBasis, PPElement, check_parts, piecewise_basis
+from .ppring import GradedBasis, PPElement, piecewise_basis
 
 
 class Multifan:
     """A finite poset of nodes, each labeled with a cone.
 
-    Build through :func:`multifan_validate`, which checks the poset and the
-    face-bijection condition at every node.  ``parts`` is ``(node id, cone)``
-    per maximal node, in node order; ``incidences`` and ``gluing``, one
-    spanning forest of incidences per shared lower node
-    (:func:`fanpoly.fans.spanning_gluing`), are built on first read and kept.
+    ``Multifan(ambient_rank, cones, covers)`` checks its input: ``cones``
+    maps node ids to Cone instances of the given ambient rank; ``covers``
+    lists pairs ``(lower_id, upper_id)``.  The partial order is the
+    transitive closure.  Cycles and unknown ids raise NotAPoset; a node
+    whose lower set does not match the faces of its cone raises
+    FaceBijectionFailure.  ``parts`` is ``(node id, cone)`` per maximal
+    node, in node order; ``incidences`` and ``gluing``, one spanning forest
+    of incidences per shared lower node (:func:`fanpoly.fans.spanning_gluing`),
+    are built on first read and kept.
     """
 
-    def __init__(self, ambient_rank, node_ids, cones, lower, maximal_ids):
+    def __init__(self, ambient_rank, cones, covers):
+        cones = dict(cones)
+        for nid, cone in cones.items():
+            if not isinstance(cone, Cone):
+                raise TypeError(f"node {nid!r} is not labeled with a Cone")
+            if cone.ambient_rank != ambient_rank:
+                raise FanMismatch(
+                    f"node {nid!r} has ambient rank {cone.ambient_rank}, expected {ambient_rank}"
+                )
+        children: dict = {nid: set() for nid in cones}
+        parents: dict = {nid: set() for nid in cones}
+        for low, high in covers:
+            if low not in cones or high not in cones:
+                raise NotAPoset(f"cover ({low!r}, {high!r}) names an unknown node")
+            if low == high:
+                raise NotAPoset(f"node {low!r} covers itself")
+            children[high].add(low)
+            parents[low].add(high)
+
+        # transitive closure by walking nodes bottom-up; a cycle leaves nodes
+        # that can never be finished
+        lower: dict = {}
+        pending = {nid: len(children[nid]) for nid in cones}
+        ready = [nid for nid, n in pending.items() if n == 0]
+        while ready:
+            nid = ready.pop()
+            down = {nid}
+            for c in children[nid]:
+                down |= lower[c]
+            lower[nid] = frozenset(down)
+            for p in parents[nid]:
+                pending[p] -= 1
+                if pending[p] == 0:
+                    ready.append(p)
+        if len(lower) != len(cones):
+            stuck = sorted(set(cones) - set(lower))
+            raise NotAPoset(f"covering relation has a cycle through {stuck}")
+
+        for nid, cone in cones.items():
+            below = lower[nid]
+            face_keys = cone.face_keys()
+            seen = {}
+            for b in below:
+                k = cones[b].key
+                if k not in face_keys:
+                    raise FaceBijectionFailure(
+                        nid, f"node {b!r} below it is not labeled with a face of its cone"
+                    )
+                if k in seen:
+                    raise FaceBijectionFailure(
+                        nid, f"nodes {seen[k]!r} and {b!r} below it carry the same face"
+                    )
+                seen[k] = b
+            if len(below) != len(face_keys):
+                raise FaceBijectionFailure(
+                    nid,
+                    f"{len(below)} nodes below it, but its cone has {len(face_keys)} faces",
+                )
+
         self.ambient_rank = ambient_rank
-        self.node_ids = node_ids
+        self.node_ids = tuple(sorted(cones))
         self.cones = cones
         self.lower = lower
-        self.maximal_ids = maximal_ids
-        self.parts = tuple((nid, cones[nid]) for nid in maximal_ids)
+        self.maximal_ids = tuple(sorted(nid for nid in cones if not parents[nid]))
+        self.parts = tuple((nid, cones[nid]) for nid in self.maximal_ids)
 
     def cone_of(self, node_id: str) -> Cone:
         return self.cones[node_id]
@@ -101,75 +163,9 @@ class Multifan:
 
 
 def multifan_validate(ambient_rank: int, cones, covers) -> Multifan:
-    """Build a multifan from labeled nodes and covering relations.
-
-    ``cones`` maps node ids to Cone instances of the given ambient rank;
-    ``covers`` lists pairs ``(lower_id, upper_id)``.  The partial order is
-    the transitive closure.  Cycles and unknown ids raise NotAPoset; a
-    node whose lower set does not match the faces of its cone raises
-    FaceBijectionFailure.
-    """
-    cones = dict(cones)
-    for nid, cone in cones.items():
-        if not isinstance(cone, Cone):
-            raise TypeError(f"node {nid!r} is not labeled with a Cone")
-        if cone.ambient_rank != ambient_rank:
-            raise FanMismatch(
-                f"node {nid!r} has ambient rank {cone.ambient_rank}, expected {ambient_rank}"
-            )
-    children: dict = {nid: set() for nid in cones}
-    parents: dict = {nid: set() for nid in cones}
-    for low, high in covers:
-        if low not in cones or high not in cones:
-            raise NotAPoset(f"cover ({low!r}, {high!r}) names an unknown node")
-        if low == high:
-            raise NotAPoset(f"node {low!r} covers itself")
-        children[high].add(low)
-        parents[low].add(high)
-
-    # transitive closure by walking nodes bottom-up; a cycle leaves nodes
-    # that can never be finished
-    lower: dict = {}
-    pending = {nid: len(children[nid]) for nid in cones}
-    ready = [nid for nid, n in pending.items() if n == 0]
-    while ready:
-        nid = ready.pop()
-        down = {nid}
-        for c in children[nid]:
-            down |= lower[c]
-        lower[nid] = frozenset(down)
-        for p in parents[nid]:
-            pending[p] -= 1
-            if pending[p] == 0:
-                ready.append(p)
-    if len(lower) != len(cones):
-        stuck = sorted(set(cones) - set(lower))
-        raise NotAPoset(f"covering relation has a cycle through {stuck}")
-
-    for nid, cone in cones.items():
-        below = lower[nid]
-        face_keys = cone.face_keys()
-        seen = {}
-        for b in below:
-            k = cones[b].key
-            if k not in face_keys:
-                raise FaceBijectionFailure(
-                    nid, f"node {b!r} below it is not labeled with a face of its cone"
-                )
-            if k in seen:
-                raise FaceBijectionFailure(
-                    nid, f"nodes {seen[k]!r} and {b!r} below it carry the same face"
-                )
-            seen[k] = b
-        if len(below) != len(face_keys):
-            raise FaceBijectionFailure(
-                nid,
-                f"{len(below)} nodes below it, but its cone has {len(face_keys)} faces",
-            )
-
-    node_ids = tuple(sorted(cones))
-    maximal = tuple(sorted(nid for nid in cones if not parents[nid]))
-    return Multifan(ambient_rank, node_ids, cones, lower, maximal)
+    """Build a multifan from labeled nodes and covering relations:
+    ``Multifan(ambient_rank, cones, covers)``, which says what raises."""
+    return Multifan(ambient_rank, cones, covers)
 
 
 def multifan_from_fan(fan: Fan) -> Multifan:
@@ -222,7 +218,6 @@ def hypertoric_multifan(ambient_rank: int, vectors) -> Multifan:
 
 def mpp_validate(mf: Multifan, parts) -> PPElement:
     """Check a family over the maximal nodes on all shared lower nodes."""
-    check_parts(mf, parts)
     return PPElement(mf, parts)
 
 

@@ -25,6 +25,12 @@ walls.  Every family that agrees along the gluing agrees on every
 incidence, so the basis is assembled over the gluing alone and the checker
 tests it first.
 
+An element is checked where it is built: ``PPElement(container, parts)``
+runs the checker.  What the library builds from checked data (ring
+operations, basis elements, pullbacks, descended elements, Chern classes,
+ray dual functions) is compatible by construction and is wrapped through
+``PPElement._trusted`` unchecked, with its parts in sorted id order.
+
 A subdivision assigns each of its maximal cones to a maximal cone of the
 same dimension, which has the same span and so the same quotient lattice:
 a pullback restricts nothing, it copies each part onto the cones inside it.
@@ -51,13 +57,38 @@ from .polynomials import (
 class PPElement:
     """A piecewise polynomial: one local polynomial per maximal cone.
 
-    ``parts`` is keyed by the part ids of the container: cone id strings
-    of a Fan, or node ids of a Multifan.
+    ``PPElement(container, parts)`` checks ``parts`` against the container,
+    a Fan or a Multifan: ``parts`` maps each of its part ids (cone id
+    strings of a Fan, node ids of a Multifan) to a LocalPolynomial over
+    that part's quotient lattice.  Missing or extra keys, wrong types or
+    lattices, and the first incidence whose two restrictions differ raise.
+    Parts are kept in sorted id order.
     """
 
     __slots__ = ("fan", "parts")
 
     def __init__(self, fan, parts):
+        want = dict(fan.parts)
+        got = set(parts)
+        if got != set(want):
+            missing = sorted(set(want) - got)
+            extra = sorted(got - set(want))
+            raise FanMismatch(
+                f"part keys do not match maximal cones (missing {missing}, extra {extra})"
+            )
+        for pid, poly in parts.items():
+            if not isinstance(poly, LocalPolynomial):
+                raise TypeError(f"part {pid} is not a LocalPolynomial")
+            if poly.lattice != want[pid].quotient:
+                raise LatticeMismatch(f"part {pid} is not in the cone's quotient coordinates")
+
+        def restricted(pid, tau):
+            return restrict_to_face(parts[pid], want[pid], tau)
+
+        bad = first_disagreement(fan, restricted)
+        if bad:
+            a, b, face, tau = bad
+            raise Incompatible(a, b, face, f"{restricted(a, tau)!r} != {restricted(b, tau)!r}")
         self.fan = fan
         self.parts = dict(sorted(parts.items()))
 
@@ -86,35 +117,6 @@ class PPElement:
         return f"PPElement({inner})"
 
 
-def check_parts(container, parts):
-    """Raise unless ``parts`` is a compatible family over the container.
-
-    ``container`` is a Fan or a Multifan; ``parts`` maps each of its part
-    ids to a LocalPolynomial over that part's quotient lattice.  Missing or
-    extra keys, wrong types or lattices, and the first incidence whose two
-    restrictions differ raise.
-    """
-    want = dict(container.parts)
-    got = set(parts)
-    if got != set(want):
-        missing = sorted(set(want) - got)
-        extra = sorted(got - set(want))
-        raise FanMismatch(f"part keys do not match maximal cones (missing {missing}, extra {extra})")
-    for pid, poly in parts.items():
-        if not isinstance(poly, LocalPolynomial):
-            raise TypeError(f"part {pid} is not a LocalPolynomial")
-        if poly.lattice != want[pid].quotient:
-            raise LatticeMismatch(f"part {pid} is not in the cone's quotient coordinates")
-
-    def restricted(pid, tau):
-        return restrict_to_face(parts[pid], want[pid], tau)
-
-    bad = first_disagreement(container, restricted)
-    if bad:
-        a, b, face, tau = bad
-        raise Incompatible(a, b, face, f"{restricted(a, tau)!r} != {restricted(b, tau)!r}")
-
-
 def first_disagreement(container, restrict):
     """The first incidence ``(a, b, face id, face)`` of a fan or multifan
     with ``restrict(a, face) != restrict(b, face)``, or None.
@@ -135,41 +137,35 @@ def pp_validate(fan: Fan, parts) -> PPElement:
     """Check compatibility on all shared faces and wrap into a PPElement.
 
     ``parts`` maps each maximal cone id to a LocalPolynomial over that
-    cone's quotient lattice; see :func:`check_parts` for what raises.
+    cone's quotient lattice: ``PPElement(fan, parts)``, which says what raises.
     """
-    check_parts(fan, parts)
     return PPElement(fan, parts)
 
 
 def pp_constant(fan, c: int) -> PPElement:
-    parts = {
-        cone.id_str: LocalPolynomial.constant(cone.quotient, c)
-        for cone in fan.maximal_cones
-    }
-    return PPElement(fan, parts)
+    parts = {pid: LocalPolynomial.constant(cone.quotient, c) for pid, cone in sorted(fan.parts)}
+    return PPElement._trusted(fan, parts)
 
 
 def _check_same_fan(a: PPElement, b: PPElement):
     if a.fan != b.fan:
         raise FanMismatch("elements live on different fans")
-    if set(a.parts) != set(b.parts):
-        raise FanMismatch("elements carry different part keys")
 
 
 def pp_add(a: PPElement, b: PPElement) -> PPElement:
     _check_same_fan(a, b)
-    return PPElement(a.fan, {k: a.parts[k] + b.parts[k] for k in a.parts})
+    return PPElement._trusted(a.fan, {k: a.parts[k] + b.parts[k] for k in a.parts})
 
 
 def pp_mul(a: PPElement, b: PPElement) -> PPElement:
     _check_same_fan(a, b)
-    return PPElement(a.fan, {k: a.parts[k] * b.parts[k] for k in a.parts})
+    return PPElement._trusted(a.fan, {k: a.parts[k] * b.parts[k] for k in a.parts})
 
 
 def pp_scale(c: int, a: PPElement) -> PPElement:
-    if not isinstance(c, int):
+    if not isinstance(c, int) or isinstance(c, bool):
         raise TypeError("piecewise polynomials form a ring over the integers")
-    return PPElement(a.fan, {k: p.scale(c) for k, p in a.parts.items()})
+    return PPElement._trusted(a.fan, {k: p.scale(c) for k, p in a.parts.items()})
 
 
 @dataclass(frozen=True)
@@ -303,13 +299,7 @@ def pp_pullback(m: SubdivisionMap, a: PPElement) -> PPElement:
     """
     if a.fan != m.target:
         raise FanMismatch("element does not live on the subdivision's target fan")
-    parts = {}
-    for sid, src in m.source.parts:
-        f = a.parts[m.assignment[sid]]
-        if f.lattice != src.quotient:
-            raise LatticeMismatch("polynomial does not live on the given cone")
-        parts[sid] = f
-    return PPElement(m.source, parts)
+    return PPElement._trusted(m.source, {sid: a.parts[t] for sid, t in m.assignment.items()})
 
 
 @dataclass(frozen=True)
@@ -328,8 +318,9 @@ def pp_is_pullback(m: SubdivisionMap, a: PPElement):
     naming the maximal target cone and the condition that failed: the
     assigned subcones must all carry the same polynomial, and that
     polynomial must have integer coefficients in the target cone's
-    coordinates.  ``a`` must be a checked element.  The result is not
-    re-checked: target cones sharing a face tau have tiles that meet in a
+    coordinates.  ``a``, like every element, is a checked element, so each
+    tile's part lives on its target cone's quotient lattice.  The result is
+    not re-checked: target cones sharing a face tau have tiles that meet in a
     source face with tau's span, hence tau's quotient lattice, where ``a`` agrees.
     """
     if a.fan != m.source:
@@ -339,7 +330,6 @@ def pp_is_pullback(m: SubdivisionMap, a: PPElement):
         sigma_id = sigma.id_str
         assigned = m.tiles[sigma_id]  # subdivision validation guarantees coverage
         candidate = a.parts[assigned[0]]
-        assert candidate.lattice == sigma.quotient, "subcones share the target cone's span"
         for other in assigned[1:]:
             if a.parts[other] != candidate:
                 return None, PullbackReport(
@@ -357,4 +347,4 @@ def pp_is_pullback(m: SubdivisionMap, a: PPElement):
                 detail=f"non-integer coefficients {bad!r}",
             )
         parts[sigma_id] = witness
-    return PPElement(m.target, parts), None
+    return PPElement._trusted(m.target, dict(sorted(parts.items()))), None

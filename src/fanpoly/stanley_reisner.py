@@ -88,7 +88,7 @@ def courant_function(fan: Fan, ray) -> CourantFunction:
     nonzero at it, and u / (u . ray) is the form that is 1 there and 0 at
     the cone's other generators; elsewhere the function vanishes.  Each form
     vanishes at every generator but the ray, so two cones' forms agree on the
-    generators of a shared face, which span it: nothing is re-checked.
+    generators of a shared face, which span it: the element is wrapped unchecked.
     """
     rays = _simplicial_rays(fan)
     ray = tuple(ray)
@@ -99,22 +99,22 @@ def courant_function(fan: Fan, ray) -> CourantFunction:
         raise RayNotFound(f"{r!r} is not a ray of the fan")
     parts = {}
     bad = []
-    for cone in fan.maximal_cones:
+    for cid, cone in sorted(fan.parts):
         lattice = cone.quotient
         if r not in cone.generators:
-            parts[cone.id_str] = LocalPolynomial.zero(lattice)
+            parts[cid] = LocalPolynomial.zero(lattice)
             continue
         [(u, d)] = [(u, dot(u, r)) for u in cone.facet_normals if dot(u, r) != 0]
         coeffs = [Fraction(x, d) for x in lattice.reduce(u)]
         if all(c.denominator == 1 for c in coeffs):
-            parts[cone.id_str] = LocalPolynomial.linear_form(lattice, coeffs)
+            parts[cid] = LocalPolynomial.linear_form(lattice, coeffs)
         else:
-            parts[cone.id_str] = RationalLocalPolynomial.linear_form(lattice, coeffs)
-            bad.append(cone.id_str)
+            parts[cid] = RationalLocalPolynomial.linear_form(lattice, coeffs)
+            bad.append(cid)
     return CourantFunction(
         ray=r,
-        element=PPElement(fan, parts),
-        nonintegral_cones=tuple(sorted(bad)),
+        element=PPElement._trusted(fan, parts),
+        nonintegral_cones=tuple(bad),
     )
 
 

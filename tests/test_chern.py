@@ -98,6 +98,14 @@ def test_chern_index_range():
         chern_class(bundle, -1)
 
 
+@pytest.mark.parametrize("i", [True, False, 0.0, 1.0])
+def test_chern_index_rejects_a_bool_or_a_float(i):
+    f = p1()
+    bundle = bundle_validate(f, {c.id_str: [(0,)] for c in f.maximal_cones})
+    with pytest.raises(TypeError, match="class index must be an integer"):
+        chern_class(bundle, i)
+
+
 def test_first_class_of_line_bundle_is_the_function():
     rng = random.Random(20260822)
     for fan in [p2(), diamond()]:

@@ -14,6 +14,7 @@ from corpus import (
     hypertoric_3lines,
     hypertoric_3lines_vectors,
     p2,
+    p3_starred3,
     projective_space,
 )
 
@@ -341,3 +342,38 @@ def test_multifan_equality_and_repr():
     assert doubled_cone() != hypertoric_3lines()
     assert "nodes=5" in repr(doubled_cone())
     assert isinstance(doubled_cone(), Multifan)
+
+
+LINE = {"a": Cone(1, []), "b": Cone(1, [(1,)]), "c": Cone(1, [(-1,)])}
+
+
+def test_constructor_rejects_a_cycle_and_a_missing_face():
+    with pytest.raises(NotAPoset):
+        Multifan(1, LINE, [("a", "b"), ("b", "a"), ("a", "c")])
+    with pytest.raises(FaceBijectionFailure) as exc:
+        Multifan(1, LINE, [("a", "b")])
+    assert exc.value.node == "c"
+    mf = Multifan(1, LINE, [("a", "b"), ("a", "c")])
+    assert mf.maximal_ids == ("b", "c")
+
+
+def test_constructor_rejects_lower_sets_of_one_node():
+    mf = hypertoric_3lines()
+    with pytest.raises(FaceBijectionFailure):
+        Multifan(mf.ambient_rank, mf.cones, [])
+
+
+@pytest.mark.parametrize(
+    "build",
+    [doubled_cone, hypertoric_3lines, lambda: multifan_from_fan(p3_starred3())],
+    ids=["doubled_cone", "hypertoric_3lines", "p3_starred3"],
+)
+def test_constructor_is_the_validator(build):
+    mf = build()
+    order = [(low, high) for high, below in mf.lower.items() for low in below if low != high]
+    built = Multifan(mf.ambient_rank, mf.cones, order)
+    assert built == multifan_validate(mf.ambient_rank, mf.cones, order) == mf
+    assert built.node_ids == mf.node_ids
+    assert built.maximal_ids == mf.maximal_ids
+    assert built.parts == mf.parts
+    assert built.lower == mf.lower

@@ -15,6 +15,7 @@ from corpus import (
     character_class,
     cube,
     diamond,
+    hypertoric_3lines,
     p1,
     p1xp1,
     p2,
@@ -432,5 +433,53 @@ def test_graded_basis_rejects_incompatible_vector():
             parts[c.id_str] = character_class(c.quotient, (1, 0))
         else:
             parts[c.id_str] = LocalPolynomial.zero(c.quotient)
-    jagged = PPElement(f, parts)
+    with pytest.raises(Incompatible):
+        PPElement(f, parts)
+    jagged = PPElement._trusted(f, dict(sorted(parts.items())))
     assert not gb.contains(jagged)
+
+
+def star_tiles_element():
+    """On p2 star-subdivided at its first maximal cone, (i, 0) on every
+    tile of the i-th target cone: the tiles disagree across target walls."""
+    _, m = star_subdivision(p2(), p2().maximal_cones[0])
+    index = {c.id_str: i for i, c in enumerate(m.target.maximal_cones)}
+    parts = {
+        src.id_str: character_class(src.quotient, (index[m.assignment[src.id_str]], 0))
+        for src in m.source.maximal_cones
+    }
+    return m.source, parts
+
+
+def test_constructor_rejects_an_incompatible_element_on_a_star_subdivision():
+    fine, parts = star_tiles_element()
+    with pytest.raises(Incompatible) as built:
+        PPElement(fine, parts)
+    with pytest.raises(Incompatible) as validated:
+        pp_validate(fine, parts)
+    assert str(built.value) == str(validated.value)
+
+
+@pytest.mark.parametrize("build", [p2, hypertoric_3lines], ids=["p2", "hypertoric_3lines"])
+def test_constructor_checks_keys_types_and_lattices(build):
+    container = build()
+    zeros = {pid: LocalPolynomial.zero(cone.quotient) for pid, cone in container.parts}
+    assert PPElement(container, zeros) == pp_constant(container, 0)
+    first, rest = next(iter(zeros)), dict(list(zeros.items())[1:])
+    with pytest.raises(FanMismatch, match="missing"):
+        PPElement(container, rest)
+    with pytest.raises(FanMismatch, match="extra"):
+        PPElement(container, {**zeros, "ghost": zeros[first]})
+    with pytest.raises(TypeError):
+        PPElement(container, {**zeros, first: 0})
+    wrong = LocalPolynomial.zero(Cone(container.ambient_rank, []).quotient)
+    assert wrong.lattice != dict(container.parts)[first].quotient
+    with pytest.raises(LatticeMismatch):
+        PPElement(container, {**zeros, first: wrong})
+
+
+def test_scale_rejects_a_bool():
+    a = pp_basis(p2(), 1).elements[0]
+    with pytest.raises(TypeError):
+        pp_scale(True, a)
+    assert pp_scale(1, a) == a

@@ -7,6 +7,7 @@ on the source faces that carry each target face's span, and a ray dual
 form vanishes at every generator but the ray.  Here the check runs anyway,
 on the corpus fans and bundles, the seeded random refinements and every
 ray of each simplicial fan, and must hand back the element unchanged.
+Conversely, with the check made to raise, every builder still succeeds.
 """
 
 import json
@@ -28,10 +29,20 @@ from corpus import (
 )
 from test_random_fans import BASES, CASES
 
-from fanpoly.chern import bundle_sum, bundle_validate, chern_class
+import fanpoly.ppring
+from fanpoly.chern import bundle_sum, bundle_validate, chern_class, total_chern
 from fanpoly.fans import star_subdivision
 from fanpoly.polynomials import monomials_of_degree
-from fanpoly.ppring import pp_add, pp_basis, pp_is_pullback, pp_pullback, pp_validate
+from fanpoly.ppring import (
+    pp_add,
+    pp_basis,
+    pp_constant,
+    pp_is_pullback,
+    pp_mul,
+    pp_pullback,
+    pp_scale,
+    pp_validate,
+)
 from fanpoly.stanley_reisner import SimplicialFanSR, courant_function
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -135,3 +146,26 @@ def test_random_refinements(base, seed, weighted):
     if is_simplicial(fan):
         assert_courant_checked(fan)
     assert_pullback_checked(sub, 2)
+
+
+def test_builders_do_not_run_the_check(monkeypatch):
+    doc = json.loads((FIXTURES / "p2_divisor.bundle.json").read_text())
+    bundle = bundle_validate(p2(), doc["characters"])
+    base, fine, sub = p2_blowup()
+    a, b = pp_basis(base, 1).elements[:2]
+
+    def refuse(*args):
+        raise AssertionError("a built element was checked again")
+
+    monkeypatch.setattr(fanpoly.ppring, "first_disagreement", refuse)
+    pp_add(a, b)
+    pp_mul(a, b)
+    pp_scale(3, a)
+    pp_constant(base, 2)
+    back, report = pp_is_pullback(sub, pp_pullback(sub, pp_mul(a, b)))
+    assert report is None and back == pp_mul(a, b)
+    assert len(total_chern(bundle)) == 2
+    courant_function(fine, (1, 1))
+    assert pp_basis(fine, 2).rank > 0
+    with pytest.raises(AssertionError, match="checked again"):
+        pp_validate(base, dict(a.parts))
