@@ -54,7 +54,6 @@ from .gkm import GKMGraph, beta_system, gkm_compare, gkm_graph, gkm_kernel_basis
 from .chern import BundleData, bundle_sum, bundle_validate, chern_class, total_chern
 from .stanley_reisner import (
     CourantFunction,
-    SimplicialFanSR,
     courant_function,
     courant_span_rank,
     sr_hilbert,
@@ -64,7 +63,6 @@ from .multifans import (
     Multifan,
     hypertoric_multifan,
     mpp_basis,
-    mpp_validate,
     multifan_from_fan,
     multifan_validate,
 )
@@ -103,7 +101,6 @@ __all__ = [
     "QuotientCharacterLattice",
     "RationalLocalPolynomial",
     "RayNotFound",
-    "SimplicialFanSR",
     "SubdivisionMap",
     "TargetNotInFan",
     "TorsionReport",
@@ -125,7 +122,6 @@ __all__ = [
     "kernel_lattice",
     "monomials_of_degree",
     "mpp_basis",
-    "mpp_validate",
     "multifan_from_fan",
     "multifan_validate",
     "mv_row",

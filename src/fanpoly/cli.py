@@ -52,12 +52,12 @@ class RunReport:
     document: dict = field(default_factory=dict)
 
 
-def _parse_vector(text: str, what: str, length: int | None = None):
+def _parse_vector(text: str, what: str, length: int):
     try:
         vector = tuple(int(x) for x in text.split(","))
     except ValueError:
         raise FormatError(f"{what}: expected comma separated integers, got {text!r}")
-    if length is not None and len(vector) != length:
+    if len(vector) != length:
         raise FormatError(f"{what}: {text!r} does not have length {length}")
     return vector
 

@@ -12,8 +12,9 @@ maximal nodes interact only through their common lower nodes, and by
 transitivity of restriction it is enough to impose agreement on the
 maximal ones among those.  So a multifan exposes the same ``parts``,
 ``incidences`` and ``gluing`` as a Fan, with node ids in place of cone
-ids, and its checker and graded bases are the ones of
-:mod:`fanpoly.ppring`.
+ids, and ``pp_validate`` checks its elements and :func:`mpp_basis` builds
+its graded bases as :mod:`fanpoly.ppring` does for a fan; orbit
+restriction reads a fan's faces and refuses a multifan.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .cones import Cone
 from .errors import FaceBijectionFailure, FanMismatch, NotAPoset
 from .fans import Fan, spanning_gluing
 from .intlinalg import dot
-from .ppring import GradedBasis, PPElement, piecewise_basis
+from .ppring import GradedBasis, piecewise_basis
 
 
 class Multifan:
@@ -214,11 +215,6 @@ def hypertoric_multifan(ambient_rank: int, vectors) -> Multifan:
         for drop in range(len(sub))
     ]
     return multifan_validate(ambient_rank, cones, covers)
-
-
-def mpp_validate(mf: Multifan, parts) -> PPElement:
-    """Check a family over the maximal nodes on all shared lower nodes."""
-    return PPElement(mf, parts)
 
 
 def mpp_basis(mf: Multifan, k: int) -> GradedBasis:

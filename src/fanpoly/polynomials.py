@@ -61,24 +61,19 @@ class LocalPolynomial:
             return int(c)
         raise TypeError(f"integer coefficient required, got {c!r}")
 
-    def __init__(self, lattice: QuotientCharacterLattice, terms):
-        if isinstance(terms, dict):
-            items = terms.items()
-        else:
-            items = terms
+    def __init__(self, lattice: QuotientCharacterLattice, terms: dict):
+        if not isinstance(terms, dict):
+            raise TypeError(f"terms must be a dict of exponent tuples, got {type(terms).__name__}")
         clean = {}
-        for exp, coeff in items:
-            e = tuple(exp)
+        for e, coeff in terms.items():
+            if not isinstance(e, tuple) or not all(type(x) is int and x >= 0 for x in e):
+                raise ValueError(f"bad exponent tuple {e!r}")
             if len(e) != lattice.rank:
                 raise ValueError(
                     f"exponent {e!r} has length {len(e)}, lattice rank is {lattice.rank}"
                 )
-            if any(isinstance(x, bool) or not isinstance(x, int) or x < 0 for x in e):
-                raise ValueError(f"bad exponent tuple {e!r}")
             c = self._coerce(coeff)
             if c != 0:
-                if e in clean:
-                    raise ValueError(f"duplicate exponent {e!r}")
                 clean[e] = c
         self.lattice = lattice
         self.terms = dict(sorted(clean.items(), key=_term_order, reverse=True))

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate, compress
+from typing import TYPE_CHECKING
 
 from .cones import Cone, restriction_matrix
 from .errors import ConeNotInFan, FanMismatch, Incompatible, LatticeMismatch
@@ -52,6 +53,9 @@ from .polynomials import (
     monomials_of_degree,
     restrict_to_face,
 )
+
+if TYPE_CHECKING:
+    from .multifans import Multifan
 
 
 class PPElement:
@@ -133,11 +137,11 @@ def first_disagreement(container, restrict):
     return None
 
 
-def pp_validate(fan: Fan, parts) -> PPElement:
+def pp_validate(fan: Fan | Multifan, parts) -> PPElement:
     """Check compatibility on all shared faces and wrap into a PPElement.
 
-    ``parts`` maps each maximal cone id to a LocalPolynomial over that
-    cone's quotient lattice: ``PPElement(fan, parts)``, which says what raises.
+    ``parts`` maps each part id of the Fan or Multifan to a LocalPolynomial
+    over its quotient lattice: ``PPElement(fan, parts)``, which says what raises.
     """
     return PPElement(fan, parts)
 
@@ -280,8 +284,11 @@ def pp_basis(fan: Fan, k: int) -> GradedBasis:
 
 
 def pp_restrict_orbit(a: PPElement, sigma: Cone) -> LocalPolynomial:
-    """Restrict a piecewise polynomial to a single cone of its fan."""
+    """Restrict a piecewise polynomial to a single cone of its fan; this reads
+    the fan's faces, so an element on a multifan raises FanMismatch."""
     fan = a.fan
+    if not isinstance(fan, Fan):
+        raise FanMismatch("orbit restriction reads a fan's faces; the element is not on a fan")
     entry = fan.face_index.get(sigma.key)
     if entry is None:
         raise ConeNotInFan(f"cone {sigma.id_str} is not in the fan")

@@ -1,10 +1,11 @@
 """Face-ring combinatorics and ray dual functions of simplicial fans.
 
 For a simplicial fan every cone is spanned by part of its ray set, so the
-combinatorics is a simplicial complex on the rays.  Monomials in the rays
-whose support spans a cone count the graded dimensions of the face ring;
-these match the rational graded dimensions of the piecewise polynomial
-ring, and on smooth fans the integral ones too.
+combinatorics is a simplicial complex on the rays: the maximal cones' face
+keys.  Monomials in the rays whose support spans a cone count the graded
+dimensions of the face ring (:func:`sr_hilbert`); these match the rational
+graded dimensions of the piecewise polynomial ring, and on smooth fans
+the integral ones too.
 
 Each ray also carries a canonical piecewise linear function, one per ray,
 taking value 1 at that ray's primitive generator and 0 at every other.
@@ -35,36 +36,16 @@ def _simplicial_rays(fan: Fan) -> tuple:
     return tuple(sorted({g for c in fan.maximal_cones for g in c.generators}))
 
 
-class SimplicialFanSR:
-    """The ray complex of a simplicial fan."""
-
-    __slots__ = ("fan", "rays", "ray_index", "faces")
-
-    def __init__(self, fan: Fan):
-        self.fan = fan
-        self.rays = _simplicial_rays(fan)
-        self.ray_index = {r: i for i, r in enumerate(self.rays)}
-        self.faces = frozenset(
-            frozenset(self.ray_index[g] for g in gens)
-            for c in fan.maximal_cones
-            for _, gens in c.face_keys()
-        )
-
-    def is_face(self, indices) -> bool:
-        return frozenset(indices) in self.faces
-
-    def hilbert(self, k: int) -> int:
-        """Degree-k monomials in the rays supported on a single cone: those
-        whose support is a given face of size s number C(k - 1, s - 1)."""
-        if k < 0:
-            raise ValueError("negative degree")
-        if k == 0:
-            return 1
-        return sum(comb(k - 1, len(f) - 1) for f in self.faces if f)
-
-
 def sr_hilbert(fan: Fan, k: int) -> int:
-    return SimplicialFanSR(fan).hilbert(k)
+    """Degree-k ray monomials supported on one cone of a simplicial fan: those
+    whose support is a given face with s rays (a face key) number C(k - 1, s - 1)."""
+    _simplicial_rays(fan)
+    if k < 0:
+        raise ValueError("negative degree")
+    if k == 0:
+        return 1
+    faces = frozenset().union(*(c.face_keys() for c in fan.maximal_cones))
+    return sum(comb(k - 1, len(gens) - 1) for _, gens in faces if gens)
 
 
 @dataclass(frozen=True)

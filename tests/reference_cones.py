@@ -11,24 +11,19 @@ double description and incidence closure, kept verbatim in behaviour:
 * intersection: every (e-1)-subset of the pooled inequalities inside the
   joint span, one kernel per subset.
 
-The cost is exponential, so only small inputs belong here.
+The cost is exponential, so only small inputs belong here.  The integer
+routines are the frozen ones of ``reference_intlinalg``: only ``IntMatrix``,
+``dot`` and ``primitive`` are shared with the code under test.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 
-from corpus import saturate
+from reference_intlinalg import reference_hnf_basis, reference_kernel_lattice, reference_solve_left
 
 from fanpoly.errors import NotPointed, ZeroVector
-from fanpoly.intlinalg import (
-    IntMatrix,
-    dot,
-    kernel_lattice,
-    primitive,
-    rank as lattice_rank,
-    solve_left,
-)
+from fanpoly.intlinalg import IntMatrix, dot, primitive
 
 
 class ReferenceCone:
@@ -44,22 +39,23 @@ class ReferenceCone:
         gens = sorted(set(gens))
 
         gmat = IntMatrix(gens, cols=ambient_rank)
-        span = saturate(gmat)
+        # the saturation: everything the generators' annihilator annihilates
+        span = reference_kernel_lattice(reference_kernel_lattice(gmat))
         d = span.rows
         self.ambient_rank = ambient_rank
         self.dim = d
         self.span_basis = span
-        self.span_perp = kernel_lattice(span)
+        self.span_perp = reference_kernel_lattice(span)
         if d == 0:
             self.generators = ()
             self.facet_normals = ()
             return
 
-        coords = solve_left(span, gmat)
+        coords = reference_solve_left(span, gmat)
         local_gens = [coords.row(i) for i in range(coords.rows)]
         normals = set()
         for subset in combinations(range(len(local_gens)), d - 1):
-            ker = kernel_lattice(IntMatrix([local_gens[i] for i in subset], cols=d))
+            ker = reference_kernel_lattice(IntMatrix([local_gens[i] for i in subset], cols=d))
             if ker.rows != 1:
                 continue
             w = ker.row(0)
@@ -69,15 +65,15 @@ class ReferenceCone:
             elif all(v <= 0 for v in vals):
                 normals.add(tuple(-x for x in w))
         local_normals = sorted(normals)
-        if lattice_rank(IntMatrix(local_normals, cols=d)) != d:
+        if reference_hnf_basis(IntMatrix(local_normals, cols=d)).rows != d:
             raise NotPointed(f"cone on {gens!r} contains a line")
 
         keep = []
         for g in local_gens:
             active = [w for w in local_normals if dot(w, g) == 0]
-            if lattice_rank(IntMatrix(active, cols=d)) == d - 1:
+            if reference_hnf_basis(IntMatrix(active, cols=d)).rows == d - 1:
                 keep.append(g)
-        lift = solve_left(span.transpose(), IntMatrix.identity(d))
+        lift = reference_solve_left(span.transpose(), IntMatrix.identity(d))
         self.facet_normals = tuple(
             sorted(tuple(dot(w, lift.column(j)) for j in range(lift.cols)) for w in local_normals)
         )
@@ -112,7 +108,7 @@ def reference_intersect(c1: ReferenceCone, c2: ReferenceCone):
     """The intersection cone and whether it is a face of both inputs."""
     n = c1.ambient_rank
     eqs = list(c1.span_perp.entries) + list(c2.span_perp.entries)
-    s0 = kernel_lattice(IntMatrix(eqs, cols=n))
+    s0 = reference_kernel_lattice(IntMatrix(eqs, cols=n))
     e = s0.rows
     rays = []
     if e > 0:
@@ -125,7 +121,7 @@ def reference_intersect(c1: ReferenceCone, c2: ReferenceCone):
         )
         found = set()
         for subset in combinations(ineqs, e - 1):
-            ker = kernel_lattice(IntMatrix(subset, cols=e))
+            ker = reference_kernel_lattice(IntMatrix(subset, cols=e))
             if ker.rows != 1:
                 continue
             w = ker.row(0)

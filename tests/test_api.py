@@ -38,7 +38,6 @@ EXPORTED = [
     "QuotientCharacterLattice",
     "RationalLocalPolynomial",
     "RayNotFound",
-    "SimplicialFanSR",
     "SubdivisionMap",
     "TargetNotInFan",
     "TorsionReport",
@@ -60,7 +59,6 @@ EXPORTED = [
     "kernel_lattice",
     "monomials_of_degree",
     "mpp_basis",
-    "mpp_validate",
     "multifan_from_fan",
     "multifan_validate",
     "mv_row",

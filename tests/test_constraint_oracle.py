@@ -27,7 +27,7 @@ from fanpoly.errors import Incompatible
 from fanpoly.fans import Fan
 from fanpoly.gkm import beta_system, gkm_graph
 from fanpoly.intlinalg import kernel_lattice
-from fanpoly.multifans import hypertoric_multifan, mpp_basis, mpp_validate, multifan_from_fan
+from fanpoly.multifans import hypertoric_multifan, mpp_basis, multifan_from_fan
 from fanpoly.polynomials import LocalPolynomial, restrict_to_face
 from fanpoly.ppring import constraint_matrix, pp_basis, pp_validate
 
@@ -137,7 +137,7 @@ def first_failing_multifan_pair(mf, parts):
 def test_checker_names_the_reference_pair():
     rng = random.Random(11)
     cases = [(fan, pp_validate, first_failing_fan_pair) for _, fan in FAN_CASES]
-    cases += [(build(), mpp_validate, first_failing_multifan_pair) for build in MULTIFANS.values()]
+    cases += [(build(), pp_validate, first_failing_multifan_pair) for build in MULTIFANS.values()]
     failures = 0
     for container, validate, reference in cases:
         for _ in range(5):

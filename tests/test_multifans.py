@@ -31,12 +31,11 @@ from fanpoly.multifans import (
     Multifan,
     hypertoric_multifan,
     mpp_basis,
-    mpp_validate,
     multifan_from_fan,
     multifan_validate,
 )
 from fanpoly.polynomials import LocalPolynomial
-from fanpoly.ppring import pp_basis
+from fanpoly.ppring import pp_basis, pp_restrict_orbit, pp_validate
 
 
 QUAD = Cone(2, [(1, 0), (0, 1)])
@@ -183,7 +182,7 @@ def test_doubled_cone_elements_validate():
     mf = doubled_cone()
     for k in range(4):
         for e in mpp_basis(mf, k).elements:
-            mpp_validate(mf, e.parts)
+            pp_validate(mf, e.parts)
 
 
 def test_doubled_cone_rejects_axis_mismatch():
@@ -193,7 +192,7 @@ def test_doubled_cone_rejects_axis_mismatch():
         "bot": character_class(QUAD.quotient, (0, 1)),
     }
     with pytest.raises(Incompatible) as exc:
-        mpp_validate(mf, parts)
+        pp_validate(mf, parts)
     assert set(exc.value.cones) == {"top", "bot"}
     assert exc.value.face in {"x", "y"}
 
@@ -204,11 +203,20 @@ def test_mpp_validate_key_and_lattice_checks():
         "top": character_class(QUAD.quotient, (1, 1)),
         "bot": character_class(QUAD.quotient, (1, 1)),
     }
-    mpp_validate(mf, good)
+    pp_validate(mf, good)
     with pytest.raises(FanMismatch):
-        mpp_validate(mf, {"top": good["top"]})
+        pp_validate(mf, {"top": good["top"]})
     with pytest.raises(LatticeMismatch):
-        mpp_validate(mf, {"top": good["top"], "bot": LocalPolynomial.constant(RX.quotient, 1)})
+        pp_validate(mf, {"top": good["top"], "bot": LocalPolynomial.constant(RX.quotient, 1)})
+
+
+def test_orbit_restriction_refuses_a_multifan():
+    """Orbit restriction reads a fan's faces, which a multifan does not index."""
+    mf = doubled_cone()
+    e = mpp_basis(mf, 1).elements[0]
+    for node in ("bot", "x"):
+        with pytest.raises(FanMismatch, match="^orbit restriction reads a fan's faces"):
+            pp_restrict_orbit(e, mf.cone_of(node))
 
 
 def test_hypertoric_three_lines_nodes():

@@ -5,33 +5,62 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
 import pytest
-from corpus import blp2, character_class, cube, diamond, p1, p1xp1, p2, p3_starred3
+from corpus import (
+    blp2,
+    character_class,
+    cube,
+    diamond,
+    p1,
+    p1xp1,
+    p2,
+    p3_starred3,
+    projective_space,
+    random_refinement,
+    shuffled_image,
+    subdivided_p3,
+)
+from test_random_fans import BASES, CASES
 
 from fanpoly.cones import Cone
 from fanpoly.errors import NotSimplicial, RayNotFound
 from fanpoly.fans import Fan
 from fanpoly.ppring import pp_add, pp_basis, pp_constant, pp_scale, pp_validate
 from fanpoly.stanley_reisner import (
-    SimplicialFanSR,
+    _simplicial_rays,
     courant_function,
     courant_span_rank,
     sr_hilbert,
 )
 
 
+def ray_complex(fan):
+    """The rays and the faces as sets of ray positions, read off the face keys."""
+    rays = _simplicial_rays(fan)
+    index = {r: i for i, r in enumerate(rays)}
+    faces = {
+        frozenset(index[g] for g in gens) for c in fan.maximal_cones for _, gens in c.face_keys()
+    }
+    return rays, faces
+
+
 def test_rejects_nonsimplicial():
     with pytest.raises(NotSimplicial):
-        SimplicialFanSR(cube())
+        sr_hilbert(cube(), 1)
+    # the simplicial check comes before the degree check
+    with pytest.raises(NotSimplicial):
+        sr_hilbert(cube(), -1)
+    with pytest.raises(ValueError, match="^negative degree$"):
+        sr_hilbert(p2(), -1)
 
 
 def test_ray_complex_of_projective_plane():
-    sr = SimplicialFanSR(p2())
-    assert sr.rays == ((-1, -1), (0, 1), (1, 0))
-    assert sr.is_face([])
-    assert sr.is_face([0])
-    assert sr.is_face([0, 1])
-    assert not sr.is_face([0, 1, 2])
-    assert all(sr.is_face(pair) for pair in combinations(range(3), 2))
+    rays, faces = ray_complex(p2())
+    assert rays == ((-1, -1), (0, 1), (1, 0))
+    assert frozenset() in faces
+    assert frozenset([0]) in faces
+    assert frozenset([0, 1]) in faces
+    assert frozenset([0, 1, 2]) not in faces
+    assert all(frozenset(pair) in faces for pair in combinations(range(3), 2))
 
 
 def test_hilbert_and_courant_build_no_face_cone(monkeypatch):
@@ -52,40 +81,30 @@ def test_hilbert_and_courant_build_no_face_cone(monkeypatch):
     assert built == []
 
 
-def test_courant_builds_no_ray_complex(monkeypatch):
-    """The ray duals read the simplicial check and the rays off the maximal
-    cones, so the span of all of them builds no ray complex, and a fan that
-    is not simplicial is refused with the ray complex's message."""
+def test_courant_builds_no_ray_complex():
+    """The ray duals and the face-ring count read the simplicial check and
+    the rays off the maximal cones, so a fan that is not simplicial is
+    refused with the same message by both."""
     fans = [blp2(), p3_starred3()]
-    want = [courant_span_rank(fan) for fan in fans]
+    assert [courant_span_rank(fan) for fan in fans] == [4, 7]
     with pytest.raises(NotSimplicial) as complex_error:
-        SimplicialFanSR(cube())
-    built = []
-    init = SimplicialFanSR.__init__
-
-    def counting_init(self, fan):
-        built.append(fan)
-        init(self, fan)
-
-    monkeypatch.setattr(SimplicialFanSR, "__init__", counting_init)
-    assert [courant_span_rank(fan) for fan in fans] == want == [4, 7]
+        sr_hilbert(cube(), 1)
     with pytest.raises(NotSimplicial) as courant_error:
         courant_function(cube(), (1, 1, 1))
     with pytest.raises(RayNotFound, match=r"^\(1, 1\) is not a ray of the fan$"):
         courant_function(p2(), (2, 2))
-    monkeypatch.undo()
-    assert built == []
     assert str(courant_error.value) == str(complex_error.value)
 
 
 def test_minimal_nonfaces_of_quadric_surface():
-    sr = SimplicialFanSR(p1xp1())
-    assert sr.rays == ((-1, 0), (0, -1), (0, 1), (1, 0))
+    rays, faces = ray_complex(p1xp1())
+    assert rays == ((-1, 0), (0, -1), (0, 1), (1, 0))
     # the minimal nonfaces are {0, 3} and {1, 2}: a ray set spans a cone
     # exactly when it contains neither
     for size in range(5):
         for sub in combinations(range(4), size):
-            assert sr.is_face(sub) == (not {0, 3} <= set(sub) and not {1, 2} <= set(sub))
+            want = not {0, 3} <= set(sub) and not {1, 2} <= set(sub)
+            assert (frozenset(sub) in faces) == want
 
 
 def test_hilbert_frozen_values():
@@ -96,19 +115,48 @@ def test_hilbert_frozen_values():
     assert [sr_hilbert(p1(), k) for k in range(4)] == [1, 2, 2, 2]
 
 
-def enumerated_hilbert(sr, k):
+def enumerated_hilbert(fan, k):
     """Frozen oracle: every size-k multiset of rays, kept when its support is a face."""
     if k == 0:
         return 1
+    rays, faces = ray_complex(fan)
     return sum(
-        1 for combo in combinations_with_replacement(range(len(sr.rays)), k) if sr.is_face(combo)
+        1
+        for combo in combinations_with_replacement(range(len(rays)), k)
+        if frozenset(combo) in faces
     )
 
 
-@pytest.mark.parametrize("build", [p1, p2, p1xp1, blp2, diamond, p3_starred3])
-def test_hilbert_closed_form_matches_enumeration(build):
-    sr = SimplicialFanSR(build())
-    assert [sr.hilbert(k) for k in range(7)] == [enumerated_hilbert(sr, k) for k in range(7)]
+SIMPLICIAL = {
+    "p1": p1, "p2": p2, "p1xp1": p1xp1, "blp2": blp2, "diamond": diamond,
+    "p3_starred3": p3_starred3,
+    **{f"projective_space.{n}": (lambda n=n: projective_space(n)) for n in range(1, 6)},
+    **{f"subdivided_p3.{s}": (lambda s=s: subdivided_p3(random.Random(s), 4)) for s in range(6)},
+}
+
+
+@pytest.mark.parametrize("name", list(SIMPLICIAL))
+def test_hilbert_closed_form_matches_enumeration(name):
+    fan = SIMPLICIAL[name]()
+    assert [sr_hilbert(fan, k) for k in range(7)] == [enumerated_hilbert(fan, k) for k in range(7)]
+
+
+@pytest.mark.parametrize(
+    "base,seed,weighted", CASES, ids=[f"{b}.{s}.{'w' if w else 'd'}" for b, s, w in CASES]
+)
+def test_hilbert_matches_enumeration_on_random_refinements(base, seed, weighted):
+    """The refinements of ``test_random_fans`` and their shuffled GL_n(Z)
+    images; a refinement that is not simplicial is refused."""
+    rng = random.Random(f"{base}.{seed}.{weighted}")
+    fan, _ = random_refinement(BASES[base](), rng, rng.randint(2, 4), weighted)
+    for f in (fan, shuffled_image(fan, rng)):
+        if all(len(c.generators) == c.dim for c in f.maximal_cones):
+            assert [sr_hilbert(f, k) for k in range(5)] == [
+                enumerated_hilbert(f, k) for k in range(5)
+            ]
+        else:
+            with pytest.raises(NotSimplicial):
+                sr_hilbert(f, 1)
 
 
 def test_hilbert_matches_graded_ranks():
@@ -152,7 +200,7 @@ def courant_cases():
 
 def test_courant_smooth_plane_integral_and_dual():
     for name, fan in courant_cases():
-        for r in SimplicialFanSR(fan).rays:
+        for r in _simplicial_rays(fan):
             phi = courant_function(fan, r)
             assert phi.ray == r
             nonintegral = []
@@ -201,10 +249,9 @@ def test_courant_span_has_full_rank():
 
 def test_characters_decompose_in_courant_basis():
     f = p2()
-    sr = SimplicialFanSR(f)
     for u in [(1, 0), (2, 5)]:
         total = pp_constant(f, 0)
-        for r in sr.rays:
+        for r in _simplicial_rays(f):
             weight = sum(a * b for a, b in zip(u, r))
             total = pp_add(total, pp_scale(weight, courant_function(f, r).element))
         expected = pp_validate(

@@ -172,6 +172,7 @@ def test_public_matrix_constructor_rejects_bad_rows(rows):
         {(1,): 1},
         {(1, 0, 0): 1},
         {(1.0, 0): 1},
+        {range(2): 1},
     ],
 )
 def test_public_polynomial_constructor_rejects_bad_terms(terms):
@@ -179,7 +180,13 @@ def test_public_polynomial_constructor_rejects_bad_terms(terms):
         LocalPolynomial(ambient_lattice(2), terms)
 
 
+@pytest.mark.parametrize("terms", [[((1, 0), 3)], (((1, 0), 3), ((1, 0), 4)), iter([])])
+def test_polynomial_terms_are_a_dict(terms):
+    with pytest.raises(TypeError, match="^terms must be a dict of exponent tuples, got "):
+        LocalPolynomial(ambient_lattice(2), terms)
+
+
 def test_public_constructors_keep_canonical_order():
-    p = LocalPolynomial(ambient_lattice(2), [((0, 1), 2), ((1, 0), Fraction(3)), ((0, 0), 0)])
+    p = LocalPolynomial(ambient_lattice(2), {(0, 1): 2, (1, 0): Fraction(3), (0, 0): 0})
     assert list(p.terms.items()) == [((1, 0), 3), ((0, 1), 2)]
     assert IntMatrix([[1, 0], [0, 1]]) == IntMatrix.identity(2)

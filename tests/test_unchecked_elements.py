@@ -43,7 +43,7 @@ from fanpoly.ppring import (
     pp_scale,
     pp_validate,
 )
-from fanpoly.stanley_reisner import SimplicialFanSR, courant_function
+from fanpoly.stanley_reisner import _simplicial_rays, courant_function
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -92,7 +92,7 @@ def assert_pullback_checked(sub, k):
 
 
 def assert_courant_checked(fan):
-    for r in SimplicialFanSR(fan).rays:
+    for r in _simplicial_rays(fan):
         assert_checked(courant_function(fan, r).element)
 
 
