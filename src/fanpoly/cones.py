@@ -18,11 +18,11 @@ masks are the full mask closed under meets with each facet mask.  Only the
 faces' keys are kept, closed when the cone is built.
 
 Every cone carries a quotient character lattice M_sigma = M / (sigma^perp
-cap M), built on first read: a projection matrix with kernel exactly
-sigma^perp cap M and an integral section.  Both come from one Smith
-decomposition, so equal spans give identical coordinates.  Polynomials on
-a cone are written in these quotient coordinates, and each cone stores its
-restriction matrix to each face.
+cap M), built on first read from sigma^perp alone, so equal spans give
+identical coordinates: a projection with kernel exactly sigma^perp cap M off
+its Smith transform, and a section off a Hermite transform, as the lift is.
+Polynomials on a cone are written in these quotient coordinates, and each
+cone stores its restriction matrix to each face.
 """
 
 from __future__ import annotations
@@ -31,14 +31,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import NotAFace, NotPointed, ZeroVector
-from .intlinalg import (
-    IntMatrix,
-    complement_projection,
-    dot,
-    hnf,
-    kernel_lattice,
-    primitive,
-)
+from .intlinalg import IntMatrix, dot, hnf, kernel_lattice, primitive, snf
 
 
 @dataclass(frozen=True)
@@ -58,6 +51,13 @@ class QuotientCharacterLattice:
     def reduce(self, u):
         """Image of an ambient character u in quotient coordinates."""
         return self.projection.mul_vec(u)
+
+
+def _left_inverse(basis: IntMatrix) -> tuple:
+    """Rows L with L * basis^T = I for the basis of a saturated lattice: its
+    columns generate Z^d, so hnf(basis^T) is I_d over zero rows and L is the
+    transform's top d rows."""
+    return hnf(basis.transpose())[1].entries[: basis.rows]
 
 
 def _extreme_rays(ineqs, e: int):
@@ -138,9 +138,7 @@ class Cone:
         self.span_basis = span
         self.span_perp = perp
 
-        # a saturated span's columns generate Z^d, so hnf(span^T) is I_d over
-        # zero rows and its transform's top rows L have L * span^T = I_d
-        lift = hnf(span.transpose())[1].entries[:d]
+        lift = _left_inverse(span)
         local_gens = [tuple(dot(r, g) for r in lift) for g in gens]
 
         # the dual cone inside the span is pointed because the generators span it;
@@ -217,9 +215,13 @@ class Cone:
 
     @cached_property
     def quotient(self) -> QuotientCharacterLattice:
-        perp = self.span_perp
-        q, s = complement_projection(perp)
-        return QuotientCharacterLattice(perp, self.ambient_rank - perp.rows, q, s)
+        """Q, the last d columns of snf(span_perp).V transposed, has kernel exactly
+        span_perp; S is the transpose of Q's left inverse.  Sections differ by
+        span_perp, which every face's Q and every point of the span annihilate."""
+        perp, n = self.span_perp, self.ambient_rank
+        q = IntMatrix._of(snf(perp).V.transpose().entries[perp.rows :], n)
+        s = IntMatrix._of(_left_inverse(q), n).transpose()
+        return QuotientCharacterLattice(perp, q.rows, q, s)
 
     def __eq__(self, other):
         if not isinstance(other, Cone):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from .errors import NotComplete
 from .fans import Fan, facet_owners, is_complete
 from .intlinalg import IntMatrix, kernel_lattice
-from .ppring import constraint_matrix, pp_basis
+from .ppring import check_degree, constraint_matrix, pp_basis
 
 
 @dataclass(frozen=True)
@@ -54,8 +54,7 @@ def beta_system(graph: GKMGraph, k: int) -> IntMatrix:
     monomial coefficients each; each edge contributes one block of rows,
     the restriction matrix of the first endpoint minus the second's.
     """
-    if k < 0:
-        raise ValueError("negative degree")
+    check_degree(k)
     parts = graph.fan.parts
     walls = [(parts[i][0], parts[j][0], tau.id_str, tau) for tau, i, j in graph.edges]
     return constraint_matrix(parts, walls, k)[1]

@@ -420,36 +420,6 @@ def solve_left(a: IntMatrix, b: IntMatrix):
     return IntMatrix(xs, cols=a.rows)
 
 
-def unimodular_inverse(v: IntMatrix) -> IntMatrix:
-    """Inverse of a unimodular matrix, via ``U * V = HNF(V) = I``."""
-    h, u = hnf(v)
-    if h != IntMatrix.identity(v.rows):
-        raise ValueError("matrix is not unimodular")
-    return u
-
-
-def complement_projection(k: IntMatrix):
-    """Split ``Z^n -> Z^n / L`` for a saturated row lattice ``L``.
-
-    Returns ``(Q, S)`` where ``Q`` (``d x n``, ``d = n - rank L``) is a
-    surjection with kernel exactly ``L`` and ``S`` (``n x d``) is a section,
-    ``Q * S = I``.  Both come from one Smith decomposition of the basis, so
-    equal lattices always produce the same pair.  ``Q * S`` is the transposed
-    trailing block of ``V^-1 * V``, which ``unimodular_inverse`` checks is I.
-    """
-    n = k.cols
-    r = k.rows
-    res = snf(k)
-    if any(d != 1 for d in res.nonzero_divisors()) or len(res.nonzero_divisors()) != r:
-        raise ValueError("basis does not span a saturated lattice of full row rank")
-    d = n - r
-    v = res.V
-    vinv = unimodular_inverse(v)
-    q = IntMatrix([[v[i, r + j] for i in range(n)] for j in range(d)], cols=n)
-    s = IntMatrix([[vinv[r + j, i] for j in range(d)] for i in range(n)], cols=d)
-    return q, s
-
-
 def primitive(v):
     """Divide an integer vector by the gcd of its entries, keeping direction."""
     g = gcd(*v)

@@ -174,13 +174,15 @@ def pp_scale(c: int, a: PPElement) -> PPElement:
 
 @dataclass(frozen=True)
 class GradedBasis:
-    """A lattice basis of one graded piece.
+    """A lattice basis of one graded piece of ``container``, a fan or multifan.
 
     ``coefficients`` holds the basis elements as rows of coefficient
     vectors; ``layout`` records, per part id, the monomials its coordinate
-    block runs over, in order.
+    block runs over, in order.  An element of another container raises
+    FanMismatch.
     """
 
+    container: Fan | Multifan
     degree: int
     elements: tuple
     rank: int
@@ -188,6 +190,8 @@ class GradedBasis:
     layout: tuple
 
     def coefficient_vector(self, elem: PPElement):
+        if elem.fan != self.container:
+            raise FanMismatch("element does not live on the basis's fan")
         out = []
         for part_id, monos in self.layout:
             poly = elem.parts[part_id]
@@ -196,6 +200,14 @@ class GradedBasis:
 
     def contains(self, elem: PPElement) -> bool:
         return in_row_lattice(self.coefficients, self.coefficient_vector(elem))
+
+
+def check_degree(k: int):
+    """Refuse a bool or negative degree, as every graded count does."""
+    if isinstance(k, bool):
+        raise TypeError("degree must be an integer, not a bool")
+    if k < 0:
+        raise ValueError("negative degree")
 
 
 def constraint_matrix(parts, incidences, k: int):
@@ -244,10 +256,7 @@ def piecewise_basis(container, k: int) -> GradedBasis:
     slices.  A part whose slice is zero is one zero polynomial shared by
     every element of the basis; parts are never modified in place.
     """
-    if isinstance(k, bool):
-        raise TypeError("degree must be an integer, not a bool")
-    if k < 0:
-        raise ValueError("negative degree")
+    check_degree(k)
     layout, matrix = constraint_matrix(container.parts, container.gluing, k)
     kernel = kernel_lattice(matrix)
 
@@ -270,6 +279,7 @@ def piecewise_basis(container, k: int) -> GradedBasis:
         }
         elements.append(PPElement._trusted(container, parts))
     return GradedBasis(
+        container=container,
         degree=k,
         elements=tuple(elements),
         rank=kernel.rows,

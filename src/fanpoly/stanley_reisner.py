@@ -23,7 +23,7 @@ from .errors import NotSimplicial, RayNotFound
 from .fans import Fan
 from .intlinalg import IntMatrix, dot, primitive, rank
 from .polynomials import LocalPolynomial, RationalLocalPolynomial
-from .ppring import PPElement, pp_basis
+from .ppring import PPElement, check_degree, pp_basis
 
 
 def _simplicial_rays(fan: Fan) -> tuple:
@@ -40,8 +40,7 @@ def sr_hilbert(fan: Fan, k: int) -> int:
     """Degree-k ray monomials supported on one cone of a simplicial fan: those
     whose support is a given face with s rays (a face key) number C(k - 1, s - 1)."""
     _simplicial_rays(fan)
-    if k < 0:
-        raise ValueError("negative degree")
+    check_degree(k)
     if k == 0:
         return 1
     faces = frozenset().union(*(c.face_keys() for c in fan.maximal_cones))

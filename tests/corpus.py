@@ -2,8 +2,8 @@
 
 None of this is part of the library: the fan builders, their GL_n(Z)
 images, the free lattice ``ambient_lattice``, ``character_class``, an
-integer determinant, the saturation of a row lattice and lattice equality
-are written here, on top of fanpoly.
+integer determinant, random unimodular matrices, the saturation of a row
+lattice and lattice equality are written here, on top of fanpoly.
 """
 
 from __future__ import annotations
@@ -248,6 +248,23 @@ def det(a: IntMatrix) -> int:
             m[i][k] = 0
         prev = m[k][k]
     return sign * m[n - 1][n - 1]
+
+
+def random_unimodular(rng, n, steps=12):
+    """Product of random elementary row operations applied to the identity."""
+    u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    for _ in range(steps):
+        op = rng.randrange(3)
+        i = rng.randrange(n)
+        j = rng.randrange(n)
+        if op == 0 and i != j:
+            q = rng.randint(-3, 3)
+            u[i] = [a + q * b for a, b in zip(u[i], u[j])]
+        elif op == 1 and i != j:
+            u[i], u[j] = u[j], u[i]
+        else:
+            u[i] = [-a for a in u[i]]
+    return IntMatrix(u, cols=n)
 
 
 def saturate(basis: IntMatrix) -> IntMatrix:

@@ -6,9 +6,10 @@ import pytest
 from corpus import diamond, p1, p2
 
 from fanpoly.chern import BundleData, bundle_sum, bundle_validate, chern_class, total_chern
+from fanpoly.cones import _left_inverse
 from fanpoly.errors import FanMismatch, IncompatibleMultisets, IndexOutOfRange
+from fanpoly.intlinalg import IntMatrix
 from fanpoly.polynomials import monomials_of_degree
-from fanpoly.intlinalg import IntMatrix, unimodular_inverse
 from fanpoly.ppring import pp_add, pp_basis, pp_constant, pp_mul, pp_scale
 
 
@@ -170,8 +171,8 @@ def test_tangent_data_of_projective_plane():
     for cone in f.maximal_cones:
         v1, v2 = cone.generators
         cols = IntMatrix([[v1[0], v2[0]], [v1[1], v2[1]]])
-        inv = unimodular_inverse(cols)
-        data[cone.id_str] = [tuple(inv.row(0)), tuple(inv.row(1))]
+        inv = _left_inverse(cols.transpose())
+        data[cone.id_str] = [tuple(inv[0]), tuple(inv[1])]
     bundle = bundle_validate(f, data)
     assert bundle.rank == 2
     c1 = chern_class(bundle, 1)

@@ -6,14 +6,16 @@ cone every face is exposed, so this finds the whole face lattice without
 using the library's own facet machinery.
 """
 
+import random
 from functools import cached_property
 from itertools import product
 
 import pytest
-from corpus import ambient_lattice, lattices_equal
+from corpus import ambient_lattice, lattices_equal, random_unimodular, saturate
 
 from fanpoly.cones import (
     Cone,
+    _left_inverse,
     intersect,
     restriction_matrix,
 )
@@ -190,6 +192,48 @@ def test_quotient_kernel_is_perp():
     for row in q.perp_basis.entries:
         assert q.reduce(row) == (0,)
         assert dot(row, (1, 1)) == 0
+
+
+def test_left_inverse():
+    # L * B^T = I for saturated bases of every rank d = 0..n and for unimodular squares
+    rng = random.Random(77)
+    for n in range(7):
+        for d in range(n + 1):
+            raw = IntMatrix([[rng.randint(-4, 4) for _ in range(n)] for _ in range(d)], cols=n)
+            rows = random_unimodular(rng, n).entries[:d] if n else ()
+            for b in (saturate(raw), IntMatrix(rows, cols=n)):
+                left = IntMatrix(_left_inverse(b), cols=n)
+                assert left.shape == (b.rows, n)
+                assert left * b.transpose() == IntMatrix.identity(b.rows)
+    for _ in range(20):
+        n = rng.randint(1, 6)
+        w = random_unimodular(rng, n)
+        left = IntMatrix(_left_inverse(w), cols=n)
+        assert left * w.transpose() == IntMatrix.identity(n)
+        assert w.transpose() * left == IntMatrix.identity(n)
+
+
+def test_quotient_splits():
+    # Q (d x n) has kernel exactly span_perp and the section S (n x d) has Q * S = I
+    rng = random.Random(404)
+    done = 0
+    while done < 25:
+        n = rng.randint(1, 5)
+        gens = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(rng.randint(0, n))]
+        try:
+            cone = Cone(n, [g for g in gens if any(g)])
+        except NotPointed:
+            continue
+        done += 1
+        k = cone.span_perp
+        q, s = cone.quotient.projection, cone.quotient.section
+        d = n - k.rows
+        assert q.shape == (d, n)
+        assert s.shape == (n, d)
+        assert q * s == IntMatrix.identity(d)
+        for row in k.entries:
+            assert q.mul_vec(row) == (0,) * d
+        assert lattices_equal(kernel_lattice(q), k)
 
 
 def test_face_keys_at_construction_and_quotient_on_first_read():

@@ -127,5 +127,16 @@ def test_walls_are_the_faces_of_codimension_one():
 
 def test_beta_rejects_negative_degree():
     g = gkm_graph(p1())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^negative degree$"):
         beta_system(g, -1)
+
+
+@pytest.mark.parametrize("k", [True, False])
+def test_wall_conditions_reject_bool_degree(k):
+    # pp_basis refuses a bool degree, and so do the wall conditions it is compared with
+    with pytest.raises(TypeError, match="^degree must be an integer, not a bool$"):
+        beta_system(gkm_graph(p2()), k)
+    with pytest.raises(TypeError, match="^degree must be an integer, not a bool$"):
+        gkm_kernel_basis(p2(), k)
+    with pytest.raises(TypeError, match="^degree must be an integer, not a bool$"):
+        gkm_compare(p2(), k)

@@ -10,11 +10,10 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from corpus import det, lattices_equal, saturate
+from corpus import det, lattices_equal, random_unimodular, saturate
 
 from fanpoly.intlinalg import (
     IntMatrix,
-    complement_projection,
     dot,
     hnf,
     hnf_basis,
@@ -24,7 +23,6 @@ from fanpoly.intlinalg import (
     rank,
     snf,
     solve_left,
-    unimodular_inverse,
 )
 
 
@@ -67,23 +65,6 @@ def random_matrix(rng, max_dim=6, lo=-9, hi=9):
     m = rng.randint(1, max_dim)
     n = rng.randint(1, max_dim)
     return IntMatrix([[rng.randint(lo, hi) for _ in range(n)] for _ in range(m)], cols=n)
-
-
-def random_unimodular(rng, n, steps=12):
-    """Product of random elementary row operations applied to the identity."""
-    u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for _ in range(steps):
-        op = rng.randrange(3)
-        i = rng.randrange(n)
-        j = rng.randrange(n)
-        if op == 0 and i != j:
-            q = rng.randint(-3, 3)
-            u[i] = [a + q * b for a, b in zip(u[i], u[j])]
-        elif op == 1 and i != j:
-            u[i], u[j] = u[j], u[i]
-        else:
-            u[i] = [-a for a in u[i]]
-    return IntMatrix(u, cols=n)
 
 
 def test_matrix_basics():
@@ -290,37 +271,6 @@ def test_solve_left():
         x = solve_left(a, b)
         assert x is not None
         assert x * a == b
-
-
-def test_unimodular_inverse():
-    rng = random.Random(77)
-    for _ in range(20):
-        n = rng.randint(1, 5)
-        w = random_unimodular(rng, n)
-        winv = unimodular_inverse(w)
-        assert w * winv == IntMatrix.identity(n)
-        assert winv * w == IntMatrix.identity(n)
-    with pytest.raises(ValueError):
-        unimodular_inverse(IntMatrix([[2]]))
-
-
-def test_complement_projection_splits():
-    rng = random.Random(404)
-    for _ in range(25):
-        n = rng.randint(1, 5)
-        m = rng.randint(0, n)
-        raw = IntMatrix([[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)], cols=n)
-        k = saturate(raw)
-        q, s = complement_projection(k)
-        d = n - k.rows
-        assert q.shape == (d, n)
-        assert s.shape == (n, d)
-        assert q * s == IntMatrix.identity(d)
-        for row in k.entries:
-            assert q.mul_vec(row) == (0,) * d
-        assert lattices_equal(kernel_lattice(q), k)
-    with pytest.raises(ValueError):
-        complement_projection(IntMatrix([[2, 0]]))
 
 
 def test_primitive():

@@ -167,8 +167,22 @@ def test_single_cone_fan_ranks():
 
 @pytest.mark.parametrize("k", [True, False])
 def test_mpp_basis_rejects_bool_degree(k):
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match="^degree must be an integer, not a bool$"):
         mpp_basis(doubled_cone(), k)
+
+
+def test_graded_basis_refuses_elements_of_another_multifan():
+    single = multifan_from_fan(Fan(2, [QUAD]))
+    doubled = doubled_cone()
+    bs, bd = mpp_basis(single, 1), mpp_basis(doubled, 1)
+    assert bs.container is single and bd.container is doubled
+    # and across kinds: the quadrant as a fan is not the quadrant as a multifan
+    bf = pp_basis(Fan(2, [QUAD]), 1)
+    for basis, other in ((bs, bd), (bd, bs), (bf, bs), (bs, bf)):
+        for e in other.elements:
+            with pytest.raises(FanMismatch, match="^element does not live on the basis's fan$"):
+                basis.contains(e)
+    assert all(bd.contains(e) for e in mpp_basis(doubled_cone(), 1).elements)
 
 
 def test_doubled_cone_ranks_differ_from_single():

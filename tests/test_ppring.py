@@ -169,10 +169,27 @@ def test_pp_basis_degree_zero_is_constants():
 def test_pp_basis_rejects_bool_and_negative_degrees():
     # a bool would become GradedBasis.degree and be written as JSON true
     for k in (True, False):
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError, match="^degree must be an integer, not a bool$"):
             pp_basis(p2(), k)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^negative degree$"):
         pp_basis(p2(), -1)
+
+
+def test_graded_basis_refuses_elements_of_another_fan():
+    # one quadrant, and the quadrant with its mirror: each basis refuses the other's elements
+    quadrant = Cone(2, [(1, 0), (0, 1)])
+    f = Fan(2, [quadrant])
+    g = Fan(2, [quadrant, Cone(2, [(-1, 0), (0, 1)])])
+    bf, bg = pp_basis(f, 1), pp_basis(g, 1)
+    assert bf.container is f and bg.container is g
+    for basis, other in ((bf, bg), (bg, bf)):
+        for e in other.elements:
+            with pytest.raises(FanMismatch, match="^element does not live on the basis's fan$"):
+                basis.contains(e)
+            with pytest.raises(FanMismatch):
+                basis.coefficient_vector(e)
+    # an equal fan built again is the same container
+    assert all(pp_basis(Fan(2, [quadrant]), 1).contains(e) for e in bf.elements)
 
 
 def test_pp_basis_surface_ranks_match_monomial_count():

@@ -53,6 +53,15 @@ def test_rejects_nonsimplicial():
         sr_hilbert(p2(), -1)
 
 
+@pytest.mark.parametrize("k", [True, False])
+def test_hilbert_rejects_bool_degree(k):
+    with pytest.raises(TypeError, match="^degree must be an integer, not a bool$"):
+        sr_hilbert(p2(), k)
+    # the simplicial check still comes first
+    with pytest.raises(NotSimplicial):
+        sr_hilbert(cube(), k)
+
+
 def test_ray_complex_of_projective_plane():
     rays, faces = ray_complex(p2())
     assert rays == ((-1, -1), (0, 1), (1, 0))
