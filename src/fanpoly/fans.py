@@ -193,11 +193,17 @@ def _covers(parts, dim, boundary_normals) -> bool:
 class SubdivisionMap:
     """A refinement Delta' -> Delta with its cone assignment.
 
-    assignment maps the id of each maximal cone of the source to the unique
-    minimal cone of the target containing it, in source id order; tiles
-    groups it by target id, each target's source ids sorted.  Construction
-    verifies that the source really tiles the target: every maximal target
-    cone is the union of the source cones assigned to it.
+    assignment maps the id of each maximal cone of the source to the
+    maximal target cone containing it, in source id order; tiles groups it
+    by target id, each target's source ids sorted.  Construction verifies
+    that the source really tiles the target: every maximal target cone is
+    the union of the source cones assigned to it.
+
+    Only maximal target cones are searched, so no target face Cone is built:
+    in a valid refinement a source cone lies in exactly one, of its own
+    dimension.  A source cone in no target cone of its dimension would be a
+    face of another source cone if the others covered a target cone holding
+    it, so each such target fails the tiling check under either rule.
     """
 
     __slots__ = ("source", "target", "assignment", "tiles")
@@ -207,17 +213,14 @@ class SubdivisionMap:
             raise NotASubdivision("ambient ranks differ")
         assignment = {}
         by_target: dict = {}
-        target_cones = [f for f, _ in target.face_index.values()]
         for c in source.maximal_cones:
-            containers = [t for t in target_cones if t.contains_cone(c)]
-            if not containers:
+            t = next((t for t in target.maximal_cones if t.contains_cone(c)), None)
+            if t is None:
                 raise NotASubdivision(
                     f"source cone {c.id_str} is not contained in any target cone"
                 )
-            # two containers meet in a face containing c: the least is unique
-            least = min(containers, key=lambda t: t.dim)
-            assignment[c.id_str] = least.id_str
-            by_target.setdefault(least.id_str, []).append(c)
+            assignment[c.id_str] = t.id_str
+            by_target.setdefault(t.id_str, []).append(c)
 
         for t in target.maximal_cones:
             if not _covers(by_target.get(t.id_str, []), t.dim, t.facet_normals):

@@ -13,10 +13,10 @@ canonical output:
 * ``snf`` computes the Smith normal form ``U * A * V = S`` with unimodular
   ``U, V`` and a nonnegative diagonal ``d_1 | d_2 | ...``.
 
-``kernel_lattice`` returns its canonical basis in Hermite form, so a vector
-in its row lattice has its coefficients read off by division, row by row
-(``_divide``).  The kernel of an empty system is the identity basis,
-returned with no elimination.
+``kernel_lattice`` returns its canonical basis in Hermite form, so a graded
+basis reads a member's coefficients off by division, row by row
+(``divide``), with no second elimination.  The kernel of an empty system
+is the identity basis, returned with no elimination.
 
 Conventions used throughout the package: lattice bases are stored as matrix
 *rows*, linear maps act on *column* vectors, and ``dot`` is the standard
@@ -368,7 +368,7 @@ def kernel_lattice(a: IntMatrix) -> IntMatrix:
     return hnf_basis(IntMatrix._of(ker, a.cols))
 
 
-def _divide(basis, v):
+def divide(basis, v):
     """Coefficients of ``v`` on the echelon rows ``basis``, or None.
 
     ``v`` is reduced against the rows top-down; each pivot must divide the
@@ -389,12 +389,6 @@ def _divide(basis, v):
     return None if any(w) else y
 
 
-def in_row_lattice(basis: IntMatrix, v) -> bool:
-    """Is ``v`` an integer combination of the rows of ``basis``?"""
-    (row,) = IntMatrix([v], cols=basis.cols).entries  # checks length and entry types
-    return _divide(hnf_basis(basis).entries, row) is not None
-
-
 def solve_left(a: IntMatrix, b: IntMatrix):
     """Solve ``X * A = B`` over the integers.
 
@@ -409,7 +403,7 @@ def solve_left(a: IntMatrix, b: IntMatrix):
     basis = [r for r in h.entries if any(r)]
     xs = []
     for brow in b.entries:
-        y = _divide(basis, brow)
+        y = divide(basis, brow)
         if y is None:
             return None
         x = [0] * a.rows

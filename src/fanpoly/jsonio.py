@@ -120,10 +120,7 @@ def multifan_to_json(mf: Multifan) -> dict:
     return {
         "kind": "multifan",
         "ambient_rank": mf.ambient_rank,
-        "nodes": {
-            nid: [list(g) for g in mf.cone_of(nid).generators]
-            for nid in mf.node_ids
-        },
+        "nodes": {nid: [list(g) for g in mf.cones[nid].generators] for nid in mf.node_ids},
         "covers": covers,
     }
 

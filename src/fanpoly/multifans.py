@@ -109,9 +109,6 @@ class Multifan:
         self.maximal_ids = tuple(sorted(nid for nid in cones if not parents[nid]))
         self.parts = tuple((nid, cones[nid]) for nid in self.maximal_ids)
 
-    def cone_of(self, node_id: str) -> Cone:
-        return self.cones[node_id]
-
     def maximal_common_lower(self, a: str, b: str):
         """Nodes below both a and b that are maximal among those."""
         shared = self.lower[a] & self.lower[b]

@@ -14,7 +14,8 @@ elements and bundle multisets against such a list, and one assembler
 Unknowns are the degree-k coefficients of all parts in canonical monomial
 order; each incidence contributes rows (restriction from one side minus
 restriction from the other), and the canonical kernel basis of that system
-is the basis of the degree-k piece (:func:`piecewise_basis`).
+is the basis of the degree-k piece (:func:`piecewise_basis`), held as those
+Hermite rows alone; its elements are built from them when read.
 
 Most incidences are redundant.  Restriction to a face factors through any
 larger face, so two parts that agree on a larger shared face agree on the
@@ -39,13 +40,14 @@ a pullback restricts nothing, it copies each part onto the cones inside it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate, compress
 from typing import TYPE_CHECKING
 
 from .cones import Cone, restriction_matrix
 from .errors import ConeNotInFan, FanMismatch, Incompatible, LatticeMismatch
 from .fans import Fan, SubdivisionMap
-from .intlinalg import IntMatrix, in_row_lattice, kernel_lattice
+from .intlinalg import IntMatrix, divide, kernel_lattice
 from .polynomials import (
     LocalPolynomial,
     degree_matrix,
@@ -176,22 +178,52 @@ def pp_scale(c: int, a: PPElement) -> PPElement:
 class GradedBasis:
     """A lattice basis of one graded piece of ``container``, a fan or multifan.
 
-    ``coefficients`` holds the basis elements as rows of coefficient
-    vectors; ``layout`` records, per part id, the monomials its coordinate
-    block runs over, in order.  An element of another container raises
+    The basis is its Hermite rows ``coefficients``, one coefficient vector
+    per element; ``layout`` lists per part id the monomials of its block of
+    coordinates, in order.  ``rank`` is read off the rows and ``elements``
+    are built from them on first read.  Another container's element raises
     FanMismatch.
     """
 
     container: Fan | Multifan
     degree: int
-    elements: tuple
-    rank: int
     coefficients: IntMatrix
     layout: tuple
 
+    @property
+    def rank(self) -> int:
+        return self.coefficients.rows
+
+    @cached_property
+    def elements(self) -> tuple:
+        """One element per row; a part whose slice is zero is one zero
+        polynomial shared by every element, never modified in place."""
+        # each part's slice and zero polynomial, worked out once, in part id order
+        starts = accumulate((len(monos) for _, monos in self.layout), initial=0)
+        blocks = sorted(
+            (pid, monos, lo, lo + len(monos), LocalPolynomial._trusted(cone.quotient, {}))
+            for (pid, monos), (_, cone), lo in zip(self.layout, self.container.parts, starts)
+        )
+        # monomials_of_degree lists one degree in canonical order, so a part's
+        # nonzero coefficients in layout order are already canonical terms
+        elements = []
+        for row in self.coefficients.entries:
+            parts = {
+                pid: LocalPolynomial._trusted(zero.lattice, dict(compress(zip(monos, seg), seg)))
+                if any(seg := row[lo:hi])
+                else zero
+                for pid, monos, lo, hi, zero in blocks
+            }
+            elements.append(PPElement._trusted(self.container, parts))
+        return tuple(elements)
+
     def coefficient_vector(self, elem: PPElement):
+        """The degree-k coefficients of ``elem`` in layout order; a term of
+        another degree raises ValueError."""
         if elem.fan != self.container:
             raise FanMismatch("element does not live on the basis's fan")
+        if not all(p.is_homogeneous(self.degree) for p in elem.parts.values()):
+            raise ValueError(f"element has terms outside degree {self.degree}")
         out = []
         for part_id, monos in self.layout:
             poly = elem.parts[part_id]
@@ -199,7 +231,14 @@ class GradedBasis:
         return tuple(out)
 
     def contains(self, elem: PPElement) -> bool:
-        return in_row_lattice(self.coefficients, self.coefficient_vector(elem))
+        """Divide ``elem``'s vector by the Hermite rows.  A term of another
+        degree answers False; a coefficient that is not an int raises TypeError."""
+        try:
+            vec = self.coefficient_vector(elem)
+        except ValueError:
+            return False
+        (row,) = IntMatrix([vec], cols=self.coefficients.cols).entries  # checks entry types
+        return divide(self.coefficients.entries, row) is not None
 
 
 def check_degree(k: int):
@@ -250,42 +289,10 @@ def constraint_matrix(parts, incidences, k: int):
 
 
 def piecewise_basis(container, k: int) -> GradedBasis:
-    """Canonical lattice basis of the degree-k piece of a fan or multifan.
-
-    Each kernel row becomes an element whose parts are read off the row's
-    slices.  A part whose slice is zero is one zero polynomial shared by
-    every element of the basis; parts are never modified in place.
-    """
+    """Canonical lattice basis of the degree-k piece of a fan or multifan."""
     check_degree(k)
     layout, matrix = constraint_matrix(container.parts, container.gluing, k)
-    kernel = kernel_lattice(matrix)
-
-    # each part's slice and zero polynomial, worked out once, in part id order
-    starts = accumulate((len(monos) for _, monos in layout), initial=0)
-    blocks = sorted(
-        (pid, monos, lo, lo + len(monos), LocalPolynomial._trusted(cone.quotient, {}))
-        for (pid, monos), (_, cone), lo in zip(layout, container.parts, starts)
-    )
-
-    # monomials_of_degree lists one degree in canonical order, so a part's
-    # nonzero coefficients in layout order are already canonical terms
-    elements = []
-    for row in kernel.entries:
-        parts = {
-            pid: LocalPolynomial._trusted(zero.lattice, dict(compress(zip(monos, seg), seg)))
-            if any(seg := row[lo:hi])
-            else zero
-            for pid, monos, lo, hi, zero in blocks
-        }
-        elements.append(PPElement._trusted(container, parts))
-    return GradedBasis(
-        container=container,
-        degree=k,
-        elements=tuple(elements),
-        rank=kernel.rows,
-        coefficients=kernel,
-        layout=layout,
-    )
+    return GradedBasis(container, k, kernel_lattice(matrix), layout)
 
 
 def pp_basis(fan: Fan, k: int) -> GradedBasis:

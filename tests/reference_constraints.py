@@ -73,7 +73,7 @@ def reference_multifan_system(mf, k):
     offsets = {}
     total = 0
     for nid in mf.maximal_ids:
-        monos = monomials_of_degree(mf.cone_of(nid).quotient.rank, k)
+        monos = monomials_of_degree(mf.cones[nid].quotient.rank, k)
         offsets[nid] = total
         layout.append((nid, monos))
         total += len(monos)
@@ -81,9 +81,9 @@ def reference_multifan_system(mf, k):
     rows = []
     for a, b, shared in reference_maximal_pairs(mf):
         for c in shared:
-            tau = mf.cone_of(c)
-            ra = reference_degree_matrix(restriction_matrix(mf.cone_of(a), tau), k)
-            rb = reference_degree_matrix(restriction_matrix(mf.cone_of(b), tau), k)
+            tau = mf.cones[c]
+            ra = reference_degree_matrix(restriction_matrix(mf.cones[a], tau), k)
+            rb = reference_degree_matrix(restriction_matrix(mf.cones[b], tau), k)
             for r in range(ra.rows):
                 row = [0] * total
                 for col in range(ra.cols):

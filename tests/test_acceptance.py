@@ -21,6 +21,7 @@ from corpus import (
     p2,
     p2_blowup,
 )
+from reference_intlinalg import reference_in_row_lattice
 
 from fanpoly.chern import bundle_sum, bundle_validate, chern_class, total_chern
 from fanpoly.fans import Fan
@@ -30,7 +31,6 @@ from fanpoly.intlinalg import (
     IntMatrix,
     hnf,
     hnf_basis,
-    in_row_lattice,
     kernel_lattice,
     rank as matrix_rank,
     snf,
@@ -259,5 +259,5 @@ def test_09_normal_forms_are_exact_on_random_matrices():
         if trial < 40:
             for v in itertools.product(range(-2, 3), repeat=n):
                 if all(x == 0 for x in a.mul_vec(v)):
-                    assert in_row_lattice(ker, v)
+                    assert reference_in_row_lattice(ker, v)
     print("PASS 9: Hermite, Smith, and kernel properties hold on 200 random matrices")

@@ -126,9 +126,9 @@ def first_failing_fan_pair(fan, parts):
 def first_failing_multifan_pair(mf, parts):
     for a, b, shared in reference_maximal_pairs(mf):
         for c in shared:
-            tau = mf.cone_of(c)
-            fa = restrict_to_face(parts[a], mf.cone_of(a), tau)
-            fb = restrict_to_face(parts[b], mf.cone_of(b), tau)
+            tau = mf.cones[c]
+            fa = restrict_to_face(parts[a], mf.cones[a], tau)
+            fb = restrict_to_face(parts[b], mf.cones[b], tau)
             if fa != fb:
                 return (a, b), c
     return None

@@ -2,6 +2,7 @@
 
 import random
 from functools import cached_property
+from pathlib import Path
 
 import pytest
 from corpus import (
@@ -37,6 +38,7 @@ from fanpoly.fans import (
     is_complete,
     star_subdivision,
 )
+from fanpoly.jsonio import read_json_file, subdivision_from_json
 
 
 def test_p1_structure():
@@ -268,6 +270,43 @@ def test_star_subdivision_at_every_face(name, fan):
             least = min(t.dim for t in containers)
             (assigned,) = [t for t in containers if t.dim == least]
             assert sub.assignment[c.id_str] == assigned.id_str, (face, c)
+
+
+def every_star_subdivision():
+    """The star subdivision at every nonzero face of seven complete fans,
+    then the last star of each refinement of test_random_fans."""
+    bases = [p2(), projective_space(3), p1xp1(), cube(), blp2(), diamond(), p3_starred3()]
+    for fan in bases:
+        for face, _ in fan.face_index.values():
+            if face.dim:
+                yield star_subdivision(fan, face)[1]
+    for base, seed, weighted in RANDOM_CASES:
+        rng = random.Random(f"{base}.{seed}.{weighted}")
+        yield random_refinement(RANDOM_BASES[base](), rng, rng.randint(2, 4), weighted)[1]
+
+
+def test_subdivision_assigns_the_least_containing_target_cone():
+    """Searching only the maximal target cones finds each source cone's least
+    container among all target faces."""
+    seen = []
+    for sub in every_star_subdivision():
+        faces = [t for t, _ in sub.target.face_index.values()]
+        for c in sub.source.maximal_cones:
+            containers = [t for t in faces if t.contains_cone(c)]
+            least = min(t.dim for t in containers)
+            (assigned,) = [t for t in containers if t.dim == least]
+            assert sub.assignment[c.id_str] == assigned.id_str, c
+        seen.append(len(sub.assignment))
+    assert len(seen) == 102 + len(RANDOM_CASES)
+    assert sum(seen[: -len(RANDOM_CASES)]) == 821
+
+
+def test_subdivision_from_json_builds_no_target_face():
+    fixtures = Path(__file__).resolve().parent.parent / "fixtures"
+    doc = read_json_file(fixtures / "p2_blowup.subdivision.json")
+    m = subdivision_from_json(doc)
+    assert "face_index" not in vars(m.target)
+    assert m.assignment == doc["assignment"]
 
 
 def test_completeness_preserved_by_subdivision():

@@ -230,7 +230,7 @@ def test_orbit_restriction_refuses_a_multifan():
     e = mpp_basis(mf, 1).elements[0]
     for node in ("bot", "x"):
         with pytest.raises(FanMismatch, match="^orbit restriction reads a fan's faces"):
-            pp_restrict_orbit(e, mf.cone_of(node))
+            pp_restrict_orbit(e, mf.cones[node])
 
 
 def test_hypertoric_three_lines_nodes():
@@ -238,7 +238,7 @@ def test_hypertoric_three_lines_nodes():
     assert len(mf.node_ids) == 7
     assert mf.node_ids == ("{1,2}", "{1,3}", "{1}", "{2,3}", "{2}", "{3}", "{}")
     assert mf.maximal_ids == ("{1,2}", "{1,3}", "{2,3}")
-    assert mf.cone_of("{2}") == Cone(2, [(0, 1)])
+    assert mf.cones["{2}"] == Cone(2, [(0, 1)])
     assert mf.maximal_common_lower("{1,2}", "{1,3}") == ("{1}",)
 
 
