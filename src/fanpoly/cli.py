@@ -18,8 +18,9 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
+from typing import Callable
 
 from .chern import bundle_validate, chern_class
 from .errors import FanPolyError, FormatError
@@ -46,10 +47,11 @@ from .stanley_reisner import courant_function, sr_hilbert
 
 @dataclass
 class RunReport:
-    """What one verb produced: human lines and the JSON document."""
+    """What one verb produced: human lines, and a function that builds the
+    JSON document, called only under --json."""
 
-    lines: list = field(default_factory=list)
-    document: dict = field(default_factory=dict)
+    lines: list
+    document: Callable[[], dict]
 
 
 def _parse_vector(text: str, what: str, length: int):
@@ -79,7 +81,7 @@ def _cmd_validate(args) -> RunReport:
                 f"fan: {len(fan.maximal_cones)} maximal cones, {faces} cones in total",
                 f"complete: {'yes' if complete else 'no'}",
             ],
-            document={
+            document=lambda: {
                 "kind": "validation",
                 "of": "fan",
                 "ok": True,
@@ -94,7 +96,7 @@ def _cmd_validate(args) -> RunReport:
             lines=[
                 f"multifan: {len(mf.node_ids)} nodes, {len(mf.maximal_ids)} maximal",
             ],
-            document={
+            document=lambda: {
                 "kind": "validation",
                 "of": "multifan",
                 "ok": True,
@@ -109,7 +111,7 @@ def _cmd_validate(args) -> RunReport:
                 f"subdivision: {len(m.source.maximal_cones)} cones refine "
                 f"{len(m.target.maximal_cones)}",
             ],
-            document={
+            document=lambda: {
                 "kind": "validation",
                 "of": "subdivision",
                 "ok": True,
@@ -124,7 +126,7 @@ def _cmd_pp_basis(args) -> RunReport:
     gb = pp_basis(_load_fan(args.file), args.degree)
     return RunReport(
         lines=[f"degree {gb.degree} rank {gb.rank}"],
-        document=graded_basis_to_json(gb),
+        document=lambda: graded_basis_to_json(gb),
     )
 
 
@@ -133,7 +135,7 @@ def _cmd_mpp_basis(args) -> RunReport:
     gb = mpp_basis(mf, args.degree)
     return RunReport(
         lines=[f"degree {gb.degree} rank {gb.rank}"],
-        document=graded_basis_to_json(gb),
+        document=lambda: graded_basis_to_json(gb),
     )
 
 
@@ -141,7 +143,7 @@ def _cmd_gkm_check(args) -> RunReport:
     match = gkm_compare(_load_fan(args.file), args.degree)
     return RunReport(
         lines=[f"degree {args.degree} match {'yes' if match else 'no'}"],
-        document={"kind": "gkm_check", "degree": args.degree, "match": match},
+        document=lambda: {"kind": "gkm_check", "degree": args.degree, "match": match},
     )
 
 
@@ -153,9 +155,7 @@ def _cmd_chern(args) -> RunReport:
     lines = [f"rank {bundle.rank} bundle, class {args.index}"]
     for cid, part in elem.parts.items():
         lines.append(f"  {cid}: {part!r}")
-    doc = ppelement_to_json(elem)
-    doc["class_index"] = args.index
-    return RunReport(lines=lines, document=doc)
+    return RunReport(lines, lambda: {**ppelement_to_json(elem), "class_index": args.index})
 
 
 def _cmd_courant(args) -> RunReport:
@@ -167,21 +167,23 @@ def _cmd_courant(args) -> RunReport:
     ]
     if phi.nonintegral_cones:
         lines.append("nonintegral on: " + "  ".join(phi.nonintegral_cones))
-    doc = {
-        "kind": "courant",
-        "ray": list(phi.ray),
-        "integral": phi.is_integral,
-        "nonintegral_cones": list(phi.nonintegral_cones),
-        "element": ppelement_to_json(phi.element),
-    }
-    return RunReport(lines=lines, document=doc)
+    return RunReport(
+        lines,
+        lambda: {
+            "kind": "courant",
+            "ray": list(phi.ray),
+            "integral": phi.is_integral,
+            "nonintegral_cones": list(phi.nonintegral_cones),
+            "element": ppelement_to_json(phi.element),
+        },
+    )
 
 
 def _cmd_sr_hilbert(args) -> RunReport:
     count = sr_hilbert(_load_fan(args.file), args.degree)
     return RunReport(
         lines=[f"degree {args.degree} count {count}"],
-        document={"kind": "sr_hilbert", "degree": args.degree, "count": count},
+        document=lambda: {"kind": "sr_hilbert", "degree": args.degree, "count": count},
     )
 
 
@@ -200,7 +202,7 @@ def _cmd_mv_h3(args) -> RunReport:
             f"free rank: {report.free_rank}",
             f"even-column certificate: {'yes' if report.parity_even else 'no'}",
         ],
-        document=torsion_report_to_json(report),
+        document=lambda: torsion_report_to_json(report),
     )
 
 
@@ -213,7 +215,7 @@ def _cmd_subdivide(args) -> RunReport:
         lines=[
             f"{len(refined.maximal_cones)} cones refine {len(fan.maximal_cones)}",
         ],
-        document=subdivision_to_json(m),
+        document=lambda: subdivision_to_json(m),
     )
 
 
@@ -222,27 +224,17 @@ def _cmd_pullback_check(args) -> RunReport:
     parts = ppelement_parts_from_json(m.source, read_json_file(args.element))
     elem = pp_validate(m.source, parts)
     descended, failure = pp_is_pullback(m, elem)
+    doc = {"kind": "pullback_check", "descends": failure is None}
     if failure is None:
-        doc = {
-            "kind": "pullback_check",
-            "descends": True,
-            "element": ppelement_to_json(descended),
-        }
-        return RunReport(lines=["descends: yes"], document=doc)
-    doc = {
-        "kind": "pullback_check",
-        "descends": False,
-        "cone_id": failure.cone_id,
-        "condition": failure.condition,
-        "detail": failure.detail,
-    }
+        return RunReport(["descends: yes"], lambda: {**doc, "element": ppelement_to_json(descended)})
+    doc.update(cone_id=failure.cone_id, condition=failure.condition, detail=failure.detail)
     return RunReport(
         lines=[
             "descends: no",
             f"cone: {failure.cone_id}",
             f"condition: {failure.condition}",
         ],
-        document=doc,
+        document=lambda: doc,
     )
 
 
@@ -257,7 +249,7 @@ def _cmd_hypertoric(args) -> RunReport:
     mf = hypertoric_multifan(args.rank, vectors)
     return RunReport(
         lines=[f"{len(mf.node_ids)} nodes, {len(mf.maximal_ids)} maximal"],
-        document=multifan_to_json(mf),
+        document=lambda: multifan_to_json(mf),
     )
 
 
@@ -351,7 +343,7 @@ def main(argv=None) -> int:
         return 1
 
     if args.json:
-        print(json.dumps(report.document, sort_keys=True))
+        print(json.dumps(report.document(), sort_keys=True))
     else:
         for line in report.lines:
             print(line)

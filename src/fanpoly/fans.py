@@ -1,12 +1,13 @@
 """Fans of pointed cones, their gluing, and star subdivisions.
 
 A fan stores its maximal cones in a canonical order (lexicographic on the
-generator tuples).  Validation checks, on keys, that all pairwise
-intersections are common faces, which by transitivity of the face relation
-is enough for the whole collection of faces to be a fan; it builds no face
-Cone.  What a fan derives (the face index, one Cone per face of a maximal
-cone with the maximal cones it sits in, its incidences and gluing) is built
-on first read and kept.
+generator tuples).  Validation certifies a complete simplicial fan from its
+facets and one point (:func:`_certified`), and checks any other collection,
+on keys, for pairwise intersections that are common faces, which by
+transitivity of the face relation is enough for all its faces to be a fan.
+Neither builds a face Cone.  What a fan derives (the face index, one Cone per
+face of a maximal cone with the maximal cones it sits in, its incidences and
+gluing) is built on first read and kept.
 
 Two cones of a fan meet in the face on the generators they share.  Their
 meet is a face of both, and a face's extremal rays are the cone's extremal
@@ -39,13 +40,14 @@ class Fan:
     """A finite fan, presented by its maximal cones.
 
     ``parts`` pairs each maximal cone's id with the cone, in cone order.
-    Construction meets the maximal cones pairwise on keys and builds no
-    face Cone.  Built on first read: ``face_index``, one Cone per face with
-    the maximal cones it sits in; ``incidences``, which lists ``(id a, id b,
-    face id, face)`` for every pair of maximal cones in cone order, the face
-    read off ``face_index`` at the pair's common generators; and ``gluing``,
-    the incidences that form one spanning forest per shared face
-    (:func:`spanning_gluing`), on a complete simplicial fan one per wall.
+    Construction certifies a complete simplicial fan locally, else meets the
+    maximal cones pairwise on keys; it builds no face Cone.  Built on first
+    read: ``face_index``, one Cone per face with the maximal cones it sits in;
+    ``incidences``, which lists ``(id a, id b, face id, face)`` for every pair
+    of maximal cones in cone order, the face read off ``face_index`` at the
+    pair's common generators; and ``gluing``, the incidences that form one
+    spanning forest per shared face (:func:`spanning_gluing`), on a complete
+    simplicial fan one per wall.
     ``pair_faces`` is a view of ``incidences`` keyed by cone positions.
     """
 
@@ -61,12 +63,13 @@ class Fan:
             if a.key == b.key:
                 raise DuplicateCone(f"cone {a.id_str} listed twice")
 
-        for i, j in combinations(range(len(cones)), 2):
-            key, ok = intersect(cones[i], cones[j])
-            if not ok:
-                raise NotAFan(i, j)
-            if key == cones[i].key or key == cones[j].key:
-                raise NotAFan(i, j, "one maximal cone is a face of the other")
+        if not _certified(cones, ambient_rank):
+            for i, j in combinations(range(len(cones)), 2):
+                key, ok = intersect(cones[i], cones[j])
+                if not ok:
+                    raise NotAFan(i, j)
+                if key == cones[i].key or key == cones[j].key:
+                    raise NotAFan(i, j, "one maximal cone is a face of the other")
 
         self.ambient_rank = ambient_rank
         self.maximal_cones = tuple(cones)
@@ -168,6 +171,30 @@ def is_complete(fan: Fan) -> bool:
     """Does the support of the fan cover the whole ambient space?  A nonempty pure
     fan of full-dimensional cones does when every ridge lies in two (:func:`_covers`)."""
     return _covers(fan.maximal_cones, fan.ambient_rank, ())
+
+
+def _certified(cones, n) -> bool:
+    """Are these distinct cones a complete fan of full-dimensional simplicial cones?
+
+    Yes if each facet lies in two cones (:func:`_covers`) whose other generators
+    lie on opposite sides of it, and the sum p of the first cone's generators lies
+    in no other (De Loera, Rambau and Santos, *Triangulations*, 2010).  Proof: off
+    W, the faces of dimension n - 2 and the meets of distinct facet hyperplanes,
+    R^n is connected, and a path crossing a facet leaves one cone and enters one;
+    so each point off W and the facets lies in one cone, as near p.  Near a point
+    of the relative interior of a face s, the cones with s as a face cover a ball,
+    as their facets through it contain s and pair up; so a cone holding the point
+    has s as a face, and two cones meet in the cone on their common generators.
+    For n = 1 these are the two opposite rays, for n = 0 the zero cone.
+    """
+    if not all(len(c.generators) == c.dim == n for c in cones) or not _covers(cones, n, ()):
+        return False
+    for facet, (i, j) in facet_owners(cones).items():
+        u = next(u for u in cones[i].facet_normals if not any(dot(u, g) for g in facet))
+        if any(dot(u, g) >= 0 for g in cones[j].generators if g not in facet):
+            return False
+    p = tuple(map(sum, zip(*cones[0].generators)))
+    return not any(c.contains(p) for c in cones[1:])
 
 
 def _covers(parts, dim, boundary_normals) -> bool:

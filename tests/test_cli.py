@@ -182,6 +182,29 @@ def test_pp_basis_json(capsys):
     assert len(doc["elements"]) == 6
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["pp-basis", fx("cube.fan.json"), "--degree", "3"],
+        ["mpp-basis", fx("hypertoric_3lines.multifan.json"), "--degree", "2"],
+        ["courant", fx("p2.fan.json"), "--ray=-1,-1"],
+        ["subdivide", fx("p2.fan.json"), "--target", "0,1;1,0"],
+        ["pullback-check", fx("p2_blowup.subdivision.json"), fx("blp2_descends.element.json")],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_summary_builds_no_document(argv, monkeypatch, capsys):
+    """Without --json only the summary lines are printed, and no document is built."""
+
+    def refuse(*args):
+        raise AssertionError("document built without --json")
+
+    for name in ("graded_basis_to_json", "ppelement_to_json", "subdivision_to_json"):
+        monkeypatch.setattr(cli, name, refuse)
+    assert main(argv) == 0
+    assert capsys.readouterr().out
+
+
 def test_degree_cap_default(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["pp-basis", fx("p2.fan.json"), "--degree", "5"])
