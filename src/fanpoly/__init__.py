@@ -50,15 +50,10 @@ from .ppring import (
     pp_scale,
     pp_validate,
 )
-from .gkm import GKMGraph, beta_system, gkm_compare, gkm_graph, gkm_kernel_basis
+from .gkm import GKMGraph, beta_system, gkm_compare, gkm_graph
 from .chern import BundleData, bundle_sum, bundle_validate, chern_class, total_chern
-from .stanley_reisner import (
-    CourantFunction,
-    courant_function,
-    courant_span_rank,
-    sr_hilbert,
-)
-from .mayer_vietoris import TorsionReport, h3_torsion, mv_row
+from .stanley_reisner import CourantFunction, courant_function, sr_hilbert
+from .mayer_vietoris import TorsionReport, h3_torsion
 from .multifans import (
     Multifan,
     hypertoric_multifan,
@@ -111,10 +106,8 @@ __all__ = [
     "bundle_validate",
     "chern_class",
     "courant_function",
-    "courant_span_rank",
     "gkm_compare",
     "gkm_graph",
-    "gkm_kernel_basis",
     "h3_torsion",
     "hnf",
     "hnf_basis",
@@ -124,7 +117,6 @@ __all__ = [
     "mpp_basis",
     "multifan_from_fan",
     "multifan_validate",
-    "mv_row",
     "pp_add",
     "pp_basis",
     "pp_constant",

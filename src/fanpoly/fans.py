@@ -285,6 +285,8 @@ def star_subdivision(fan: Fan, target: Cone, point=None):
         point = primitive(total)
     else:
         point = tuple(point)
+        if any(isinstance(x, bool) or not isinstance(x, int) for x in point):
+            raise TypeError("subdivision point must be an integer vector")
         try:
             point = primitive(point)
         except ValueError:

@@ -12,7 +12,8 @@ incidence per wall, read off the facet owners, not picked by dimension
 (:func:`fanpoly.fans.facet_owners`), to the assembler of
 :mod:`fanpoly.ppring`, so :func:`gkm_compare` checks those walls against
 the ones :func:`fanpoly.fans.spanning_gluing` keeps, as a lattice over one
-layout.  The tests check that the walls alone cut out the
+layout: the ``kernel_lattice`` of the wall system against the rows of
+``pp_basis``.  The tests check that the walls alone cut out the
 lattice of every incidence, the full pairwise-face conditions.
 """
 
@@ -60,11 +61,6 @@ def beta_system(graph: GKMGraph, k: int) -> IntMatrix:
     return constraint_matrix(parts, walls, k)[1]
 
 
-def gkm_kernel_basis(fan: Fan, k: int) -> IntMatrix:
-    """Canonical basis of the tuples satisfying all wall conditions."""
-    return kernel_lattice(beta_system(gkm_graph(fan), k))
-
-
 def gkm_compare(fan: Fan, k: int) -> bool:
     """Whether the wall rows and the gluing rows of ``pp_basis`` cut out one lattice.
 
@@ -74,4 +70,4 @@ def gkm_compare(fan: Fan, k: int) -> bool:
     layout, and both bases are canonical (Hermite form): the lattices are
     equal exactly when the bases are.
     """
-    return gkm_kernel_basis(fan, k) == pp_basis(fan, k).coefficients
+    return kernel_lattice(beta_system(gkm_graph(fan), k)) == pp_basis(fan, k).coefficients

@@ -336,10 +336,6 @@ def snf(a: IntMatrix) -> SNFResult:
     )
 
 
-def rank(a: IntMatrix) -> int:
-    return _echelon(_sparse(a.entries), a.cols)
-
-
 def kernel_lattice(a: IntMatrix) -> IntMatrix:
     """Canonical basis of ``{x : A x = 0}`` as matrix rows.
 

@@ -1,13 +1,14 @@
 """Torsion of the wall-restriction cokernel for complete surface fans.
 
 For a complete fan of ambient rank two, the degree-one wall conditions
-form an integer matrix: one row per ray (the walls are the rays), two
-columns per maximal cone.  Its kernel is the degree-one piecewise
-polynomial lattice; its cokernel is a finitely generated abelian group
-whose torsion is an invariant of the fan that the piecewise ring itself
-cannot see.  The classical example is the fan over the faces of a square
-with vertices at the four odd points (1,1), (-1,1), (-1,-1), (1,-1),
-where the cokernel is exactly one copy of Z/2.
+form an integer matrix, the fixed-point graph's ``beta_system`` in degree
+one: one row per ray (the walls are the rays), two columns per maximal
+cone.  Its kernel is the degree-one piecewise polynomial lattice; its
+cokernel is a finitely generated abelian group whose torsion is an
+invariant of the fan that the piecewise ring itself cannot see.  The
+classical example is the fan over the faces of a square with vertices at
+the four odd points (1,1), (-1,1), (-1,-1), (1,-1), where the cokernel is
+exactly one copy of Z/2.
 
 The cokernel is read off the Smith normal form.  A cheap sufficient
 certificate for 2-torsion is also reported: if every column of the matrix
@@ -22,14 +23,7 @@ from dataclasses import dataclass
 from .errors import WrongRank
 from .fans import Fan
 from .gkm import beta_system, gkm_graph
-from .intlinalg import IntMatrix, snf
-
-
-def mv_row(fan: Fan) -> IntMatrix:
-    """Degree-one wall restriction matrix of a complete surface fan."""
-    if fan.ambient_rank != 2:
-        raise WrongRank("the surface cokernel is defined for ambient rank two")
-    return beta_system(gkm_graph(fan), 1)
+from .intlinalg import snf
 
 
 def _prime_power_parts(n: int):
@@ -60,12 +54,16 @@ class TorsionReport:
 
 
 def h3_torsion(fan: Fan) -> TorsionReport:
-    """Cokernel of the wall restriction map, as a torsion report.
+    """Cokernel of the degree-one wall restriction map, as a torsion report.
 
-    ``torsion_summands`` lists the cyclic summands as prime powers, so a
-    divisor of 12 contributes 4 and 3.
+    The fan must have ambient rank two (``WrongRank``, checked first) and be
+    complete (``NotComplete``, from :func:`gkm_graph`); the matrix is
+    ``beta_system(gkm_graph(fan), 1)``.  ``torsion_summands`` lists the
+    cyclic summands as prime powers, so a divisor of 12 contributes 4 and 3.
     """
-    m = mv_row(fan)
+    if fan.ambient_rank != 2:
+        raise WrongRank("the surface cokernel is defined for ambient rank two")
+    m = beta_system(gkm_graph(fan), 1)
     divisors = snf(m).nonzero_divisors()
     summands = []
     for d in divisors:

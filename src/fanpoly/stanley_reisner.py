@@ -9,21 +9,23 @@ the integral ones too.
 
 Each ray also carries a canonical piecewise linear function, one per ray,
 taking value 1 at that ray's primitive generator and 0 at every other.
-On non-smooth cones its coefficients may be genuinely fractional, and the
-failure is reported cone by cone.
+Being dual to the rays, these functions span a space of rank the number
+of rays, which is ``sr_hilbert(fan, 1)``.  On non-smooth cones their
+coefficients may be genuinely fractional, and the failure is reported
+cone by cone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm
+from math import comb
 
 from .errors import NotSimplicial, RayNotFound
 from .fans import Fan
-from .intlinalg import IntMatrix, dot, primitive, rank
+from .intlinalg import dot, primitive
 from .polynomials import LocalPolynomial, RationalLocalPolynomial
-from .ppring import PPElement, check_degree, pp_basis
+from .ppring import PPElement, check_degree
 
 
 def _simplicial_rays(fan: Fan) -> tuple:
@@ -72,6 +74,8 @@ def courant_function(fan: Fan, ray) -> CourantFunction:
     """
     rays = _simplicial_rays(fan)
     ray = tuple(ray)
+    if any(isinstance(x, bool) or not isinstance(x, int) for x in ray):
+        raise TypeError("ray must be an integer vector")
     if not any(ray):
         raise RayNotFound("the zero vector is not a ray of the fan")
     r = primitive(ray)
@@ -96,16 +100,3 @@ def courant_function(fan: Fan, ray) -> CourantFunction:
         element=PPElement._trusted(fan, parts),
         nonintegral_cones=tuple(bad),
     )
-
-
-def courant_span_rank(fan: Fan) -> int:
-    """Rank over the rationals of the span of all the ray dual functions."""
-    gb = pp_basis(fan, 1)
-    vectors = []
-    for r in _simplicial_rays(fan):
-        vec = gb.coefficient_vector(courant_function(fan, r).element)
-        denom = lcm(*(Fraction(x).denominator for x in vec)) if vec else 1
-        vectors.append([int(Fraction(x) * denom) for x in vec])
-    if not vectors:
-        return 0
-    return rank(IntMatrix(vectors, cols=len(vectors[0])))

@@ -20,9 +20,16 @@ canonical basis of PP^k exactly when:
    correct one;
 4. B is saturated: the product of its pivots is 1, or else every
    elementary divisor from ``snf`` (its own loop, not ``_echelon``) is 1.
+
+Each part's monomials are evaluated once per point, and every row of B is
+valued there from those numbers (no basis element is built), so a point
+shared by several incidences costs one evaluation.  The rows of E are
+sparse, a repeated row is reduced once, and the reduction stops when the
+rank reaches n - r.
 """
 
 from itertools import product
+from operator import mul
 
 from fanpoly.intlinalg import snf
 from fanpoly.polynomials import LocalPolynomial
@@ -31,27 +38,33 @@ PRIME = 2**61 - 1
 
 
 class RankModP:
-    """Rows reduced one at a time modulo PRIME; ``rank`` counts the independent ones."""
+    """Sparse rows reduced one at a time modulo PRIME; ``rank`` counts the independent ones."""
 
     def __init__(self):
-        self.pivots = []  # (column, row scaled to 1 there)
+        self.pivots = {}  # leading column -> row scaled to 1 there
 
     @property
     def rank(self):
         return len(self.pivots)
 
     def add(self, row) -> bool:
-        row = [x % PRIME for x in row]
-        for col, prow in self.pivots:
+        """Reduce ``{column: value}`` by the pivots; keep it if anything is left."""
+        row = {j: x % PRIME for j, x in row.items() if x % PRIME}
+        while row:
+            col = min(row)
+            pivot = self.pivots.get(col)
+            if pivot is None:
+                inv = pow(row[col], -1, PRIME)
+                self.pivots[col] = {j: x * inv % PRIME for j, x in row.items()}
+                return True
             c = row[col]
-            if c:
-                row = [(x - c * y) % PRIME for x, y in zip(row, prow)]
-        col = next((j for j, x in enumerate(row) if x), None)
-        if col is None:
-            return False
-        inv = pow(row[col], -1, PRIME)
-        self.pivots.append((col, [x * inv % PRIME for x in row]))
-        return True
+            for j, y in pivot.items():
+                x = (row.get(j, 0) - c * y) % PRIME
+                if x:
+                    row[j] = x
+                else:
+                    row.pop(j, None)
+        return False
 
 
 def is_hermite(rows) -> bool:
@@ -70,7 +83,7 @@ def evaluation_points(tau, k):
     """sum c_i g_i over dim tau independent generators g_i, c_i >= 0, sum c_i <= k."""
     independent, gens = RankModP(), []
     for g in tau.generators:
-        if independent.add(g):
+        if independent.add(dict(enumerate(g))):
             gens.append(g)
     assert len(gens) == tau.dim
     for cs in product(range(k + 1), repeat=len(gens)):
@@ -87,33 +100,33 @@ def failed_checks(container, gb):
     lattices = {pid: cone.quotient for pid, cone in container.parts}
     blocks, start = {}, 0
     for pid, monos in gb.layout:
-        blocks[pid] = (start, monos)
-        start += len(monos)
+        end = start + len(monos)
+        monomials = [LocalPolynomial(lattices[pid], {m: 1}) for m in monos]
+        blocks[pid] = (start, monomials, [row[start:end] for row in rows])
+        start = end
     assert start == n
-    monomials = {
-        pid: [LocalPolynomial(lattices[pid], {m: 1}) for m in monos]
-        for pid, (_, monos) in blocks.items()
-    }
-    parts = [
-        {
-            pid: LocalPolynomial(lattices[pid], dict(zip(monos, row[lo : lo + len(monos)])))
-            for pid, (lo, monos) in blocks.items()
-        }
-        for row in rows
-    ]
 
-    system = RankModP()
-    agree = True
+    values = {}
+
+    def at(pid, point):
+        """The part's monomials and each row's part at the point, evaluated once."""
+        if (pid, point) not in values:
+            lo, monomials, coefficients = blocks[pid]
+            m = [mono.evaluate(point) for mono in monomials]
+            f = [sum(map(mul, c, m)) for c in coefficients]
+            values[pid, point] = {lo + j: v for j, v in enumerate(m) if v}, f
+        return values[pid, point]
+
+    system, seen, agree = RankModP(), set(), True
     for a, b, _, tau in container.incidences:
         for point in evaluation_points(tau, gb.degree):
-            agree = agree and all(f[a].evaluate(point) == f[b].evaluate(point) for f in parts)
+            (ea, fa), (eb, fb) = at(a, point), at(b, point)
+            agree = agree and fa == fb
             if system.rank < n - r:
-                e = [0] * n
-                for pid, sign in ((a, 1), (b, -1)):
-                    lo = blocks[pid][0]
-                    for j, mono in enumerate(monomials[pid]):
-                        e[lo + j] += sign * mono.evaluate(point)
-                system.add(e)
+                e = tuple(sorted([*ea.items(), *((j, -v) for j, v in eb.items())]))
+                if e not in seen:
+                    seen.add(e)
+                    system.add(dict(e))
     if not agree:
         failed.append("evaluation")
     if system.rank != n - r:

@@ -21,7 +21,7 @@ from corpus import (
     p2,
     p2_blowup,
 )
-from reference_intlinalg import reference_in_row_lattice
+from reference_intlinalg import reference_hnf_basis, reference_in_row_lattice
 
 from fanpoly.chern import bundle_sum, bundle_validate, chern_class, total_chern
 from fanpoly.fans import Fan
@@ -32,7 +32,6 @@ from fanpoly.intlinalg import (
     hnf,
     hnf_basis,
     kernel_lattice,
-    rank as matrix_rank,
     snf,
 )
 from fanpoly.mayer_vietoris import h3_torsion
@@ -84,7 +83,7 @@ def test_03_restriction_to_maximal_cones_is_injective():
     for fan in (p1(), p2(), p1xp1(), diamond(), cube(), blp2()):
         for k in range(4):
             gb = pp_basis(fan, k)
-            assert matrix_rank(gb.coefficients) == gb.rank
+            assert reference_hnf_basis(gb.coefficients).rows == gb.rank
     print("PASS 3: basis coefficient matrices have full row rank for k <= 3")
 
 
@@ -176,7 +175,7 @@ def test_07_subdivision_pullback_round_trip_and_kink_rejection():
             rows.append(source_layout.coefficient_vector(pulled))
         if rows:
             m = IntMatrix(rows, cols=len(rows[0]))
-            assert matrix_rank(m) == len(rows)
+            assert reference_hnf_basis(m).rows == len(rows)
 
     kink_parts = {}
     for cone in refined.maximal_cones:
@@ -205,7 +204,7 @@ def test_08_poset_constraints_differ_from_fan_constraints():
         for combo in itertools.combinations_with_replacement(range(3), k):
             support = sorted(set(combo))
             chosen = [vectors[i] for i in support]
-            if matrix_rank(IntMatrix(chosen, cols=2)) == len(support):
+            if reference_hnf_basis(IntMatrix(chosen, cols=2)).rows == len(support):
                 count += 1
         return count
 

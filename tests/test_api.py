@@ -48,10 +48,8 @@ EXPORTED = [
     "bundle_validate",
     "chern_class",
     "courant_function",
-    "courant_span_rank",
     "gkm_compare",
     "gkm_graph",
-    "gkm_kernel_basis",
     "h3_torsion",
     "hnf",
     "hnf_basis",
@@ -61,7 +59,6 @@ EXPORTED = [
     "mpp_basis",
     "multifan_from_fan",
     "multifan_validate",
-    "mv_row",
     "pp_add",
     "pp_basis",
     "pp_constant",

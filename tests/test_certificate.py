@@ -1,5 +1,6 @@
 """Canonical bases certified by :mod:`certificate`, which shares no code with the kernel."""
 
+import random
 from dataclasses import replace
 
 import pytest
@@ -15,6 +16,8 @@ from corpus import (
     p1xp1,
     p2,
     p3_starred3,
+    projective_space,
+    subdivided_p3,
 )
 
 from fanpoly.intlinalg import IntMatrix
@@ -33,14 +36,21 @@ CONTAINERS = {
     # ranks 1, 5, 15, 33 at k <= 3
     "hypertoric_5": (lambda: hypertoric_multifan(3, HYPERTORIC_VECTORS[5]), mpp_basis),
     "p3_starred3": (p3_starred3, pp_basis),
+    # the benchmark's largest ring bases, and P^5 (126 x 420 at k = 4)
+    "p3sub6.s0": (lambda: subdivided_p3(random.Random(0), 6), pp_basis),
+    "p3sub6.s1": (lambda: subdivided_p3(random.Random(1), 6), pp_basis),
+    "hypertoric_9": (lambda: hypertoric_multifan(3, HYPERTORIC_VECTORS[9]), mpp_basis),
+    "p5": (lambda: projective_space(5), pp_basis),
 }
+# the large containers at one degree each; the rest at k <= 3
+DEGREES = {"p3sub6.s0": [4], "p3sub6.s1": [4], "hypertoric_9": [2], "p5": [4]}
 
 
 @pytest.mark.parametrize("name", sorted(CONTAINERS))
 def test_canonical_bases_are_certified(name):
     build, basis = CONTAINERS[name]
     container = build()
-    for k in range(4):
+    for k in DEGREES.get(name, range(4)):
         assert failed_checks(container, basis(container, k)) == [], (name, k)
 
 

@@ -208,6 +208,13 @@ def test_star_subdivision_errors():
         star_subdivision(base, Cone(2, []))
 
 
+@pytest.mark.parametrize("point", [(True, True), (1, True), (1.0, 1.0), ("1", "1")])
+def test_star_subdivision_rejects_non_int_point(point):
+    # (True, True) would otherwise star the quadrant at (1, 1), like the default point
+    with pytest.raises(TypeError, match="^subdivision point must be an integer vector$"):
+        star_subdivision(p2(), Cone(2, [(1, 0), (0, 1)]), point)
+
+
 def test_subdivision_map_rejects_non_refinement():
     with pytest.raises(NotASubdivision):
         SubdivisionMap(p1xp1(), p2())

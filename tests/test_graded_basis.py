@@ -2,8 +2,8 @@
 
 ``GradedBasis`` holds its container, degree, coefficient rows and layout;
 ``rank`` is read off the rows and ``elements`` are built from them on first
-read, so the callers that read only the rows (``gkm_compare``,
-``courant_span_rank``) build no basis element.  Membership divides the
+read, so a caller that reads only the rows (``gkm_compare``) builds no
+basis element.  Membership divides the
 coefficient vector by the rows the basis holds, with no second elimination,
 and its verdicts are checked against the frozen ``solve_left``.  An element
 with a term of another degree is not in the degree-k piece.
@@ -23,7 +23,6 @@ from corpus import (
     hypertoric_3lines,
     p1xp1,
     p2,
-    projective_space,
 )
 from reference_intlinalg import reference_in_row_lattice
 
@@ -40,7 +39,6 @@ from fanpoly.ppring import (
     pp_scale,
     pp_validate,
 )
-from fanpoly.stanley_reisner import _simplicial_rays, courant_span_rank
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -78,18 +76,6 @@ def test_gkm_compare_builds_no_element(monkeypatch, build):
     calls = spy_trusted(monkeypatch)
     assert all(gkm_compare(fan, k) for k in range(3))
     assert calls == []
-
-
-@pytest.mark.parametrize(
-    "build", [p2, p1xp1, blp2, lambda: projective_space(3)], ids=["p2", "p1xp1", "blp2", "p3"]
-)
-def test_courant_span_rank_builds_no_basis_element(monkeypatch, build):
-    fan = build()
-    rays = _simplicial_rays(fan)
-    calls = spy_trusted(monkeypatch)
-    assert courant_span_rank(fan) == pp_basis(fan, 1).rank
-    # one element per ray dual function, none for the basis it is read against
-    assert len(calls) == len(rays)
 
 
 def membership_bases():

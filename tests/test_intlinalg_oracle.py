@@ -31,7 +31,6 @@ from fanpoly.intlinalg import (
     hnf,
     hnf_basis,
     kernel_lattice,
-    rank,
     snf,
     solve_left,
 )
@@ -141,7 +140,6 @@ def assert_hermite_paths_match(a):
     assert hnf(a) == (h, u), a
     basis = reference_hnf_basis(a)
     assert hnf_basis(a) == basis, a
-    assert rank(a) == basis.rows, a
     assert kernel_lattice(a) == reference_kernel_lattice(a), a
 
 

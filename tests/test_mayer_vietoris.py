@@ -10,7 +10,8 @@ from fanpoly.cones import Cone
 from fanpoly.errors import NotComplete, WrongRank
 from fanpoly.fans import Fan
 from fanpoly.intlinalg import IntMatrix
-from fanpoly.mayer_vietoris import _prime_power_parts, h3_torsion, mv_row
+from fanpoly.gkm import beta_system, gkm_graph
+from fanpoly.mayer_vietoris import _prime_power_parts, h3_torsion
 from fanpoly.ppring import pp_basis
 
 
@@ -32,18 +33,19 @@ def minor_gcd_divisors(m: IntMatrix):
 
 
 def test_rank_gate():
-    with pytest.raises(WrongRank):
-        mv_row(p1())
-    with pytest.raises(WrongRank):
-        mv_row(cube())
+    # the rank check comes before the completeness check: the ray is not complete
+    ray = Fan(1, [Cone(1, [(1,)])])
+    for fan in [p1(), cube(), ray]:
+        with pytest.raises(WrongRank, match="^the surface cokernel is defined for ambient rank two$"):
+            h3_torsion(fan)
     half = Fan(2, [Cone(2, [(1, 0), (0, 1)])])
     with pytest.raises(NotComplete):
-        mv_row(half)
+        h3_torsion(half)
 
 
 def test_matrix_shape_and_kernel():
     for fan in [p2(), p1xp1(), diamond(), blp2()]:
-        m = mv_row(fan)
+        m = beta_system(gkm_graph(fan), 1)
         n_rays = sum(1 for c, _ in fan.face_index.values() if c.dim == 1)
         assert m.shape == (n_rays, 2 * len(fan.maximal_cones))
         # kernel of the wall conditions is the degree-one piecewise lattice
@@ -60,7 +62,7 @@ def test_diamond_has_two_torsion():
 
 
 def test_diamond_divisors_match_minor_gcds():
-    m = mv_row(diamond())
+    m = beta_system(gkm_graph(diamond()), 1)
     assert list(h3_torsion(diamond()).elementary_divisors) == minor_gcd_divisors(m)
 
 

@@ -251,8 +251,9 @@ def independence_monomial_count(vectors, rank, k):
     """Oracle: degree-k monomials whose support is an independent subset."""
     from itertools import combinations_with_replacement
 
+    from reference_intlinalg import reference_hnf_basis
+
     from fanpoly.intlinalg import IntMatrix
-    from fanpoly.intlinalg import rank as matrix_rank
 
     if k == 0:
         return 1
@@ -260,7 +261,7 @@ def independence_monomial_count(vectors, rank, k):
     for combo in combinations_with_replacement(range(len(vectors)), k):
         support = sorted(set(combo))
         chosen = [vectors[i] for i in support]
-        if matrix_rank(IntMatrix(chosen, cols=rank)) == len(support):
+        if reference_hnf_basis(IntMatrix(chosen, cols=rank)).rows == len(support):
             count += 1
     return count
 

@@ -22,11 +22,12 @@ from corpus import (
     p2_blowup,
     projective_space,
 )
+from reference_intlinalg import reference_hnf_basis
 
 from fanpoly.cones import Cone
 from fanpoly.errors import ConeNotInFan, FanMismatch, Incompatible, LatticeMismatch
 from fanpoly.fans import Fan, star_subdivision
-from fanpoly.intlinalg import IntMatrix, rank as matrix_rank
+from fanpoly.intlinalg import IntMatrix
 from fanpoly.polynomials import LocalPolynomial
 from fanpoly.ppring import (
     GradedBasis,
@@ -304,7 +305,7 @@ def test_pullback_injective_on_degree_pieces():
             [target.coefficient_vector(pp_pullback(sub, e)) for e in gb.elements],
             cols=width,
         )
-        assert matrix_rank(image) == gb.rank
+        assert reference_hnf_basis(image).rows == gb.rank
 
 
 def test_exceptional_support_function_is_not_a_pullback():

@@ -28,7 +28,7 @@ from fanpoly.gkm import gkm_compare
 from fanpoly.intlinalg import IntMatrix
 from fanpoly.mayer_vietoris import h3_torsion
 from fanpoly.ppring import pp_basis, pp_is_pullback, pp_pullback
-from fanpoly.stanley_reisner import courant_span_rank, sr_hilbert
+from fanpoly.stanley_reisner import sr_hilbert
 
 BASES = {"p2": p2, "p3": lambda: projective_space(3), "p1xp1": p1xp1, "cube": cube}
 CASES = [(base, seed, weighted) for base in BASES for seed in range(3) for weighted in (False, True)]
@@ -70,8 +70,6 @@ def test_random_refinement(base, seed, weighted):
         assert failed_checks(fan, pp_basis(fan, k)) == [], k
     if is_simplicial(fan):
         assert [pp_basis(fan, k).rank for k in range(4)] == [sr_hilbert(fan, k) for k in range(4)]
-    if is_smooth(fan):
-        assert courant_span_rank(fan) == want["ranks"][1]
 
     pulled = []
     for e in pp_basis(sub.target, 2).elements:

@@ -25,12 +25,7 @@ from fanpoly.cones import Cone
 from fanpoly.errors import NotSimplicial, RayNotFound
 from fanpoly.fans import Fan
 from fanpoly.ppring import pp_add, pp_basis, pp_constant, pp_scale, pp_validate
-from fanpoly.stanley_reisner import (
-    _simplicial_rays,
-    courant_function,
-    courant_span_rank,
-    sr_hilbert,
-)
+from fanpoly.stanley_reisner import _simplicial_rays, courant_function, sr_hilbert
 
 
 def ray_complex(fan):
@@ -95,7 +90,7 @@ def test_courant_builds_no_ray_complex():
     the rays off the maximal cones, so a fan that is not simplicial is
     refused with the same message by both."""
     fans = [blp2(), p3_starred3()]
-    assert [courant_span_rank(fan) for fan in fans] == [4, 7]
+    assert [sr_hilbert(fan, 1) for fan in fans] == [4, 7]
     with pytest.raises(NotSimplicial) as complex_error:
         sr_hilbert(cube(), 1)
     with pytest.raises(NotSimplicial) as courant_error:
@@ -198,8 +193,8 @@ def signed_shear_image(fan, rng):
 def courant_cases():
     """Named simplicial fans the Courant functions are checked on."""
     lowdim = Fan(3, [Cone(3, gens) for gens in LOWDIM])
-    cases = [("p2", p2()), ("p1xp1", p1xp1()), ("blp2", blp2()),
-             ("diamond", diamond()), ("lowdim", lowdim)]
+    cases = [("p1", p1()), ("p2", p2()), ("p1xp1", p1xp1()), ("blp2", blp2()),
+             ("diamond", diamond()), ("p3_starred3", p3_starred3()), ("lowdim", lowdim)]
     rng = random.Random(11)
     for name, fan in [("diamond", diamond()), ("lowdim", lowdim)]:
         for i in range(3):
@@ -251,9 +246,11 @@ def test_courant_unknown_ray():
         courant_function(p2(), (1, 1))
 
 
-def test_courant_span_has_full_rank():
-    for fan in [p1(), p2(), p1xp1(), diamond(), blp2()]:
-        assert courant_span_rank(fan) == sr_hilbert(fan, 1)
+@pytest.mark.parametrize("ray", [(True, False), (1, False), (1.0, 0.0), ("1", "0")])
+def test_courant_rejects_non_int_ray(ray):
+    # (True, False) would otherwise name the ray (1, 0)
+    with pytest.raises(TypeError, match="^ray must be an integer vector$"):
+        courant_function(p2(), ray)
 
 
 def test_characters_decompose_in_courant_basis():
