@@ -4,11 +4,13 @@ A cone is built from integer generators in a fixed ambient lattice Z^n.
 Construction canonicalizes aggressively: generators are made primitive,
 deduplicated, reduced to the extremal rays, and sorted, so two descriptions
 of the same cone produce identical objects and identical string ids.  One
-exact double-description routine (Fukuda and Prodon 1996) finds the facet
-normals, as extreme rays of the dual cone inside the span, in coordinates on
-the saturated span read off the top rows of the transform of one Hermite
-step on the span's transpose (a left inverse of the span, whose columns also
-lift covectors back to Z^n), and the rays of the meet of two cones, in Z^n
+exact double description (Fukuda and Prodon 1996), run in Z^n on the
+generators, finds the dual cone's rays and the lineality left, their
+annihilator.  With none left the cone is full dimensional and the rays are
+its facet normals.  Otherwise two kernels give the canonical annihilator and
+saturated span; a ray restricted to the span and made primitive is a normal
+there, lifted to Z^n by the top rows of the transform of one Hermite step on
+the span's transpose.  It also finds the rays of the meet of two cones, in Z^n
 on their equations and facet normals, returned as keys.  It keeps which
 generators lie on which facet as bit masks, and pointedness, the extremal
 generators and the faces are read off these masks.  Every proper face of a
@@ -61,15 +63,16 @@ def _left_inverse(basis: IntMatrix) -> tuple:
 
 
 def _extreme_rays(ineqs, e: int):
-    """Sorted (ray, mask) pairs of the pointed cone {x in Q^e : q.x >= 0}: each
-    ray primitive and extreme, bit k of its mask set exactly when ineqs[k] is 0 on it.
+    """(rays, lineality) of the cone {x in Q^e : q.x >= 0}: sorted (ray, mask)
+    pairs, each ray primitive and extreme modulo the lineality, bit k of its mask
+    set exactly when ineqs[k] is 0 on it, and a basis of ineqs' annihilator.
 
     Double description from Q^e, one inequality q at a time (an equality q = 0
     is entered as the pair q, -q).  If q is nonzero on a lineality vector l, l
     (signed) becomes a ray tight on every earlier q, and the rest shift along l
     onto q = 0, keeping their masks.  Otherwise rays with q < 0 are dropped and
-    each adjacent pair across q = 0 (no third ray is tight everywhere both are)
-    is combined into a ray on it.
+    each adjacent pair across q = 0 (no third ray is tight everywhere both are,
+    a test on masks, so it holds modulo the lineality) is combined into a ray on it.
     """
     lin = [tuple(int(i == j) for j in range(e)) for i in range(e)]
     rays = []
@@ -101,7 +104,7 @@ def _extreme_rays(ineqs, e: int):
                 ray = tuple(vals[i] * x - vals[j] * y for x, y in zip(rn, rp))
                 kept.append((primitive(ray), z | bit))
         rays = kept
-    return sorted(rays)
+    return sorted(rays), lin
 
 
 class Cone:
@@ -128,28 +131,15 @@ class Cone:
             gens.append(primitive(v))
         gens = sorted(set(gens))
 
-        gmat = IntMatrix._of(tuple(gens), ambient_rank)
-        # the annihilator of the generators is also that of their saturated span
-        perp = kernel_lattice(gmat)
-        span = kernel_lattice(perp)
-        d = span.rows
-        self.ambient_rank = ambient_rank
-        self.dim = d
-        self.span_basis = span
-        self.span_perp = perp
-
-        lift = _left_inverse(span)
-        local_gens = [tuple(dot(r, g) for r in lift) for g in gens]
-
-        # the dual cone inside the span is pointed because the generators span it;
-        # its rays are the facet normals, bit i of a mask set if gens[i] is on the facet
-        normals = _extreme_rays(local_gens, d)
+        # the generators' dual cone; bit i of a mask is set if gens[i] is on the facet
+        normals, lin = _extreme_rays(gens, ambient_rank)
         masks = [m for _, m in normals]
         tight = [sum((m >> i & 1) << j for j, m in enumerate(masks)) for i in range(len(gens))]
         # the facets cut out the lineality space: a generator on all of them lies in it
         if (1 << len(masks)) - 1 in tight:
             raise NotPointed(f"cone on {gens!r} contains a line")
 
+        self.ambient_rank, self.dim = ambient_rank, ambient_rank - len(lin)
         # an input generator is extremal unless one besides itself is tight on all its facets
         keep = [i for i, z in enumerate(tight) if sum(w & z == z for w in tight) == 1]
         self.generators = tuple(gens[i] for i in keep)
@@ -164,10 +154,18 @@ class Cone:
             face_masks |= {m & f for m in face_masks}
         self._face_keys = frozenset((ambient_rank, self._masked(m)) for m in face_masks)
 
-        lift_cols = tuple(zip(*lift))
-        self.facet_normals = tuple(
-            sorted(tuple(dot(w, c) for c in lift_cols) for w, _ in normals)
-        )
+        if lin:
+            # the annihilator of the generators is also that of their saturated span
+            self.span_perp = kernel_lattice(IntMatrix._of(tuple(gens), ambient_rank))
+            span = kernel_lattice(self.span_perp)
+            # a ray restricted to the span, made primitive, is a facet normal there
+            lift_cols = tuple(zip(*_left_inverse(span)))
+            local = (primitive(span.mul_vec(r)) for r, _ in normals)
+            lifted = (tuple(dot(w, c) for c in lift_cols) for w in local)
+            self.facet_normals = tuple(sorted(lifted))
+        else:
+            self.span_perp = IntMatrix._of((), ambient_rank)
+            self.facet_normals = tuple(r for r, _ in normals)
 
         self._restrictions = {}
 
@@ -262,5 +260,5 @@ def intersect(c1: Cone, c2: Cone):
     eqs = c1.span_perp.entries + c2.span_perp.entries
     ineqs = [v for q in eqs for v in (q, tuple(-x for x in q))]
     ineqs += sorted(set(c1.facet_normals + c2.facet_normals))
-    key = (n, tuple(r for r, _ in _extreme_rays(ineqs, n)))
+    key = (n, tuple(r for r, _ in _extreme_rays(ineqs, n)[0]))
     return key, key in c1.face_keys() and key in c2.face_keys()

@@ -2,8 +2,9 @@
 
 Every cone is built twice, by ``fanpoly.cones`` and by the frozen subset
 enumeration in ``reference_cones``, and the two must agree on generators,
-facet normals, dimension, span basis and its annihilator, NotPointed, face
-keys, face order and pairwise intersections (cone and common-face flag).
+facet normals, dimension, span basis (the kernel of the cone's annihilator)
+and the annihilator, NotPointed, face keys, face order and pairwise
+intersections (cone and common-face flag).
 Inputs: cones over m-gons, the cube's cones and the cone over the cube,
 seeded random generator sets in Z^3 and Z^4 (pointed or not, full or lower
 dimensional), their images under random signed permutations, and shuffled
@@ -12,9 +13,11 @@ their coordinates are read off the span's Hermite basis: faces of P^5 and
 P^6 and cones over polygons, under seeded shears, and lower dimensional
 ones given with redundant vectors (sums of rays, scaled and repeated rays)
 that the constructor must drop; and cones containing a line, with spans of
-dimension 2 to n - 1, which both must reject with NotPointed.  The zero
-cone of Z^0 to Z^6, given no generators, must also agree, and contain only
-the origin.  Faces are read off the facet masks on every call, so reading
+dimension 2 to n - 1, which both must reject with NotPointed.  In Z^7 and
+Z^8, faces of every dimension of sheared P^7 and P^8 and the octagon's cone
+must agree on generators, facet normals, dimension and annihilator (the
+exponential face comparison left out).  The zero cone of Z^0 to Z^6,
+given no generators, must also agree, and contain only the origin.  Faces are read off the facet masks on every call, so reading
 them twice must give the same answer.  Facets are read off the masks
 directly, and must equal the face lattice at dimension dim - 1 on every
 face of the cube, of P^3 starred three times, of P^5 and of P^6, and on
@@ -156,7 +159,7 @@ def assert_same(cone, ref):
     assert cone.generators == ref.generators
     assert cone.facet_normals == ref.facet_normals
     assert cone.dim == ref.dim
-    assert cone.span_basis == ref.span_basis
+    assert kernel_lattice(cone.span_perp) == ref.span_basis
     assert cone.span_perp == ref.span_perp
     assert cone.face_keys() == ref.face_keys()
     ref_faces = ref.faces()
@@ -246,6 +249,36 @@ def test_high_rank_cones_match_reference():
     assert spans == {(n, s) for n in (5, 6) for s in range(2, n)}
 
 
+def rank_7_8_cones(rng):
+    """(n, generator lists): two seeded faces of each dimension of one shear
+    image of P^7 and one of P^8, and the octagon's cone padded into Z^7."""
+    out = []
+    for n in (7, 8):
+        g = shear(rng, n)
+        rays = [tuple(int(i == j) for j in range(n)) for i in range(n)] + [(-1,) * n]
+        for d in range(1, n + 1):
+            faces = rng.sample(list(combinations(rays, d)), 2)
+            out += [(n, [g(v) for v in gens]) for gens in faces]
+    out.append((7, [(x, y, 1, 0, 0, 0, 0) for x, y in OCTAGON]))
+    return out
+
+
+def test_rank_7_8_cones_match_reference():
+    rng = random.Random(314159)
+    dims = set()
+    for n, gens in rank_7_8_cones(rng):
+        shuffled = list(gens)
+        rng.shuffle(shuffled)
+        for order in (gens, shuffled):
+            cone, ref = Cone(n, order), ReferenceCone(n, order)
+            assert cone.generators == ref.generators
+            assert cone.facet_normals == ref.facet_normals
+            assert cone.dim == ref.dim
+            assert cone.span_perp == ref.span_perp
+            dims.add((n, cone.dim))
+    assert dims == {(n, d) for n in (7, 8) for d in range(1, n + 1)}
+
+
 def test_high_rank_intersections_match_reference():
     """Faces of one shear image of P^n pairwise: all meet in common faces."""
     rng = random.Random(161803)
@@ -314,7 +347,7 @@ def joint_span_intersect(c1, c2):
         - {(0,) * e}
     )
     s0_cols = s0.transpose().entries
-    rays = sorted(tuple(dot(w, c) for c in s0_cols) for w, _ in _extreme_rays(ineqs, e))
+    rays = sorted(tuple(dot(w, c) for c in s0_cols) for w, _ in _extreme_rays(ineqs, e)[0])
     key = (n, tuple(rays))
     return key, key in c1.face_keys() and key in c2.face_keys()
 

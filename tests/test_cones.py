@@ -7,12 +7,14 @@ using the library's own facet machinery.
 """
 
 import random
+import re
 from functools import cached_property
 from itertools import product
 
 import pytest
-from corpus import ambient_lattice, lattices_equal, random_unimodular, saturate
+from corpus import ambient_lattice, cube, lattices_equal, random_unimodular, saturate
 
+import fanpoly.cones
 from fanpoly.cones import (
     Cone,
     _left_inverse,
@@ -72,6 +74,58 @@ def test_dims():
     assert Cone(3, [(2, 4, 6)]).dim == 1
     assert Cone(3, [(1, 0, 0), (0, 1, 0)]).dim == 2
     assert Cone(3, [(1, 0, 0), (0, 1, 0), (1, 1, 1)]).dim == 3
+
+
+def count_eliminations(monkeypatch):
+    """Count the cone module's calls of hnf and kernel_lattice, by name."""
+    calls = {"hnf": 0, "kernel_lattice": 0}
+    for name in calls:
+        def counted(*args, _name=name, _real=getattr(fanpoly.cones, name)):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(fanpoly.cones, name, counted)
+    return calls
+
+
+def test_full_dimensional_cones_take_no_elimination(monkeypatch):
+    """A full-dimensional cone reads its normals off the double description in
+    Z^n: no Hermite step and no kernel, an empty annihilator, normals sorted."""
+    rng = random.Random(7)
+    cases = []
+    for n in (2, 3, 4):
+        g = random_unimodular(rng, n)
+        rays = [tuple(int(i == j) for j in range(n)) for i in range(n)] + [(-1,) * n]
+        cases += [(n, [g.mul_vec(r) for r in rays if r != skip]) for skip in rays]
+    cases.append((3, list(cube().maximal_cones[0].generators)))
+    octagon = [(2, 1), (1, 2), (-1, 2), (-2, 1), (-2, -1), (-1, -2), (1, -2), (2, -1)]
+    cases.append((3, [(x, y, 1) for x, y in octagon]))
+    calls = count_eliminations(monkeypatch)
+    cones = [Cone(n, gens) for n, gens in cases]
+    assert calls == {"hnf": 0, "kernel_lattice": 0}
+    monkeypatch.undo()
+    for cone, (n, gens) in zip(cones, cases):
+        assert cone.dim == n and cone.span_perp == IntMatrix([], cols=n)
+        assert cone.facet_normals == tuple(sorted(cone.facet_normals))
+        assert all(dot(u, g) >= 0 for u in cone.facet_normals for g in gens)
+    assert [len(c.facet_normals) for c in cones[-2:]] == [4, 8]
+
+
+def test_lower_dimensional_cone_reads_its_span(monkeypatch):
+    """A 2-dimensional cone in Z^3 takes the annihilator, the span and the lift."""
+    calls = count_eliminations(monkeypatch)
+    cone = Cone(3, [(1, 0, 0), (1, 1, 0)])
+    assert calls == {"hnf": 1, "kernel_lattice": 2}
+    assert cone.span_perp.entries == ((0, 0, 1),)
+    assert cone.facet_normals == ((0, 1, 0), (1, -1, 0))
+
+
+def test_full_rank_half_plane_is_not_pointed(monkeypatch):
+    calls = count_eliminations(monkeypatch)
+    message = "cone on [(-1, 0), (0, 1), (1, 0)] contains a line"
+    with pytest.raises(NotPointed, match=f"^{re.escape(message)}$"):
+        Cone(2, [(1, 0), (-1, 0), (0, 1)])
+    assert calls == {"hnf": 0, "kernel_lattice": 0}
 
 
 def test_membership():
