@@ -109,14 +109,11 @@ def chern_class(bundle: BundleData, i: int) -> PPElement:
         raise IndexOutOfRange(f"class index {i} out of range 0..{bundle.rank}")
     parts = {}
     for cid, cone in sorted(bundle.fan.parts):
-        if i == 0:
-            parts[cid] = LocalPolynomial.constant(cone.quotient, 1)
-            continue
         classes = [
             LocalPolynomial.linear_form(cone.quotient, u)
             for u in bundle.characters[cid]
         ]
-        parts[cid] = elementary_symmetric(classes, i)
+        parts[cid] = elementary_symmetric(cone.quotient, classes, i)
     return PPElement._trusted(bundle.fan, parts)
 
 

@@ -15,8 +15,7 @@ canonical output:
 
 ``kernel_lattice`` returns its canonical basis in Hermite form, so a graded
 basis reads a member's coefficients off by division, row by row
-(``divide``), with no second elimination.  The kernel of an empty system
-is the identity basis, returned with no elimination.
+(``divide``), with no second elimination.
 
 Conventions used throughout the package: lattice bases are stored as matrix
 *rows*, linear maps act on *column* vectors, and ``dot`` is the standard
@@ -352,13 +351,7 @@ def kernel_lattice(a: IntMatrix) -> IntMatrix:
     touch fall from 495,745 to 68,896 on the 9-vector hypertoric system at
     k = 2 (522 x 420), from 21,378 to 6,175 on the cube at k = 4, and from
     31,436 to 17,031 on the 7-vector hypertoric system at k = 2.
-
-    A system with no constraints (the span of a full-dimensional cone) has
-    all of Z^n as its kernel, and the identity is already its Hermite basis,
-    so it is returned with no elimination.
     """
-    if not a.rows:
-        return IntMatrix.identity(a.cols)
     h, u = hnf(IntMatrix._of(a.entries[::-1], a.cols).transpose())
     ker = tuple(urow for hrow, urow in zip(h.entries, u.entries) if not any(hrow))
     return hnf_basis(IntMatrix._of(ker, a.cols))

@@ -176,7 +176,6 @@ def poly_from_json(lattice, doc, what: str = "polynomial"):
     if not isinstance(doc, list):
         raise FormatError(f"{what} must be a list of [exponents, coefficient] pairs")
     terms = {}
-    rational = False
     for entry in doc:
         if not isinstance(entry, list) or len(entry) != 2:
             raise FormatError(f"{what}: term {entry!r} is not a pair")
@@ -184,14 +183,12 @@ def poly_from_json(lattice, doc, what: str = "polynomial"):
         if len(exps) != lattice.rank or any(e < 0 for e in exps):
             raise FormatError(f"{what}: bad exponent vector {list(exps)!r}")
         c = _coeff(entry[1], what)
-        if c.denominator != 1:
-            rational = True
         if exps in terms:
             raise FormatError(f"{what}: duplicate exponent {list(exps)!r}")
         terms[exps] = c
-    if rational:
-        return RationalLocalPolynomial(lattice, terms)
-    return LocalPolynomial(lattice, {e: int(c) for e, c in terms.items()})
+    if all(c.denominator == 1 for c in terms.values()):
+        return LocalPolynomial(lattice, terms)
+    return RationalLocalPolynomial(lattice, terms)
 
 
 def ppelement_to_json(elem: PPElement) -> dict:

@@ -81,11 +81,12 @@ class Multifan:
             stuck = sorted(set(cones) - set(lower))
             raise NotAPoset(f"covering relation has a cycle through {stuck}")
 
-        for nid, cone in cones.items():
+        # ids in sorted order, so an error names the same nodes whatever the hash seed
+        for nid in sorted(cones):
             below = lower[nid]
-            face_keys = cone.face_keys()
+            face_keys = cones[nid].face_keys()
             seen = {}
-            for b in below:
+            for b in sorted(below):
                 k = cones[b].key
                 if k not in face_keys:
                     raise FaceBijectionFailure(

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations_with_replacement
 from operator import add
 
 from .cones import Cone, QuotientCharacterLattice, restriction_matrix
@@ -29,16 +30,14 @@ def monomials_of_degree(rank: int, degree: int):
     """Exponent tuples of total degree ``degree`` in ``rank`` variables.
 
     Graded lex order, first exponent descending: (k,0,..), (k-1,1,..), ...
+    The sorted index multisets come in lexicographic order; where two first
+    differ, the earlier holds the smaller index v, so it counts every index
+    below v alike and more v's: its exponent tuple is the larger.
     """
     if degree < 0:
         raise ValueError("negative degree")
-    if rank == 0:
-        return ((),) if degree == 0 else ()
-    out = []
-    for e in range(degree, -1, -1):
-        for rest in monomials_of_degree(rank - 1, degree - e):
-            out.append((e,) + rest)
-    return tuple(out)
+    multisets = combinations_with_replacement(range(rank), degree)
+    return tuple(tuple(map(m.count, range(rank))) for m in multisets)
 
 
 def _term_order(term):
@@ -257,14 +256,12 @@ def restrict_to_face(f: LocalPolynomial, sigma: Cone, tau: Cone):
     return f.substitute(restriction_matrix(sigma, tau), tau.quotient)
 
 
-def elementary_symmetric(polys, i: int):
-    """The i-th elementary symmetric polynomial of a multiset of linear classes."""
+def elementary_symmetric(lattice: QuotientCharacterLattice, polys, i: int):
+    """The i-th elementary symmetric polynomial of a multiset of linear
+    classes on ``lattice``; e_0 is the constant 1, also of the empty multiset."""
     items = list(polys)
     if not 0 <= i <= len(items):
         raise IndexOutOfRange(f"elementary symmetric index {i} out of range 0..{len(items)}")
-    if not items:
-        raise ValueError("empty multiset has no ambient lattice")
-    lattice = items[0].lattice
     for p in items:
         if p.lattice != lattice:
             raise LatticeMismatch("multiset members live on different lattices")
@@ -292,7 +289,7 @@ def integrality_certificate(f: LocalPolynomial):
     }
     if bad:
         return None, bad
-    return LocalPolynomial(f.lattice, {e: int(c) for e, c in f.terms.items()}), {}
+    return LocalPolynomial(f.lattice, f.terms), {}
 
 
 def degree_matrix(matrix: IntMatrix, k: int) -> IntMatrix:

@@ -7,7 +7,7 @@ from corpus import diamond, p1, p2
 
 from fanpoly.chern import BundleData, bundle_sum, bundle_validate, chern_class, total_chern
 from fanpoly.cones import _left_inverse
-from fanpoly.errors import FanMismatch, IncompatibleMultisets, IndexOutOfRange
+from fanpoly.errors import FanMismatch, FormatError, IncompatibleMultisets, IndexOutOfRange
 from fanpoly.intlinalg import IntMatrix
 from fanpoly.polynomials import monomials_of_degree
 from fanpoly.ppring import pp_add, pp_basis, pp_constant, pp_mul, pp_scale
@@ -163,17 +163,21 @@ def test_bundle_sum_requires_same_fan():
         bundle_sum(a, b)
 
 
-def test_tangent_data_of_projective_plane():
-    # per cone: the dual basis of its two rays (rows of the inverse of the
-    # generator-column matrix, integral because the cones are unimodular)
-    f = p2()
+def tangent_data(f):
+    """Per cone: the dual basis of its two rays (rows of the inverse of the
+    generator-column matrix, integral because the cones are unimodular)."""
     data = {}
     for cone in f.maximal_cones:
         v1, v2 = cone.generators
         cols = IntMatrix([[v1[0], v2[0]], [v1[1], v2[1]]])
         inv = _left_inverse(cols.transpose())
         data[cone.id_str] = [tuple(inv[0]), tuple(inv[1])]
-    bundle = bundle_validate(f, data)
+    return data
+
+
+def test_tangent_data_of_projective_plane():
+    f = p2()
+    bundle = bundle_validate(f, tangent_data(f))
     assert bundle.rank == 2
     c1 = chern_class(bundle, 1)
     c2 = chern_class(bundle, 2)
@@ -181,3 +185,46 @@ def test_tangent_data_of_projective_plane():
     assert not c2.is_zero()
     assert pp_basis(f, 1).contains(c1)
     assert pp_basis(f, 2).contains(c2)
+
+
+def _line_bundles(fan, seed, count):
+    return [line_bundle_from_element(e) for e in random_line_bundles(fan, random.Random(seed), count)]
+
+
+def _whitney(fan, seed, count):
+    first, *rest = _line_bundles(fan, seed, count)
+    for b in rest:
+        first = bundle_sum(first, b)
+    return first
+
+
+BUNDLES = {
+    "p2_divisor": lambda: [
+        bundle_validate(p2(), {"-1,-1;0,1": [(0, 0)], "-1,-1;1,0": [(1, -1)], "0,1;1,0": [(1, 0)]})
+    ],
+    "p1_trivial": lambda: [bundle_validate(p1(), {c.id_str: [(0,)] for c in p1().maximal_cones})],
+    "line_bundles": lambda: _line_bundles(p2(), 20260822, 5) + _line_bundles(diamond(), 99, 4),
+    "whitney_sums": lambda: [_whitney(p2(), 3, 3), _whitney(diamond(), 11, 2)],
+    "p2_tangent": lambda: [bundle_validate(p2(), tangent_data(p2()))],
+    "rank_0": lambda: [
+        bundle_validate(f, {c.id_str: [] for c in f.maximal_cones}) for f in (p1(), p2(), diamond())
+    ],
+}
+
+
+@pytest.mark.parametrize("name", BUNDLES)
+def test_class_zero_is_the_constant_one(name):
+    for bundle in BUNDLES[name]():
+        assert chern_class(bundle, 0) == pp_constant(bundle.fan, 1)
+        assert total_chern(bundle)[0] == pp_constant(bundle.fan, 1)
+
+
+@pytest.mark.parametrize("character", [(1.5,), (True,), ("1",)])
+def test_bundle_rejects_a_non_integral_character(character):
+    f = p1()
+    data = {c.id_str: [(0,)] for c in f.maximal_cones}
+    cid = f.maximal_cones[0].id_str
+    data[cid] = [character]
+    with pytest.raises(FormatError) as exc:
+        BundleData(f, data)
+    assert str(exc.value) == f"character {character!r} on cone {cid} is not integral"

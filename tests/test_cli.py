@@ -221,6 +221,39 @@ def test_degree_cap_env_override(monkeypatch, capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "cap, argv, code, out, err",
+    [
+        (
+            None,
+            ["validate", "--json", fx("p2_blowup.subdivision.json")],
+            0,
+            '{"kind": "validation", "of": "subdivision", "ok": true, '
+            '"source_cones": 4, "target_cones": 3}\n',
+            "",
+        ),
+        ("x", ["pp-basis", fx("p2.fan.json"), "--degree", "1"], 2, "",
+         "FANPOLY_MAX_DEGREE must be an integer, got 'x'"),
+        ("1.5", ["sr-hilbert", fx("p2.fan.json"), "--degree", "1"], 2, "",
+         "FANPOLY_MAX_DEGREE must be an integer, got '1.5'"),
+    ],
+    ids=["validate_subdivision_json", "cap_not_a_number", "cap_not_an_integer"],
+)
+def test_outcomes_of_rare_branches(cap, argv, code, out, err, monkeypatch, capsys):
+    if cap is None:
+        monkeypatch.delenv("FANPOLY_MAX_DEGREE", raising=False)
+    else:
+        monkeypatch.setenv("FANPOLY_MAX_DEGREE", cap)
+    try:
+        got = main(argv)
+    except SystemExit as exc:
+        got = exc.code
+    printed = capsys.readouterr()
+    assert got == code
+    assert printed.out == out
+    assert err in printed.err and bool(printed.err) == bool(err)
+
+
 def test_negative_degree_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["pp-basis", fx("p2.fan.json"), "--degree", "-1"])

@@ -351,3 +351,25 @@ def test_restriction_compatible_with_projection():
     r = restriction_matrix(sigma, tau)
     assert r * sigma.quotient.projection == tau.quotient.projection
 
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: Cone(-1, []), "negative ambient rank"),
+        (lambda: Cone(2, [(1, 0)]).contains_cone(Cone(3, [(1, 0, 0)])), "ambient rank mismatch"),
+        (lambda: intersect(Cone(2, [(1, 0)]), Cone(3, [(1, 0, 0)])), "ambient rank mismatch"),
+    ],
+    ids=["negative_rank", "contains_cone_ranks", "intersect_ranks"],
+)
+def test_rank_errors(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_zero_cone_equations_are_the_identity(n):
+    zero = Cone(n, [])
+    assert zero.span_perp == IntMatrix.identity(n)
+    assert zero.dim == 0 and zero.generators == ()

@@ -397,3 +397,18 @@ def test_fan_builds_each_face_cone_once_outside_intersect(build, monkeypatch):
     assert not any(during for _, during in built)
     tops = {c.key for c in maximal}
     assert sorted(args for args, _ in built) == sorted(k for k in fan.face_index if k not in tops)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: Fan(2, [[(1, 0)]]), TypeError, "maximal cones must be Cone instances"),
+        (lambda: Fan(2, [Cone(3, [(1, 0, 0)])]), ValueError, "cone ambient rank does not match fan rank"),
+        (lambda: SubdivisionMap(p1(), p2()), NotASubdivision, "ambient ranks differ"),
+    ],
+    ids=["not_a_cone", "cone_rank", "subdivision_ranks"],
+)
+def test_constructor_rank_and_type_errors(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message

@@ -281,3 +281,25 @@ def test_primitive():
 
 def test_dot():
     assert dot((1, 2), (3, 4)) == 11
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_kernel_of_no_constraints_is_the_identity(n):
+    assert kernel_lattice(IntMatrix._of((), n)) == IntMatrix.identity(n)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: IntMatrix([[1, 2]], cols=3), "explicit column count disagrees with rows"),
+        (lambda: IntMatrix([], cols=-1), "negative column count"),
+        (lambda: IntMatrix([[1, 2]]) * IntMatrix([[1, 2]]), "cannot multiply (1, 2) by (1, 2)"),
+        (lambda: IntMatrix([[1, 2]]).mul_vec((1, 2, 3)), "vector length mismatch"),
+        (lambda: dot((1, 2), (1,)), "length mismatch in dot product"),
+    ],
+    ids=["explicit_cols", "negative_cols", "mul_shape", "mul_vec_length", "dot_length"],
+)
+def test_shape_errors(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message

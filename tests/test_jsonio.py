@@ -131,6 +131,14 @@ def test_poly_rejections():
             poly_from_json(lattice, [[[1, 0], bad]])
 
 
+def test_poly_reader_keeps_integral_fractions_integral():
+    lattice = p2().maximal_cones[0].quotient
+    back = poly_from_json(lattice, [[[1, 0], "6/2"], [[0, 1], "-2"], [[0, 0], "0/5"]])
+    assert type(back) is LocalPolynomial
+    assert back.terms == {(1, 0): 3, (0, 1): -2}
+    assert all(type(c) is int for c in back.terms.values())
+
+
 def test_ppelement_roundtrip():
     fan = diamond()
     for el in pp_basis(fan, 2).elements:
@@ -189,3 +197,38 @@ def test_torsion_report_document():
         "torsion_summands": ["2"],
         "parity_even": True,
     }
+
+
+def _subdivision_with_assignment(assignment):
+    doc = subdivision_to_json(p2_blowup()[2])
+    doc["assignment"] = assignment
+    return doc
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: fan_from_json([]), "expected a JSON object, got list"),
+        (
+            lambda: poly_from_json(p2().maximal_cones[0].quotient, [[[1, 0], True]]),
+            "polynomial must be a number string",
+        ),
+        (
+            lambda: poly_from_json(p2().maximal_cones[0].quotient, [[[1, 0], "1/0"]]),
+            "polynomial: bad coefficient '1/0'",
+        ),
+        (
+            lambda: multifan_from_json({"kind": "multifan", "ambient_rank": 1, "nodes": {}, "covers": []}),
+            "nodes must be a nonempty object",
+        ),
+        (
+            lambda: subdivision_from_json(_subdivision_with_assignment([])),
+            "assignment must be an object",
+        ),
+    ],
+    ids=["not_an_object", "bool_coefficient", "zero_denominator", "empty_nodes", "assignment_list"],
+)
+def test_document_rejections(call, message):
+    with pytest.raises(FormatError) as exc:
+        call()
+    assert str(exc.value) == message

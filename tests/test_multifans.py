@@ -1,9 +1,14 @@
 """Posets of cones and their piecewise polynomial rings."""
 
+import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, permutations
+from pathlib import Path
 
 import pytest
 from corpus import (
@@ -18,6 +23,7 @@ from corpus import (
     projective_space,
 )
 
+import fanpoly
 from fanpoly.cones import Cone
 from fanpoly.errors import (
     FaceBijectionFailure,
@@ -400,3 +406,70 @@ def test_constructor_is_the_validator(build):
     assert built.maximal_ids == mf.maximal_ids
     assert built.parts == mf.parts
     assert built.lower == mf.lower
+
+
+# two nodes below "top" carry rays that are not faces of its quadrant
+TWO_BAD = {
+    "kind": "multifan",
+    "ambient_rank": 2,
+    "nodes": {"z": [], "a": [[1, 0]], "b": [[0, 1]], "c": [[1, 1]], "d": [[2, 1]], "top": [[1, 0], [0, 1]]},
+    "covers": [["z", "a"], ["z", "b"], ["z", "c"], ["z", "d"], ["a", "top"], ["b", "top"], ["c", "top"], ["d", "top"]],
+}
+
+
+def test_face_bijection_message_does_not_depend_on_the_hash_seed(tmp_path):
+    doc = tmp_path / "twobad.multifan.json"
+    doc.write_text(json.dumps(TWO_BAD))
+    src = str(Path(fanpoly.__file__).resolve().parent.parent)
+    errs = []
+    for seed in range(8):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
+        run = subprocess.run(
+            [sys.executable, "-m", "fanpoly.cli", "validate", str(doc)],
+            capture_output=True, text=True, env=env, check=False, timeout=60,
+        )
+        assert run.returncode == 1
+        errs.append(run.stderr)
+    assert errs == [errs[0]] * 8
+    assert "node 'c' below it" in errs[0]
+
+
+@pytest.mark.parametrize(
+    "cones, covers, message",
+    [
+        (
+            {nid: Cone(2, gens) for nid, gens in TWO_BAD["nodes"].items()},
+            [tuple(c) for c in TWO_BAD["covers"]],
+            "lower set of node 'top' is not in bijection with the faces of its cone: "
+            "node 'c' below it is not labeled with a face of its cone",
+        ),
+        (
+            {"o": ZERO, "a": RX, "a2": RX, "y": RY, "q": QUAD},
+            [("o", "a"), ("o", "a2"), ("o", "y"), ("a", "q"), ("a2", "q"), ("y", "q")],
+            "lower set of node 'q' is not in bijection with the faces of its cone: "
+            "nodes 'a' and 'a2' below it carry the same face",
+        ),
+    ],
+    ids=["not_a_face", "same_face"],
+)
+def test_face_bijection_message_names_the_smallest_node(cones, covers, message):
+    for order in permutations(cones):
+        reordered = {nid: cones[nid] for nid in order}
+        for pairs in (covers, covers[::-1]):
+            with pytest.raises(FaceBijectionFailure) as exc:
+                Multifan(2, reordered, pairs)
+            assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "cones, error, message",
+    [
+        ({"o": ZERO, "x": [(1, 0)]}, TypeError, "node 'x' is not labeled with a Cone"),
+        ({"o": ZERO, "x": Cone(3, [])}, FanMismatch, "node 'x' has ambient rank 3, expected 2"),
+    ],
+    ids=["not_a_cone", "wrong_rank"],
+)
+def test_constructor_rejects_bad_node_labels(cones, error, message):
+    with pytest.raises(error) as exc:
+        Multifan(2, cones, [])
+    assert str(exc.value) == message

@@ -6,6 +6,7 @@ of the face, which only uses the pairing of characters with points.
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from corpus import ambient_lattice, character_class
@@ -31,6 +32,15 @@ def test_monomial_order():
     assert monomials_of_degree(0, 0) == ((),)
     assert monomials_of_degree(0, 3) == ()
     assert len(monomials_of_degree(3, 4)) == 15
+
+
+@pytest.mark.parametrize("rank", range(7))
+@pytest.mark.parametrize("degree", range(6))
+def test_monomial_order_matches_sorted_exponent_tuples(rank, degree):
+    box = product(range(degree + 1), repeat=rank)
+    assert monomials_of_degree(rank, degree) == tuple(
+        sorted((e for e in box if sum(e) == degree), reverse=True)
+    )
 
 
 def test_arithmetic():
@@ -176,16 +186,22 @@ def test_elementary_symmetric_small():
     lat = ambient_lattice(2)
     x = LocalPolynomial.variable(lat, 0)
     y = LocalPolynomial.variable(lat, 1)
-    assert elementary_symmetric([x, y], 0) == LocalPolynomial.constant(lat, 1)
-    assert elementary_symmetric([x, y], 1) == x + y
-    assert elementary_symmetric([x, y], 2) == x * y
-    assert elementary_symmetric([x, x], 2) == x * x
-    e2 = elementary_symmetric([x, y, x + y], 2)
+    assert elementary_symmetric(lat, [x, y], 0) == LocalPolynomial.constant(lat, 1)
+    assert elementary_symmetric(lat, [x, y], 1) == x + y
+    assert elementary_symmetric(lat, [x, y], 2) == x * y
+    assert elementary_symmetric(lat, [x, x], 2) == x * x
+    e2 = elementary_symmetric(lat, [x, y, x + y], 2)
     assert e2.terms == {(2, 0): 1, (1, 1): 3, (0, 2): 1}
     with pytest.raises(IndexOutOfRange):
-        elementary_symmetric([x, y], 3)
+        elementary_symmetric(lat, [x, y], 3)
     with pytest.raises(ValueError):
-        elementary_symmetric([x * x], 1)
+        elementary_symmetric(lat, [x * x], 1)
+
+
+@pytest.mark.parametrize("rank", range(4))
+def test_elementary_symmetric_of_nothing_is_one(rank):
+    lat = ambient_lattice(rank)
+    assert elementary_symmetric(lat, [], 0) == LocalPolynomial.constant(lat, 1)
 
 
 def test_elementary_symmetric_generating_identity():
@@ -205,7 +221,7 @@ def test_elementary_symmetric_generating_identity():
             for u in subset:
                 term = term * u
             direct = direct + term
-        assert elementary_symmetric(us, i) == direct
+        assert elementary_symmetric(lat, us, i) == direct
 
 
 def test_integrality_certificate():
@@ -265,3 +281,52 @@ def test_degree_matrix_functorial():
         b = IntMatrix([[rng.randint(-2, 2) for _ in range(3)] for _ in range(2)], cols=3)
         for k in range(3):
             assert degree_matrix(b * a, k) == degree_matrix(b, k) * degree_matrix(a, k)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: monomials_of_degree(2, -1), ValueError, "negative degree"),
+        (
+            lambda: LocalPolynomial.variable(ambient_lattice(2), 2),
+            IndexOutOfRange,
+            "variable index 2 out of range",
+        ),
+        (
+            lambda: LocalPolynomial.linear_form(ambient_lattice(2), (1, 2, 3)),
+            ValueError,
+            "wrong number of linear coefficients",
+        ),
+        (lambda: LocalPolynomial.variable(ambient_lattice(2), 0) ** -1, ValueError, "negative power"),
+        (
+            lambda: RationalLocalPolynomial(ambient_lattice(1), {(1,): True}),
+            TypeError,
+            "bool is not a polynomial coefficient",
+        ),
+        (
+            lambda: RationalLocalPolynomial(ambient_lattice(1), {(1,): "1"}),
+            TypeError,
+            "rational coefficient required, got '1'",
+        ),
+        (
+            lambda: elementary_symmetric(
+                ambient_lattice(2), [LocalPolynomial.variable(ambient_lattice(3), 0)], 1
+            ),
+            LatticeMismatch,
+            "multiset members live on different lattices",
+        ),
+    ],
+    ids=[
+        "negative_degree",
+        "variable_range",
+        "linear_form_length",
+        "negative_power",
+        "rational_bool",
+        "rational_str",
+        "elementary_symmetric_lattice",
+    ],
+)
+def test_argument_errors(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message
