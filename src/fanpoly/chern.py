@@ -92,10 +92,7 @@ def bundle_validate(fan: Fan, data) -> BundleData:
 def bundle_sum(a: BundleData, b: BundleData) -> BundleData:
     if a.fan != b.fan:
         raise FanMismatch("bundles live on different fans")
-    merged = {
-        cid: tuple(sorted(a.characters[cid] + b.characters[cid]))
-        for cid in a.characters
-    }
+    merged = {cid: tuple(sorted(a.characters[cid] + b.characters[cid])) for cid in a.characters}
     return BundleData._trusted(a.fan, merged, a.rank + b.rank)
 
 
@@ -109,10 +106,7 @@ def chern_class(bundle: BundleData, i: int) -> PPElement:
         raise IndexOutOfRange(f"class index {i} out of range 0..{bundle.rank}")
     parts = {}
     for cid, cone in sorted(bundle.fan.parts):
-        classes = [
-            LocalPolynomial.linear_form(cone.quotient, u)
-            for u in bundle.characters[cid]
-        ]
+        classes = [LocalPolynomial.linear_form(cone.quotient, u) for u in bundle.characters[cid]]
         parts[cid] = elementary_symmetric(cone.quotient, classes, i)
     return PPElement._trusted(bundle.fan, parts)
 

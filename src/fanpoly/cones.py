@@ -12,12 +12,13 @@ saturated span; a ray restricted to the span and made primitive is a normal
 there, lifted to Z^n by the top rows of the transform of one Hermite step on
 the span's transpose.  It also finds the rays of the meet of two cones, in Z^n
 on their equations and facet normals, returned as keys.  It keeps which
-generators lie on which facet as bit masks, and pointedness, the extremal
-generators and the faces are read off these masks.  Every proper face of a
+generators lie on which facet as bit masks.  As many generators as the
+dimension are independent: the cone is simplicial, each is extremal, and the
+face keys are every subset of them.  Otherwise pointedness, the extremal
+generators and the faces are read off the masks: every proper face of a
 pointed cone is the meet of the facets containing it (the face lattice is
-coatomic), so the faces are the cone and the meets of its facets: their
-masks are the full mask closed under meets with each facet mask.  Only the
-faces' keys are kept, closed when the cone is built.
+coatomic), so the face masks are the full mask closed under meets with each
+facet mask.  Only the faces' keys are kept, made when the cone is built.
 
 Every cone carries a quotient character lattice M_sigma = M / (sigma^perp
 cap M), built on first read from sigma^perp alone, so equal spans give
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 
 from .errors import NotAFace, NotPointed, ZeroVector
 from .intlinalg import IntMatrix, dot, hnf, kernel_lattice, primitive, snf
@@ -85,9 +87,9 @@ def _extreme_rays(ineqs, e: int):
             if a < 0:
                 a, pivot = -a, tuple(-x for x in pivot)
 
-            def shift(v):
+            def shift(v):  # v is primitive and a > 0, so v itself when q.v == 0
                 b = dot(q, v)
-                return primitive(tuple(a * x - b * y for x, y in zip(v, pivot)))
+                return primitive(tuple(a * x - b * y for x, y in zip(v, pivot))) if b else v
 
             lin = [shift(l) for l in lin]
             rays = [(shift(r), z | bit) for r, z in rays] + [(pivot, bit - 1)]
@@ -112,7 +114,7 @@ class Cone:
 
     Set once: ``key`` = ``(ambient_rank, generators)``, its sorted primitive
     extremal generators, and ``id_str`` = ``"x,y;..."`` (``"0"`` if zero).
-    Face keys are closed at construction and ``quotient`` on first read.
+    Face keys are made at construction and ``quotient`` on first read.
     """
 
     def __init__(self, ambient_rank: int, generators):
@@ -134,25 +136,30 @@ class Cone:
         # the generators' dual cone; bit i of a mask is set if gens[i] is on the facet
         normals, lin = _extreme_rays(gens, ambient_rank)
         masks = [m for _, m in normals]
-        tight = [sum((m >> i & 1) << j for j, m in enumerate(masks)) for i in range(len(gens))]
-        # the facets cut out the lineality space: a generator on all of them lies in it
-        if (1 << len(masks)) - 1 in tight:
-            raise NotPointed(f"cone on {gens!r} contains a line")
-
         self.ambient_rank, self.dim = ambient_rank, ambient_rank - len(lin)
-        # an input generator is extremal unless one besides itself is tight on all its facets
-        keep = [i for i, z in enumerate(tight) if sum(w & z == z for w in tight) == 1]
-        self.generators = tuple(gens[i] for i in keep)
+        if len(gens) == len(masks) == self.dim:
+            # independent generators: all extremal, and every subset spans a face
+            self.generators, self._facet_masks = tuple(gens), tuple(masks)
+            faces = (f for d in range(self.dim + 1) for f in combinations(gens, d))
+        else:
+            tight = [sum((m >> i & 1) << j for j, m in enumerate(masks)) for i in range(len(gens))]
+            # the facets cut out the lineality space: a generator on all of them lies in it
+            if (1 << len(masks)) - 1 in tight:
+                raise NotPointed(f"cone on {gens!r} contains a line")
+            # an input generator is extremal unless one besides itself is tight on all its facets
+            keep = [i for i, z in enumerate(tight) if sum(w & z == z for w in tight) == 1]
+            self.generators = tuple(gens[i] for i in keep)
+            self._facet_masks = tuple(
+                sum((m >> i & 1) << j for j, i in enumerate(keep)) for m in masks
+            )
+            # the faces are the cone and the meets of its facets
+            face_masks = {(1 << len(keep)) - 1}
+            for f in self._facet_masks:
+                face_masks |= {m & f for m in face_masks}
+            faces = map(self._masked, face_masks)
         self.key = (ambient_rank, self.generators)
         self.id_str = ";".join(",".join(map(str, g)) for g in self.generators) or "0"
-        self._facet_masks = tuple(
-            sum((m >> i & 1) << j for j, i in enumerate(keep)) for m in masks
-        )
-        # the faces are the cone and the meets of its facets
-        face_masks = {(1 << len(keep)) - 1}
-        for f in self._facet_masks:
-            face_masks |= {m & f for m in face_masks}
-        self._face_keys = frozenset((ambient_rank, self._masked(m)) for m in face_masks)
+        self._face_keys = frozenset((ambient_rank, f) for f in faces)
 
         if lin:
             # the annihilator of the generators is also that of their saturated span
@@ -201,7 +208,7 @@ class Cone:
         return tuple(sorted(cones, key=lambda c: (c.dim, c.generators)))
 
     def face_keys(self):
-        """Keys of all faces, closed from the facet masks when the cone was built."""
+        """Keys of all faces, made when the cone was built."""
         return self._face_keys
 
     def facets(self):

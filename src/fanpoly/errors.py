@@ -102,9 +102,7 @@ class IncompatibleMultisets(FanPolyError):
     def __init__(self, sigma, other, tau):
         self.cones = (sigma, other)
         self.face = tau
-        super().__init__(
-            f"multisets on {sigma!r} and {other!r} restrict differently on {tau!r}"
-        )
+        super().__init__(f"multisets on {sigma!r} and {other!r} restrict differently on {tau!r}")
 
 
 class RayNotFound(FanPolyError):

@@ -11,8 +11,10 @@ canonical basis of PP^k exactly when:
    take equal values at the points sum c_i g_i, c_i >= 0, sum c_i <= k,
    for dim tau independent generators g_i of tau.  These points determine
    a polynomial of degree k on the span of tau, and the values are taken
-   through each part's section (``LocalPolynomial.evaluate``), with no
-   restriction matrix, no ``degree_matrix`` and no stored powers;
+   through each part's section: the point's coordinates are its pairings
+   with the section's columns, and a monomial's value is the product of
+   their powers, with no restriction matrix, no ``degree_matrix``, no
+   stored powers and no ``LocalPolynomial``;
 3. the evaluation system E, one row per condition over the coefficient
    layout, has rank n - r modulo the prime 2^61 - 1.  Then
    rank_p(E) <= rank_Q(E) <= n - r, so B spans the rational kernel: a
@@ -21,18 +23,18 @@ canonical basis of PP^k exactly when:
 4. B is saturated: the product of its pivots is 1, or else every
    elementary divisor from ``snf`` (its own loop, not ``_echelon``) is 1.
 
-Each part's monomials are evaluated once per point, and every row of B is
-valued there from those numbers (no basis element is built), so a point
-shared by several incidences costs one evaluation.  The rows of E are
-sparse, a repeated row is reduced once, and the reduction stops when the
-rank reaches n - r.
+Each part's coordinates, and then its monomials, are computed once per
+point, and every row of B is valued there from those numbers (no basis
+element is built), so a point shared by several incidences costs one
+evaluation.  The rows of E are sparse, a repeated row is reduced once, and
+the reduction stops when the rank reaches n - r.
 """
 
 from itertools import product
+from math import prod
 from operator import mul
 
 from fanpoly.intlinalg import snf
-from fanpoly.polynomials import LocalPolynomial
 
 PRIME = 2**61 - 1
 
@@ -97,12 +99,12 @@ def failed_checks(container, gb):
     n, r = gb.coefficients.cols, len(rows)
     failed = [] if is_hermite(rows) else ["hermite"]
 
-    lattices = {pid: cone.quotient for pid, cone in container.parts}
+    # a section's columns pair a point of the cone's span with its coordinates
+    pairings = {pid: cone.quotient.section.transpose() for pid, cone in container.parts}
     blocks, start = {}, 0
     for pid, monos in gb.layout:
         end = start + len(monos)
-        monomials = [LocalPolynomial(lattices[pid], {m: 1}) for m in monos]
-        blocks[pid] = (start, monomials, [row[start:end] for row in rows])
+        blocks[pid] = (start, monos, [row[start:end] for row in rows])
         start = end
     assert start == n
 
@@ -111,8 +113,9 @@ def failed_checks(container, gb):
     def at(pid, point):
         """The part's monomials and each row's part at the point, evaluated once."""
         if (pid, point) not in values:
-            lo, monomials, coefficients = blocks[pid]
-            m = [mono.evaluate(point) for mono in monomials]
+            lo, monos, coefficients = blocks[pid]
+            coords = pairings[pid].mul_vec(point)
+            m = [prod(map(pow, coords, mono)) for mono in monos]
             f = [sum(map(mul, c, m)) for c in coefficients]
             values[pid, point] = {lo + j: v for j, v in enumerate(m) if v}, f
         return values[pid, point]

@@ -16,7 +16,9 @@ that the constructor must drop; and cones containing a line, with spans of
 dimension 2 to n - 1, which both must reject with NotPointed.  In Z^7 and
 Z^8, faces of every dimension of sheared P^7 and P^8 and the octagon's cone
 must agree on generators, facet normals, dimension and annihilator (the
-exponential face comparison left out).  The zero cone of Z^0 to Z^6,
+exponential face comparison left out).  Simplicial cones in Z^1 to Z^5, of
+every dimension and under seeded shears, must agree in full, with their
+2^d face keys made without reading a mask.  The zero cone of Z^0 to Z^6,
 given no generators, must also agree, and contain only the origin.  Faces are read off the facet masks on every call, so reading
 them twice must give the same answer.  Facets are read off the masks
 directly, and must equal the face lattice at dimension dim - 1 on every
@@ -247,6 +249,42 @@ def test_high_rank_cones_match_reference():
             assert build_both(n, order) is None
         spans.add((n, reference_hnf_basis(IntMatrix(gens, cols=n)).rows))
     assert spans == {(n, s) for n in (5, 6) for s in range(2, n)}
+
+
+def simplicial_cones(rng):
+    """(n, generator lists) of independent vectors in Z^1 to Z^5, of every
+    dimension d from 0 to n: a face of P^n and a seeded set of small vectors,
+    each also under a seeded shear (in Z^1, under -1)."""
+    out = []
+    for n in range(1, 6):
+        rays = [tuple(int(i == j) for j in range(n)) for i in range(n)] + [(-1,) * n]
+        for d in range(n + 1):
+            drawn = [(0,) * n] * d
+            while reference_hnf_basis(IntMatrix(drawn, cols=n)).rows < d:
+                drawn = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(d)]
+            g = shear(rng, n) if n > 1 else lambda v: (-v[0],)
+            for gens in (rng.sample(rays, d), drawn):
+                out += [(n, gens), (n, [g(v) for v in gens])]
+    return out
+
+
+def test_simplicial_cones_match_reference(monkeypatch):
+    """Independent generators give every subset as a face key, with no mask
+    read, equal to the reference's faces in full and lower dimension."""
+    masked = []
+    real = Cone._masked
+    monkeypatch.setattr(Cone, "_masked", lambda self, m: masked.append(m) or real(self, m))
+    cases = simplicial_cones(random.Random(57721))
+    built = [Cone(n, gens) for n, gens in cases]
+    assert masked == []
+    monkeypatch.undo()
+    dims = set()
+    for cone, (n, gens) in zip(built, cases):
+        assert_same(cone, ReferenceCone(n, gens))
+        assert len(cone.generators) == cone.dim == len(gens)
+        assert len(cone.face_keys()) == 2**cone.dim
+        dims.add((n, cone.dim))
+    assert dims == {(n, d) for n in range(1, 6) for d in range(n + 1)}
 
 
 def rank_7_8_cones(rng):

@@ -9,7 +9,7 @@ using the library's own facet machinery.
 import random
 import re
 from functools import cached_property
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from corpus import ambient_lattice, cube, lattices_equal, random_unimodular, saturate
@@ -126,6 +126,84 @@ def test_full_rank_half_plane_is_not_pointed(monkeypatch):
     with pytest.raises(NotPointed, match=f"^{re.escape(message)}$"):
         Cone(2, [(1, 0), (-1, 0), (0, 1)])
     assert calls == {"hnf": 0, "kernel_lattice": 0}
+
+
+def count_masked(monkeypatch):
+    """Masks read into generator tuples by Cone._masked, in call order."""
+    masks = []
+    real = Cone._masked
+    monkeypatch.setattr(Cone, "_masked", lambda self, m: masks.append(m) or real(self, m))
+    return masks
+
+
+SIMPLICIAL = [
+    (2, [(1, 0), (0, 1)]),
+    (2, [(1, 2)]),
+    (3, [(1, 0, 0), (1, 1, 0)]),
+    (3, [(1, 0, 0), (0, 1, 0), (-1, -1, -1)]),
+    (4, [(1, 0, 0, 0), (0, 2, 1, 0), (1, 1, 1, 1)]),
+    (5, [(1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0), (0, 0, 0, 1, 0), (1, 1, 1, 1, -1)]),
+]
+
+
+def test_simplicial_cone_reads_no_mask(monkeypatch):
+    """Independent generators: every subset is a face, so no mask is read
+    into generators; a cone over a square takes the general path."""
+    masks = count_masked(monkeypatch)
+    cones = [Cone(n, gens) for n, gens in SIMPLICIAL + [(3, [])]]
+    assert masks == []
+    square = Cone(3, [(1, 1, 1), (1, -1, 1), (-1, 1, 1), (-1, -1, 1)])
+    assert len(masks) == len(square.face_keys()) == 10
+    monkeypatch.undo()
+    for cone in cones:
+        assert cone.dim == len(cone.generators)
+        subsets = [s for d in range(cone.dim + 1) for s in combinations(cone.generators, d)]
+        assert cone.face_keys() == frozenset((cone.ambient_rank, s) for s in subsets)
+        # each facet holds every generator but one
+        full = (1 << cone.dim) - 1
+        assert sorted(cone._facet_masks) == sorted(full ^ (1 << i) for i in range(cone.dim))
+
+
+def test_redundant_generator_takes_the_general_path(monkeypatch):
+    """The sum of two generators added: more generators than the dimension, so
+    the masks are closed, and the cone is the one without it."""
+    for n, gens in SIMPLICIAL:
+        if len(gens) < 2:
+            continue
+        masks = count_masked(monkeypatch)
+        plain = Cone(n, gens)
+        assert masks == []
+        extra = Cone(n, gens + [tuple(x + y for x, y in zip(gens[0], gens[-1]))])
+        assert masks
+        monkeypatch.undo()
+        assert extra.key == plain.key and extra.id_str == plain.id_str
+        assert extra.facet_normals == plain.facet_normals
+        assert extra.span_perp == plain.span_perp
+        assert extra._facet_masks == plain._facet_masks
+        assert extra.face_keys() == plain.face_keys()
+
+
+@pytest.mark.parametrize(
+    "n,gens,message",
+    [
+        (1, [(1,), (-1,)], "cone on [(-1,), (1,)] contains a line"),
+        (2, [(1, 0), (-1, 0)], "cone on [(-1, 0), (1, 0)] contains a line"),
+        (2, [(1, 0), (0, 1), (-1, -1)], "cone on [(-1, -1), (0, 1), (1, 0)] contains a line"),
+        (
+            3,
+            [(1, 0, 0), (-1, 0, 0), (0, 1, 0)],
+            "cone on [(-1, 0, 0), (0, 1, 0), (1, 0, 0)] contains a line",
+        ),
+        (
+            3,
+            [(2, 0, 0), (0, 1, 0), (-1, -1, 0), (0, 0, 1)],
+            "cone on [(-1, -1, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0)] contains a line",
+        ),
+    ],
+)
+def test_cones_with_a_line_are_not_pointed(n, gens, message):
+    with pytest.raises(NotPointed, match=f"^{re.escape(message)}$"):
+        Cone(n, gens)
 
 
 def test_membership():
