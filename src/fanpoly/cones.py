@@ -42,12 +42,11 @@ from .intlinalg import IntMatrix, dot, hnf, kernel_lattice, primitive, snf
 class QuotientCharacterLattice:
     """The character lattice of a cone's orbit: M_sigma = M / (sigma^perp cap M).
 
-    perp_basis holds the canonical basis of sigma^perp cap M as rows;
-    projection (rank x n) is a surjection M -> Z^rank with that kernel and
-    section (n x rank) is an integral right inverse of it.
+    projection (rank x n) is a surjection M -> Z^rank with kernel exactly
+    sigma^perp cap M (the cone's span_perp) and section (n x rank) is an
+    integral right inverse of it.
     """
 
-    perp_basis: IntMatrix
     rank: int
     projection: IntMatrix
     section: IntMatrix
@@ -226,7 +225,7 @@ class Cone:
         perp, n = self.span_perp, self.ambient_rank
         q = IntMatrix._of(snf(perp).V.transpose().entries[perp.rows :], n)
         s = IntMatrix._of(_left_inverse(q), n).transpose()
-        return QuotientCharacterLattice(perp, q.rows, q, s)
+        return QuotientCharacterLattice(q.rows, q, s)
 
     def __eq__(self, other):
         if not isinstance(other, Cone):

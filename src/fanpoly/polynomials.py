@@ -9,8 +9,9 @@ so coefficient vectors and matrices are reproducible.
 
 One substitution, ``LocalPolynomial.substitute``, applies a linear map by
 expanding a polynomial's own terms in powers of the matrix columns, built
-per call; ``degree_matrix`` is that map on all degree-k coefficients, and
-restriction to a face substitutes the restriction matrix the cone keeps.
+per call; ``degree_matrix`` is that map on all degree-k coefficients, Sym^k,
+memoized here by value like ``monomials_of_degree``, and restriction to a
+face substitutes the restriction matrix the cone keeps.
 """
 
 from __future__ import annotations
@@ -292,6 +293,7 @@ def integrality_certificate(f: LocalPolynomial):
     return LocalPolynomial(f.lattice, f.terms), {}
 
 
+@lru_cache(maxsize=None)
 def degree_matrix(matrix: IntMatrix, k: int) -> IntMatrix:
     """Action of a linear substitution on degree-k coefficient vectors.
 
@@ -299,8 +301,8 @@ def degree_matrix(matrix: IntMatrix, k: int) -> IntMatrix:
     with coefficients in its column i.  The result has one column per
     source monomial of degree k and one row per target monomial, both in
     the canonical monomial order.  Column e is the expansion of the
-    product of the columns' powers e_i, in exponent tuples and ints; the
-    powers up to k are built on each call, for the caller to memoize Sym^k.
+    product of the columns' powers e_i, in exponent tuples and ints; Sym^k
+    is memoized here, by value, so equal matrices share one immutable result.
     """
     t, s = matrix.shape
     src = monomials_of_degree(s, k)

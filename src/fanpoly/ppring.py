@@ -267,19 +267,10 @@ def constraint_matrix(parts, incidences, k: int):
         layout.append((pid, monos))
         total += len(monos)
 
-    # Sym^k computed once per distinct restriction matrix
-    sym = {}
-
-    def restricted(pid, tau):
-        r = restriction_matrix(cones[pid], tau)
-        if r not in sym:
-            sym[r] = degree_matrix(r, k)
-        return sym[r]
-
     rows = []
     for a, b, _, tau in incidences:
-        ra = restricted(a, tau)
-        rb = restricted(b, tau)
+        ra = degree_matrix(restriction_matrix(cones[a], tau), k)
+        rb = degree_matrix(restriction_matrix(cones[b], tau), k)
         for r in range(ra.rows):
             row = [0] * total
             row[offsets[a] : offsets[a] + ra.cols] = ra.row(r)

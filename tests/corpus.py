@@ -214,7 +214,7 @@ def shuffled_image(fan: Fan, rng) -> Fan:
 def ambient_lattice(n: int) -> QuotientCharacterLattice:
     """M itself, viewed as the quotient lattice of a full-dimensional cone."""
     ident = IntMatrix.identity(n)
-    return QuotientCharacterLattice(IntMatrix([], cols=n), n, ident, ident)
+    return QuotientCharacterLattice(n, ident, ident)
 
 
 def character_class(lattice: QuotientCharacterLattice, u) -> LocalPolynomial:

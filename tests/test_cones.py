@@ -321,7 +321,7 @@ def test_quotient_kernel_is_perp():
     assert lattices_equal(kernel_lattice(q.projection), IntMatrix([[1, -1]]))
     assert q.projection * q.section == IntMatrix.identity(1)
     # the projection really kills the annihilator of the cone
-    for row in q.perp_basis.entries:
+    for row in ray.span_perp.entries:
         assert q.reduce(row) == (0,)
         assert dot(row, (1, 1)) == 0
 

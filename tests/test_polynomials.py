@@ -274,6 +274,14 @@ def test_degree_matrix():
     assert degree_matrix(proj, 0) == IntMatrix([[1]])
 
 
+def test_degree_matrix_is_shared_by_equal_matrices():
+    """Sym^k is memoized by value: two distinct but equal inputs get one result."""
+    a, b = IntMatrix([[2, -1], [0, 3], [1, 1]]), IntMatrix([[2, -1], [0, 3], [1, 1]])
+    assert a is not b and a == b
+    for k in range(4):
+        assert degree_matrix(a, k) is degree_matrix(b, k)
+
+
 def test_degree_matrix_functorial():
     rng = random.Random(55)
     for _ in range(10):

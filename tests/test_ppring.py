@@ -15,6 +15,7 @@ from corpus import (
     character_class,
     cube,
     diamond,
+    gl_image,
     hypertoric_3lines,
     p1,
     p1xp1,
@@ -24,9 +25,11 @@ from corpus import (
 )
 from reference_intlinalg import reference_hnf_basis
 
+from fanpoly import polynomials
 from fanpoly.cones import Cone
 from fanpoly.errors import ConeNotInFan, FanMismatch, Incompatible, LatticeMismatch
 from fanpoly.fans import Fan, star_subdivision
+from fanpoly.gkm import gkm_compare
 from fanpoly.intlinalg import IntMatrix
 from fanpoly.polynomials import LocalPolynomial
 from fanpoly.ppring import (
@@ -191,6 +194,20 @@ def test_graded_basis_refuses_elements_of_another_fan():
                 basis.coefficient_vector(e)
     # an equal fan built again is the same container
     assert all(pp_basis(Fan(2, [quadrant]), 1).contains(e) for e in bf.elements)
+
+
+def test_sym_k_is_built_once_per_restriction(monkeypatch):
+    """Sym^k of a restriction matrix is memoized where it is built: once the
+    degree-2 basis of a fan is known, building it again and checking it
+    against the wall system expands no column power."""
+    fan = gl_image(cube(), random.Random("sym-k memo"))
+    want = pp_basis(fan, 2).coefficients
+    calls = []
+    real = polynomials._column_powers
+    monkeypatch.setattr(polynomials, "_column_powers", lambda *a: calls.append(a) or real(*a))
+    assert pp_basis(fan, 2).coefficients == want
+    assert gkm_compare(fan, 2)
+    assert calls == []
 
 
 def test_pp_basis_surface_ranks_match_monomial_count():

@@ -125,7 +125,7 @@ def test_values_do_not_depend_on_the_section(name):
     for cone in CASES[name]:
         lat = cone.quotient
         frozen = QuotientCharacterLattice(
-            lat.perp_basis, lat.rank, lat.projection, IntMatrix(frozen_quotient(cone)[1], lat.rank)
+            lat.rank, lat.projection, IntMatrix(frozen_quotient(cone)[1], lat.rank)
         )
         terms = {
             e: rng.randint(-3, 3) for k in range(3) for e in monomials_of_degree(lat.rank, k)
