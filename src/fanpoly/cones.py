@@ -185,11 +185,7 @@ class Cone:
 
     def contains_relint(self, point) -> bool:
         v = tuple(point)
-        if len(v) != self.ambient_rank:
-            raise ValueError("point has wrong length")
-        if any(dot(k, v) != 0 for k in self.span_perp.entries):
-            return False
-        return all(dot(u, v) > 0 for u in self.facet_normals)
+        return self.contains(v) and all(dot(u, v) for u in self.facet_normals)
 
     def contains_cone(self, other: "Cone") -> bool:
         if other.ambient_rank != self.ambient_rank:

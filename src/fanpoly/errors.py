@@ -6,6 +6,11 @@ programming errors.  Malformed input files raise FormatError instead.
 """
 
 
+def _detailed(msg, detail):
+    """``msg``, followed by ``: detail`` when there is a detail."""
+    return f"{msg}: {detail}" if detail else msg
+
+
 class FanPolyError(Exception):
     """Base class for all validation and computation failures."""
 
@@ -34,10 +39,7 @@ class NotAFan(FanPolyError):
 
     def __init__(self, i, j, detail=""):
         self.pair = (i, j)
-        msg = f"cones {i} and {j} do not meet in a common face"
-        if detail:
-            msg = f"{msg}: {detail}"
-        super().__init__(msg)
+        super().__init__(_detailed(f"cones {i} and {j} do not meet in a common face", detail))
 
 
 class DuplicateCone(FanPolyError):
@@ -91,9 +93,7 @@ class Incompatible(FanPolyError):
         self.cones = (sigma, other)
         self.face = tau
         msg = f"parts on {sigma!r} and {other!r} disagree on face {tau!r}"
-        if detail:
-            msg = f"{msg}: {detail}"
-        super().__init__(msg)
+        super().__init__(_detailed(msg, detail))
 
 
 class IncompatibleMultisets(FanPolyError):
@@ -123,6 +123,4 @@ class FaceBijectionFailure(FanPolyError):
     def __init__(self, node, detail=""):
         self.node = node
         msg = f"lower set of node {node!r} is not in bijection with the faces of its cone"
-        if detail:
-            msg = f"{msg}: {detail}"
-        super().__init__(msg)
+        super().__init__(_detailed(msg, detail))

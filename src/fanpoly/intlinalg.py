@@ -275,9 +275,7 @@ def snf(a: IntMatrix) -> SNFResult:
         for row in w:
             row[j], row[t] = row[t], row[j]
 
-    t = 0
-    limit = min(m, n)
-    while t < limit:
+    for t in range(min(m, n)):
         best = None
         for i in range(t, m):
             for j in range(t, n):
@@ -295,7 +293,6 @@ def snf(a: IntMatrix) -> SNFResult:
             if w[t][t] < 0:
                 w[t] = [-x for x in w[t]]
             p = w[t][t]
-            restart = False
             for i in range(m):
                 if i != t and w[i][t] != 0:
                     q = w[i][t] // p
@@ -303,35 +300,24 @@ def snf(a: IntMatrix) -> SNFResult:
                     if w[i][t] != 0:
                         # remainder is a smaller pivot candidate
                         w[t], w[i] = w[i], w[t]
-                        restart = True
                         break
-            if restart:
-                continue
-            for j in range(n):
-                if j != t and w[t][j] != 0:
-                    col_sub(j, t, w[t][j] // p)
-                    if w[t][j] != 0:
-                        col_swap(j, t)
-                        restart = True
+            else:
+                for j in range(n):
+                    if j != t and w[t][j] != 0:
+                        col_sub(j, t, w[t][j] // p)
+                        if w[t][j] != 0:
+                            col_swap(j, t)
+                            break
+                else:
+                    rest = range(t + 1, n)
+                    bad = next((i for i in range(t + 1, m) if any(w[i][j] % p for j in rest)), None)
+                    if bad is None:
                         break
-            if restart:
-                continue
-            offender = None
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if w[i][j] % p != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            w[t] = [x + y for x, y in zip(w[t], w[offender])]
-        t += 1
+                    w[t] = [x + y for x, y in zip(w[t], w[bad])]
     return SNFResult(
-        IntMatrix((r[n:] for r in w[:m]), cols=m),
-        IntMatrix((r[:n] for r in w[:m]), cols=n),
-        IntMatrix(w[m:], cols=n),
+        IntMatrix._of(tuple(tuple(r[n:]) for r in w[:m]), m),
+        IntMatrix._of(tuple(tuple(r[:n]) for r in w[:m]), n),
+        IntMatrix._of(tuple(map(tuple, w[m:])), n),
     )
 
 

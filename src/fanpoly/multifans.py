@@ -12,8 +12,8 @@ maximal nodes interact only through their common lower nodes, and by
 transitivity of restriction it is enough to impose agreement on the
 maximal ones among those.  So a multifan exposes the same ``parts``,
 ``incidences`` and ``gluing`` as a Fan, with node ids in place of cone
-ids, and ``pp_validate`` checks its elements and :func:`mpp_basis` builds
-its graded bases as :mod:`fanpoly.ppring` does for a fan; orbit
+ids, so ``pp_validate`` and ``pp_basis`` take it as they take a fan
+(:func:`mpp_basis` is ``pp_basis`` under the CLI verb's name); orbit
 restriction reads a fan's faces and refuses a multifan.
 """
 
@@ -26,7 +26,7 @@ from .cones import Cone
 from .errors import FaceBijectionFailure, FanMismatch, NotAPoset
 from .fans import Fan, spanning_gluing
 from .intlinalg import dot
-from .ppring import GradedBasis, piecewise_basis
+from .ppring import GradedBasis, pp_basis
 
 
 class Multifan:
@@ -216,5 +216,5 @@ def hypertoric_multifan(ambient_rank: int, vectors) -> Multifan:
 
 
 def mpp_basis(mf: Multifan, k: int) -> GradedBasis:
-    """Canonical lattice basis of the degree-k piecewise polynomials."""
-    return piecewise_basis(mf, k)
+    """:func:`fanpoly.ppring.pp_basis`, under the ``mpp-basis`` verb's name."""
+    return pp_basis(mf, k)

@@ -14,7 +14,7 @@ elements and bundle multisets against such a list, and one assembler
 Unknowns are the degree-k coefficients of all parts in canonical monomial
 order; each incidence contributes rows (restriction from one side minus
 restriction from the other), and the canonical kernel basis of that system
-is the basis of the degree-k piece (:func:`piecewise_basis`), held as those
+is the basis of the degree-k piece (:func:`pp_basis`), held as those
 Hermite rows alone; its elements are built from them when read.
 
 Most incidences are redundant.  Restriction to a face factors through any
@@ -279,16 +279,11 @@ def constraint_matrix(parts, incidences, k: int):
     return tuple(layout), IntMatrix._of(tuple(rows), total)
 
 
-def piecewise_basis(container, k: int) -> GradedBasis:
-    """Canonical lattice basis of the degree-k piece of a fan or multifan."""
+def pp_basis(container: Fan | Multifan, k: int) -> GradedBasis:
+    """Canonical lattice basis of the degree-k piecewise polynomials on a Fan or Multifan."""
     check_degree(k)
     layout, matrix = constraint_matrix(container.parts, container.gluing, k)
     return GradedBasis(container, k, kernel_lattice(matrix), layout)
-
-
-def pp_basis(fan: Fan, k: int) -> GradedBasis:
-    """Canonical lattice basis of the degree-k piecewise polynomials."""
-    return piecewise_basis(fan, k)
 
 
 def pp_restrict_orbit(a: PPElement, sigma: Cone) -> LocalPolynomial:

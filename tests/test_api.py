@@ -1,8 +1,11 @@
 """The exported surface of the package.
 
 Pinning ``fanpoly.__all__`` makes every change to the public API a
-deliberate edit of this list.
+deliberate edit of this list.  The messages of the exceptions that take an
+optional detail are pinned too, with and without it.
 """
+
+import pytest
 
 import fanpoly
 
@@ -83,3 +86,26 @@ def test_exported_names_are_pinned():
 def test_every_exported_name_resolves():
     for name in fanpoly.__all__:
         assert hasattr(fanpoly, name), name
+
+
+@pytest.mark.parametrize(
+    "error, args, message",
+    [
+        (fanpoly.NotAFan, (0, 2), "cones 0 and 2 do not meet in a common face"),
+        (
+            fanpoly.Incompatible,
+            ("1,0;1,1", "0,1;1,1", "1,1"),
+            "parts on '1,0;1,1' and '0,1;1,1' disagree on face '1,1'",
+        ),
+        (
+            fanpoly.FaceBijectionFailure,
+            ("top",),
+            "lower set of node 'top' is not in bijection with the faces of its cone",
+        ),
+    ],
+)
+def test_detailed_messages_are_pinned(error, args, message):
+    assert str(error(*args)) == message
+    assert str(error(*args, "")) == message
+    assert str(error(*args, "2 meets")) == message + ": 2 meets"
+    assert str(error(*args, detail="x")) == message + ": x"

@@ -19,7 +19,10 @@ must agree on generators, facet normals, dimension and annihilator (the
 exponential face comparison left out).  Simplicial cones in Z^1 to Z^5, of
 every dimension and under seeded shears, must agree in full, with their
 2^d face keys made without reading a mask.  The zero cone of Z^0 to Z^6,
-given no generators, must also agree, and contain only the origin.  Faces are read off the facet masks on every call, so reading
+given no generators, must also agree, and contain only the origin.
+``contains_relint`` must agree with the reference cone's facet normals
+and annihilator on interior, boundary, off-span and zero points of seeded
+random cones in Z^1 to Z^4, and name a point of the wrong length.  Faces are read off the facet masks on every call, so reading
 them twice must give the same answer.  Facets are read off the masks
 directly, and must equal the face lattice at dimension dim - 1 on every
 face of the cube, of P^3 starred three times, of P^5 and of P^6, and on
@@ -203,6 +206,41 @@ def test_zero_cone_matches_reference(n):
     for i in range(n):
         e = tuple(int(i == j) for j in range(n))
         assert not cone.contains(e) and not cone.contains_relint(e)
+
+
+def reference_relint(ref, v):
+    """v is in the span and strictly inside every facet of the reference cone."""
+    return not any(dot(k, v) for k in ref.span_perp.entries) and all(
+        dot(u, v) > 0 for u in ref.facet_normals
+    )
+
+
+def test_contains_relint_matches_reference():
+    """Interior, boundary, off-span and zero points of seeded random cones
+    in Z^1 to Z^4, against the reference cone's normals and annihilator."""
+    rng = random.Random(20261021)
+    seen = set()
+    for n in (1, 2, 3, 4):
+        for _ in range(40):
+            both = build_both(n, random_generators(rng, n))
+            if both is None:
+                continue
+            cone, ref = both
+            gens = cone.generators
+            points = [(0,) * n, tuple(map(sum, zip((0,) * n, *gens)))]
+            points += gens
+            points += [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(6)]
+            # off the span: a generator plus an annihilator row
+            points += [tuple(map(sum, zip(gens[0], k))) for k in cone.span_perp.entries[:1] if gens]
+            for v in points:
+                want = reference_relint(ref, v)
+                assert cone.contains_relint(v) is want, (n, gens, v)
+                assert cone.contains_relint(iter(v)) is want
+                seen.add(want)
+            with pytest.raises(ValueError) as exc:
+                cone.contains_relint((0,) * (n + 1))
+            assert str(exc.value) == "point has wrong length"
+    assert seen == {True, False}
 
 
 def test_face_reads_repeat():

@@ -8,7 +8,9 @@ the checker must name the first pair the reference loop finds failing.
 Inputs: the fixture fans at k = 0..3 and seeded signed-permutation images
 of them, the fixture multifans, the multifan of P^2 and a five-vector
 hypertoric multifan in Z^3 at k = 0..2, and the wall graphs of the
-complete fans.
+complete fans.  ``pp_basis`` and ``mpp_basis`` must give the same basis
+of every multifan: the corpus multifans at k = 0..3 and the five- and
+seven-vector hypertoric multifans at k = 0..2.
 """
 
 import random
@@ -34,6 +36,7 @@ from fanpoly.ppring import constraint_matrix, pp_basis, pp_validate
 FANS = {"p1": p1, "p2": p2, "diamond": diamond, "cube": cube, "blp2": blp2, "p1xp1": p1xp1}
 
 HYPERTORIC_5 = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (0, 1, 1)]
+HYPERTORIC_7 = HYPERTORIC_5 + [(1, 0, 1), (1, 1, 1)]
 
 
 def signed_permutation_image(fan, rng):
@@ -94,6 +97,28 @@ def test_multifan_system_and_basis_match_reference(name):
         assert layout == ref_layout
         assert same_matrix(matrix, ref)
         gb = mpp_basis(mf, k)
+        assert gb.layout == ref_layout
+        assert same_matrix(gb.coefficients, kernel_lattice(ref))
+
+
+GRADED_MULTIFANS = [
+    ("doubled_cone", doubled_cone, 3),
+    ("hypertoric_3lines", hypertoric_3lines, 3),
+    ("hypertoric_5", lambda: hypertoric_multifan(3, HYPERTORIC_5), 2),
+    ("hypertoric_7", lambda: hypertoric_multifan(3, HYPERTORIC_7), 2),
+]
+
+
+@pytest.mark.parametrize("name, build, top", GRADED_MULTIFANS, ids=[c[0] for c in GRADED_MULTIFANS])
+def test_pp_basis_takes_a_multifan(name, build, top):
+    """``pp_basis`` on a multifan is ``mpp_basis``, and both are the kernel
+    of the reference system."""
+    mf = build()
+    for k in range(top + 1):
+        ref_layout, ref = reference_multifan_system(mf, k)
+        gb = pp_basis(mf, k)
+        assert gb == mpp_basis(mf, k)
+        assert gb.container is mf and gb.degree == k
         assert gb.layout == ref_layout
         assert same_matrix(gb.coefficients, kernel_lattice(ref))
 

@@ -107,6 +107,22 @@ def test_normal_forms_match_frozen_copies(m, n):
         assert kernel_lattice(a) == reference_kernel_lattice(a), a
 
 
+@pytest.mark.parametrize(
+    "rows,diagonal",
+    [
+        ([[2], [3]], (1,)),  # the row pass leaves a remainder and swaps it up
+        ([[2, 3]], (1,)),  # the column pass leaves a remainder and swaps it in
+        ([[2, 0], [0, 3]], (1, 6)),  # 3 is not a multiple of 2: the divisibility fix
+    ],
+)
+def test_each_smith_branch_matches_frozen_copy(rows, diagonal):
+    a = IntMatrix(rows)
+    res = snf(a)
+    assert res == reference_snf(a)
+    assert res.U * a * res.V == res.S
+    assert res.diagonal() == diagonal
+
+
 @pytest.mark.parametrize("m,n", SHAPES)
 def test_solutions_match_frozen_copies(m, n):
     rng = random.Random(6000 + 10 * m + n)
