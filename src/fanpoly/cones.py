@@ -1,31 +1,27 @@
 """Pointed rational polyhedral cones and their character lattices.
 
-A cone is built from integer generators in a fixed ambient lattice Z^n.
-Construction canonicalizes aggressively: generators are made primitive,
-deduplicated, reduced to the extremal rays, and sorted, so two descriptions
-of the same cone produce identical objects and identical string ids.  One
-exact double description (Fukuda and Prodon 1996), run in Z^n on the
-generators, finds the dual cone's rays and the lineality left, their
-annihilator.  With none left the cone is full dimensional and the rays are
-its facet normals.  Otherwise two kernels give the canonical annihilator and
-saturated span; a ray restricted to the span and made primitive is a normal
-there, lifted to Z^n by the top rows of the transform of one Hermite step on
-the span's transpose.  It also finds the rays of the meet of two cones, in Z^n
-on their equations and facet normals, returned as keys.  It keeps which
-generators lie on which facet as bit masks.  As many generators as the
-dimension are independent: the cone is simplicial, each is extremal, and the
-face keys are every subset of them.  Otherwise pointedness, the extremal
-generators and the faces are read off the masks: every proper face of a
-pointed cone is the meet of the facets containing it (the face lattice is
-coatomic), so the face masks are the full mask closed under meets with each
-facet mask.  Only the faces' keys are kept, made when the cone is built.
+A cone is built from integer generators in Z^n and canonicalized: generators
+are made primitive, deduplicated, reduced to the extremal rays and sorted, so
+two descriptions of one cone give identical objects and string ids.  One exact
+double description (Fukuda and Prodon 1996) in Z^n on the generators finds the
+dual cone's rays, which generators lie on each (bit masks), and the lineality
+left, their annihilator.  With none left the cone is full dimensional and the
+rays are its facet normals.  Otherwise one kernel gives the canonical
+annihilator, and the normals, the rays on the saturated span lifted to Z^n,
+are built on first read.  As many generators as the dimension are
+independent: the cone is simplicial and its face keys are every subset of
+them.  Otherwise pointedness, the extremal generators and the faces are read
+off the masks: every proper face of a pointed cone is the meet of the facets
+containing it, so the face masks are the full mask closed under meets with
+each facet mask.  Only face keys are kept, made at construction.  The meet of
+two cones is one double description in Z^n on their equations and facet
+normals, returned as a key.
 
-Every cone carries a quotient character lattice M_sigma = M / (sigma^perp
-cap M), built on first read from sigma^perp alone, so equal spans give
-identical coordinates: a projection with kernel exactly sigma^perp cap M off
-its Smith transform, and a section off a Hermite transform, as the lift is.
-Polynomials on a cone are written in these quotient coordinates, and each
-cone stores its restriction matrix to each face.
+The quotient character lattice M_sigma = M / (sigma^perp cap M) is built on
+first read from sigma^perp alone, so equal spans give identical coordinates:
+a projection with kernel sigma^perp cap M off a Smith transform and a section
+off a Hermite one, as the lift is.  Polynomials on a cone are written in these
+coordinates, and each cone keeps its restriction matrix to each face.
 """
 
 from __future__ import annotations
@@ -113,7 +109,8 @@ class Cone:
 
     Set once: ``key`` = ``(ambient_rank, generators)``, its sorted primitive
     extremal generators, and ``id_str`` = ``"x,y;..."`` (``"0"`` if zero).
-    Face keys are made at construction and ``quotient`` on first read.
+    Face keys are made at construction; ``quotient`` and a lower-dimensional
+    cone's ``facet_normals`` on first read.
     """
 
     def __init__(self, ambient_rank: int, generators):
@@ -160,20 +157,23 @@ class Cone:
         self.id_str = ";".join(",".join(map(str, g)) for g in self.generators) or "0"
         self._face_keys = frozenset((ambient_rank, f) for f in faces)
 
-        if lin:
-            # the annihilator of the generators is also that of their saturated span
+        if lin:  # the generators' annihilator is also their saturated span's
             self.span_perp = kernel_lattice(IntMatrix._of(tuple(gens), ambient_rank))
-            span = kernel_lattice(self.span_perp)
-            # a ray restricted to the span, made primitive, is a facet normal there
-            lift_cols = tuple(zip(*_left_inverse(span)))
-            local = (primitive(span.mul_vec(r)) for r, _ in normals)
-            lifted = (tuple(dot(w, c) for c in lift_cols) for w in local)
-            self.facet_normals = tuple(sorted(lifted))
-        else:
+            self._dual_rays = tuple(r for r, _ in normals)
+        else:  # the rays are the facet normals, shadowing the cached_property
             self.span_perp = IntMatrix._of((), ambient_rank)
             self.facet_normals = tuple(r for r, _ in normals)
 
         self._restrictions = {}
+
+    @cached_property
+    def facet_normals(self) -> tuple:
+        """Dual rays restricted to the saturated span, made primitive, lifted, sorted."""
+        span = kernel_lattice(self.span_perp)
+        lift_cols = tuple(zip(*_left_inverse(span)))
+        local = (primitive(span.mul_vec(r)) for r in self._dual_rays)
+        lifted = (tuple(dot(w, c) for c in lift_cols) for w in local)
+        return tuple(sorted(lifted))
 
     def contains(self, point) -> bool:
         v = tuple(point)

@@ -475,13 +475,17 @@ def test_meets_match_joint_span_rule():
 
 def test_meets_leave_the_integer_layer(monkeypatch):
     """The meet reads the cones' equations, facet normals and face keys, and
-    makes no kernel, Hermite form or matrix, not even with no equations."""
+    makes no kernel, Hermite form or matrix, not even with no equations.  The
+    normals, which a lower-dimensional cone builds on first read, are read
+    before the integer layer is refused."""
     pairs = same_rank_pairs()
     fan_pairs = []
     for fan in (projective_space(4), p3_starred3(), blp2(), cube()):
         fan_pairs += combinations(fan.maximal_cones, 2)
     # the parts of a multifan may overlap
     parts = [c for _, c in hypertoric_3lines().parts]
+    cones = [c for pair in pairs + fan_pairs for c in pair] + parts
+    assert all(c.facet_normals == tuple(sorted(c.facet_normals)) for c in cones)
 
     def refuse(*args, **kwargs):
         raise AssertionError("the meet entered the integer layer")

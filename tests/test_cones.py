@@ -12,7 +12,22 @@ from functools import cached_property
 from itertools import combinations, product
 
 import pytest
-from corpus import ambient_lattice, cube, lattices_equal, random_unimodular, saturate
+from corpus import (
+    HYPERTORIC_VECTORS,
+    ambient_lattice,
+    blp2,
+    cube,
+    diamond,
+    hypertoric_3lines,
+    lattices_equal,
+    p1,
+    p1xp1,
+    p2,
+    p3_starred3,
+    projective_space,
+    random_unimodular,
+    saturate,
+)
 
 import fanpoly.cones
 from fanpoly.cones import (
@@ -23,6 +38,8 @@ from fanpoly.cones import (
 )
 from fanpoly.errors import NotAFace, NotPointed, ZeroVector
 from fanpoly.intlinalg import IntMatrix, dot, kernel_lattice
+from fanpoly.jsonio import multifan_from_json, multifan_to_json
+from fanpoly.multifans import hypertoric_multifan
 
 
 def exposed_face_generator_sets(gens, bound=2):
@@ -112,12 +129,51 @@ def test_full_dimensional_cones_take_no_elimination(monkeypatch):
 
 
 def test_lower_dimensional_cone_reads_its_span(monkeypatch):
-    """A 2-dimensional cone in Z^3 takes the annihilator, the span and the lift."""
+    """A 2-dimensional cone in Z^3 takes its annihilator at construction, and its
+    span and lift when the facet normals are first read, once."""
     calls = count_eliminations(monkeypatch)
     cone = Cone(3, [(1, 0, 0), (1, 1, 0)])
+    assert calls == {"hnf": 0, "kernel_lattice": 1}
+    normals = cone.facet_normals
+    assert calls == {"hnf": 1, "kernel_lattice": 2}
+    assert cone.facet_normals is normals
     assert calls == {"hnf": 1, "kernel_lattice": 2}
     assert cone.span_perp.entries == ((0, 0, 1),)
-    assert cone.facet_normals == ((0, 1, 0), (1, -1, 0))
+    assert normals == ((0, 1, 0), (1, -1, 0))
+
+
+def test_multifan_document_builds_no_facet_normals(monkeypatch):
+    """Reading a hypertoric multifan document checks its nodes on face keys: a
+    lower-dimensional node takes one kernel, its annihilator, and no Hermite
+    step.  A full-dimensional cone holds its normals from construction."""
+    doc = multifan_to_json(hypertoric_multifan(3, HYPERTORIC_VECTORS[5]))
+    calls = count_eliminations(monkeypatch)
+    mf = multifan_from_json(doc)
+    lower = [c for c in mf.cones.values() if c.dim < 3]
+    assert len(lower) == 16 and len(mf.cones) == 24
+    assert calls == {"hnf": 0, "kernel_lattice": len(lower)}
+    assert not any("facet_normals" in vars(c) for c in lower)
+    assert all("facet_normals" in vars(c) for c in mf.cones.values() if c.dim == 3)
+
+
+def test_facet_normals_do_not_depend_on_the_first_read():
+    """Two copies of each lower-dimensional cone of the corpus fans' face indexes
+    and the hypertoric multifans: one reads its quotient, contains and a meet
+    before its normals, the other its normals first.  The normals agree."""
+    fans = [p1(), p2(), p1xp1(), diamond(), blp2(), cube(), p3_starred3(), projective_space(4)]
+    keys = {f.key for fan in fans for f, _ in fan.face_index.values() if f.dim < fan.ambient_rank}
+    multifans = [hypertoric_3lines()]
+    multifans += [hypertoric_multifan(3, v) for v in HYPERTORIC_VECTORS.values()]
+    keys |= {c.key for mf in multifans for c in mf.cones.values() if c.dim < mf.ambient_rank}
+    assert len(keys) > 100
+    for key in sorted(keys):
+        late, early = Cone(*key), Cone(*key)
+        normals = early.facet_normals
+        assert late.quotient.rank == late.dim and "facet_normals" not in vars(late)
+        point = tuple(map(sum, zip(*late.generators))) or (0,) * late.ambient_rank
+        assert late.contains(point)
+        assert intersect(late, Cone(*key)) == (key, True)
+        assert late.facet_normals == normals
 
 
 def test_full_rank_half_plane_is_not_pointed(monkeypatch):
