@@ -1,8 +1,9 @@
 """Command line front end.
 
-Each verb reads JSON documents, runs one library operation, and prints
-either a short human summary or, with --json, a machine document on
-stdout.  Exit codes: 0 on success, 1 when the mathematics rejects the
+Each verb reads JSON documents, runs one library operation, and returns
+its human summary lines and a function that builds its machine document;
+the summary is printed on stdout, or with --json the document, built only
+then.  Exit codes: 0 on success, 1 when the mathematics rejects the
 input (a validation error), 2 for usage errors, 3 for unreadable files or
 malformed documents.
 
@@ -18,9 +19,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from functools import cache
-from typing import Callable
 
 from .chern import bundle_validate, chern_class
 from .errors import FanPolyError, FormatError
@@ -40,18 +39,9 @@ from .jsonio import (
     torsion_report_to_json,
 )
 from .mayer_vietoris import h3_torsion
-from .multifans import hypertoric_multifan, mpp_basis
+from .multifans import hypertoric_multifan
 from .ppring import pp_basis, pp_is_pullback, pp_validate
 from .stanley_reisner import courant_function, sr_hilbert
-
-
-@dataclass
-class RunReport:
-    """What one verb produced: human lines, and a function that builds the
-    JSON document, called only under --json."""
-
-    lines: list
-    document: Callable[[], dict]
 
 
 def _parse_vector(text: str, what: str, length: int):
@@ -68,7 +58,7 @@ def _load_fan(path: str) -> Fan:
     return fan_from_json(read_json_file(path))
 
 
-def _cmd_validate(args) -> RunReport:
+def _cmd_validate(args):
     doc = read_json_file(args.file)
     kind = doc.get("kind") if isinstance(doc, dict) else None
     if kind == "fan":
@@ -76,78 +66,58 @@ def _cmd_validate(args) -> RunReport:
         # the maximal cones carry their face keys, whose union is the face_index keys
         faces = len(frozenset().union(*(c.face_keys() for c in fan.maximal_cones)))
         complete = is_complete(fan)
-        return RunReport(
-            lines=[
-                f"fan: {len(fan.maximal_cones)} maximal cones, {faces} cones in total",
-                f"complete: {'yes' if complete else 'no'}",
-            ],
-            document=lambda: {
-                "kind": "validation",
-                "of": "fan",
-                "ok": True,
-                "maximal_cones": len(fan.maximal_cones),
-                "cones": faces,
-                "complete": complete,
-            },
-        )
+        lines = [
+            f"fan: {len(fan.maximal_cones)} maximal cones, {faces} cones in total",
+            f"complete: {'yes' if complete else 'no'}",
+        ]
+        return lines, lambda: {
+            "kind": "validation",
+            "of": "fan",
+            "ok": True,
+            "maximal_cones": len(fan.maximal_cones),
+            "cones": faces,
+            "complete": complete,
+        }
     if kind == "multifan":
         mf = multifan_from_json(doc)
-        return RunReport(
-            lines=[
-                f"multifan: {len(mf.node_ids)} nodes, {len(mf.maximal_ids)} maximal",
-            ],
-            document=lambda: {
-                "kind": "validation",
-                "of": "multifan",
-                "ok": True,
-                "nodes": len(mf.node_ids),
-                "maximal_nodes": len(mf.maximal_ids),
-            },
-        )
+        return [f"multifan: {len(mf.node_ids)} nodes, {len(mf.maximal_ids)} maximal"], lambda: {
+            "kind": "validation",
+            "of": "multifan",
+            "ok": True,
+            "nodes": len(mf.node_ids),
+            "maximal_nodes": len(mf.maximal_ids),
+        }
     if kind == "subdivision":
         m = subdivision_from_json(doc)
-        return RunReport(
-            lines=[
-                f"subdivision: {len(m.source.maximal_cones)} cones refine "
-                f"{len(m.target.maximal_cones)}",
-            ],
-            document=lambda: {
-                "kind": "validation",
-                "of": "subdivision",
-                "ok": True,
-                "source_cones": len(m.source.maximal_cones),
-                "target_cones": len(m.target.maximal_cones),
-            },
-        )
+        lines = [
+            f"subdivision: {len(m.source.maximal_cones)} cones refine "
+            f"{len(m.target.maximal_cones)}",
+        ]
+        return lines, lambda: {
+            "kind": "validation",
+            "of": "subdivision",
+            "ok": True,
+            "source_cones": len(m.source.maximal_cones),
+            "target_cones": len(m.target.maximal_cones),
+        }
     raise FormatError(f"cannot validate documents of kind {kind!r}")
 
 
-def _cmd_pp_basis(args) -> RunReport:
-    gb = pp_basis(_load_fan(args.file), args.degree)
-    return RunReport(
-        lines=[f"degree {gb.degree} rank {gb.rank}"],
-        document=lambda: graded_basis_to_json(gb),
-    )
+def _cmd_basis(args):
+    gb = pp_basis(args.read(read_json_file(args.file)), args.degree)
+    return [f"degree {gb.degree} rank {gb.rank}"], lambda: graded_basis_to_json(gb)
 
 
-def _cmd_mpp_basis(args) -> RunReport:
-    mf = multifan_from_json(read_json_file(args.file))
-    gb = mpp_basis(mf, args.degree)
-    return RunReport(
-        lines=[f"degree {gb.degree} rank {gb.rank}"],
-        document=lambda: graded_basis_to_json(gb),
-    )
-
-
-def _cmd_gkm_check(args) -> RunReport:
+def _cmd_gkm_check(args):
     match = gkm_compare(_load_fan(args.file), args.degree)
-    return RunReport(
-        lines=[f"degree {args.degree} match {'yes' if match else 'no'}"],
-        document=lambda: {"kind": "gkm_check", "degree": args.degree, "match": match},
-    )
+    return [f"degree {args.degree} match {'yes' if match else 'no'}"], lambda: {
+        "kind": "gkm_check",
+        "degree": args.degree,
+        "match": match,
+    }
 
 
-def _cmd_chern(args) -> RunReport:
+def _cmd_chern(args):
     fan = _load_fan(args.fan)
     chars = bundle_characters_from_json(read_json_file(args.bundle))
     bundle = bundle_validate(fan, chars)
@@ -155,10 +125,10 @@ def _cmd_chern(args) -> RunReport:
     lines = [f"rank {bundle.rank} bundle, class {args.index}"]
     for cid, part in elem.parts.items():
         lines.append(f"  {cid}: {part!r}")
-    return RunReport(lines, lambda: {**ppelement_to_json(elem), "class_index": args.index})
+    return lines, lambda: {**ppelement_to_json(elem), "class_index": args.index}
 
 
-def _cmd_courant(args) -> RunReport:
+def _cmd_courant(args):
     fan = _load_fan(args.file)
     phi = courant_function(fan, _parse_vector(args.ray, "--ray", fan.ambient_rank))
     lines = [
@@ -167,27 +137,25 @@ def _cmd_courant(args) -> RunReport:
     ]
     if phi.nonintegral_cones:
         lines.append("nonintegral on: " + "  ".join(phi.nonintegral_cones))
-    return RunReport(
-        lines,
-        lambda: {
-            "kind": "courant",
-            "ray": list(phi.ray),
-            "integral": phi.is_integral,
-            "nonintegral_cones": list(phi.nonintegral_cones),
-            "element": ppelement_to_json(phi.element),
-        },
-    )
+    return lines, lambda: {
+        "kind": "courant",
+        "ray": list(phi.ray),
+        "integral": phi.is_integral,
+        "nonintegral_cones": list(phi.nonintegral_cones),
+        "element": ppelement_to_json(phi.element),
+    }
 
 
-def _cmd_sr_hilbert(args) -> RunReport:
+def _cmd_sr_hilbert(args):
     count = sr_hilbert(_load_fan(args.file), args.degree)
-    return RunReport(
-        lines=[f"degree {args.degree} count {count}"],
-        document=lambda: {"kind": "sr_hilbert", "degree": args.degree, "count": count},
-    )
+    return [f"degree {args.degree} count {count}"], lambda: {
+        "kind": "sr_hilbert",
+        "degree": args.degree,
+        "count": count,
+    }
 
 
-def _cmd_mv_h3(args) -> RunReport:
+def _cmd_mv_h3(args):
     report = h3_torsion(_load_fan(args.file))
     divisors = " ".join(str(d) for d in report.elementary_divisors)
     torsion = (
@@ -195,50 +163,46 @@ def _cmd_mv_h3(args) -> RunReport:
         if report.torsion_summands
         else "none"
     )
-    return RunReport(
-        lines=[
-            f"elementary divisors: {divisors}",
-            f"torsion: {torsion}",
-            f"free rank: {report.free_rank}",
-            f"even-column certificate: {'yes' if report.parity_even else 'no'}",
-        ],
-        document=lambda: torsion_report_to_json(report),
-    )
+    lines = [
+        f"elementary divisors: {divisors}",
+        f"torsion: {torsion}",
+        f"free rank: {report.free_rank}",
+        f"even-column certificate: {'yes' if report.parity_even else 'no'}",
+    ]
+    return lines, lambda: torsion_report_to_json(report)
 
 
-def _cmd_subdivide(args) -> RunReport:
+def _cmd_subdivide(args):
     fan = _load_fan(args.file)
     target = fan.cone_by_id(args.target)
     point = _parse_vector(args.point, "--point", fan.ambient_rank) if args.point else None
     refined, m = star_subdivision(fan, target, point)
-    return RunReport(
-        lines=[
-            f"{len(refined.maximal_cones)} cones refine {len(fan.maximal_cones)}",
-        ],
-        document=lambda: subdivision_to_json(m),
-    )
+    lines = [f"{len(refined.maximal_cones)} cones refine {len(fan.maximal_cones)}"]
+    return lines, lambda: subdivision_to_json(m)
 
 
-def _cmd_pullback_check(args) -> RunReport:
+def _cmd_pullback_check(args):
     m = subdivision_from_json(read_json_file(args.subdivision))
     parts = ppelement_parts_from_json(m.source, read_json_file(args.element))
-    elem = pp_validate(m.source, parts)
-    descended, failure = pp_is_pullback(m, elem)
-    doc = {"kind": "pullback_check", "descends": failure is None}
+    descended, failure = pp_is_pullback(m, pp_validate(m.source, parts))
+
+    def document():
+        doc = {"kind": "pullback_check", "descends": failure is None}
+        if failure is None:
+            return {**doc, "element": ppelement_to_json(descended)}
+        return {
+            **doc,
+            "cone_id": failure.cone_id,
+            "condition": failure.condition,
+            "detail": failure.detail,
+        }
+
     if failure is None:
-        return RunReport(["descends: yes"], lambda: {**doc, "element": ppelement_to_json(descended)})
-    doc.update(cone_id=failure.cone_id, condition=failure.condition, detail=failure.detail)
-    return RunReport(
-        lines=[
-            "descends: no",
-            f"cone: {failure.cone_id}",
-            f"condition: {failure.condition}",
-        ],
-        document=lambda: doc,
-    )
+        return ["descends: yes"], document
+    return ["descends: no", f"cone: {failure.cone_id}", f"condition: {failure.condition}"], document
 
 
-def _cmd_hypertoric(args) -> RunReport:
+def _cmd_hypertoric(args):
     if args.rank < 0:
         raise FormatError(f"--rank must be nonnegative, got {args.rank}")
     vectors = [
@@ -247,10 +211,8 @@ def _cmd_hypertoric(args) -> RunReport:
         if chunk
     ]
     mf = hypertoric_multifan(args.rank, vectors)
-    return RunReport(
-        lines=[f"{len(mf.node_ids)} nodes, {len(mf.maximal_ids)} maximal"],
-        document=lambda: multifan_to_json(mf),
-    )
+    lines = [f"{len(mf.node_ids)} nodes, {len(mf.maximal_ids)} maximal"]
+    return lines, lambda: multifan_to_json(mf)
 
 
 @cache
@@ -271,11 +233,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("validate", "check a fan, multifan, or subdivision document", _cmd_validate)
     p.add_argument("file")
 
-    p = add("pp-basis", "graded basis of the piecewise ring of a fan", _cmd_pp_basis)
+    p = add("pp-basis", "graded basis of the piecewise ring of a fan", _cmd_basis)
+    p.set_defaults(read=fan_from_json)
     p.add_argument("file")
     p.add_argument("--degree", type=int, required=True)
 
-    p = add("mpp-basis", "graded basis of the piecewise ring of a multifan", _cmd_mpp_basis)
+    p = add("mpp-basis", "graded basis of the piecewise ring of a multifan", _cmd_basis)
+    p.set_defaults(read=multifan_from_json)
     p.add_argument("file")
     p.add_argument("--degree", type=int, required=True)
 
@@ -334,7 +298,7 @@ def main(argv=None) -> int:
             )
 
     try:
-        report = args.run(args)
+        lines, document = args.run(args)
     except (FormatError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
@@ -343,9 +307,9 @@ def main(argv=None) -> int:
         return 1
 
     if args.json:
-        print(json.dumps(report.document(), sort_keys=True))
+        print(json.dumps(document(), sort_keys=True))
     else:
-        for line in report.lines:
+        for line in lines:
             print(line)
     return 0
 

@@ -5,17 +5,16 @@ are made primitive, deduplicated, reduced to the extremal rays and sorted, so
 two descriptions of one cone give identical objects and string ids.  One exact
 double description (Fukuda and Prodon 1996) in Z^n on the generators finds the
 dual cone's rays, which generators lie on each (bit masks), and the lineality
-left, their annihilator.  With none left the cone is full dimensional and the
-rays are its facet normals.  Otherwise one kernel gives the canonical
-annihilator, and the normals, the rays on the saturated span lifted to Z^n,
-are built on first read.  As many generators as the dimension are
-independent: the cone is simplicial and its face keys are every subset of
-them.  Otherwise pointedness, the extremal generators and the faces are read
-off the masks: every proper face of a pointed cone is the meet of the facets
-containing it, so the face masks are the full mask closed under meets with
-each facet mask.  Only face keys are kept, made at construction.  The meet of
-two cones is one double description in Z^n on their equations and facet
-normals, returned as a key.
+left, their annihilator; with some left, one kernel gives the canonical
+annihilator.  The facet normals, the rays on the saturated span lifted to Z^n
+(the rays themselves when the cone is full dimensional), are built on first
+read.  As many generators as the dimension are independent: the cone is
+simplicial and its face keys are every subset of them.  Otherwise pointedness,
+the extremal generators and the faces are read off the masks: every proper
+face of a pointed cone is the meet of the facets containing it, so the face
+masks are the full mask closed under meets with each facet mask.  Only face
+keys are kept, made at construction.  The meet of two cones is one double
+description in Z^n on their equations and facet normals, returned as a key.
 
 The quotient character lattice M_sigma = M / (sigma^perp cap M) is built on
 first read from sigma^perp alone, so equal spans give identical coordinates:
@@ -109,8 +108,8 @@ class Cone:
 
     Set once: ``key`` = ``(ambient_rank, generators)``, its sorted primitive
     extremal generators, and ``id_str`` = ``"x,y;..."`` (``"0"`` if zero).
-    Face keys are made at construction; ``quotient`` and a lower-dimensional
-    cone's ``facet_normals`` on first read.
+    Face keys are made at construction; ``quotient`` and ``facet_normals`` on
+    first read.
     """
 
     def __init__(self, ambient_rank: int, generators):
@@ -159,16 +158,17 @@ class Cone:
 
         if lin:  # the generators' annihilator is also their saturated span's
             self.span_perp = kernel_lattice(IntMatrix._of(tuple(gens), ambient_rank))
-            self._dual_rays = tuple(r for r, _ in normals)
-        else:  # the rays are the facet normals, shadowing the cached_property
+        else:
             self.span_perp = IntMatrix._of((), ambient_rank)
-            self.facet_normals = tuple(r for r, _ in normals)
-
+        self._dual_rays = tuple(r for r, _ in normals)
         self._restrictions = {}
 
     @cached_property
     def facet_normals(self) -> tuple:
-        """Dual rays restricted to the saturated span, made primitive, lifted, sorted."""
+        """The dual rays if the cone is full dimensional; otherwise the dual rays
+        restricted to the saturated span, made primitive, lifted, sorted."""
+        if not self.span_perp.rows:
+            return self._dual_rays
         span = kernel_lattice(self.span_perp)
         lift_cols = tuple(zip(*_left_inverse(span)))
         local = (primitive(span.mul_vec(r)) for r in self._dual_rays)

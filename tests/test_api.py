@@ -2,12 +2,17 @@
 
 Pinning ``fanpoly.__all__`` makes every change to the public API a
 deliberate edit of this list.  The messages of the exceptions that take an
-optional detail are pinned too, with and without it.
+optional detail are pinned too, with and without it, and the exported value
+types hash as they compare.
 """
 
+from fractions import Fraction
+
 import pytest
+from corpus import HYPERTORIC_VECTORS, ambient_lattice, p2
 
 import fanpoly
+from fanpoly.jsonio import multifan_from_json, multifan_to_json
 
 EXPORTED = [
     "BundleData",
@@ -109,3 +114,26 @@ def test_detailed_messages_are_pinned(error, args, message):
     assert str(error(*args, "")) == message
     assert str(error(*args, "2 meets")) == message + ": 2 meets"
     assert str(error(*args, detail="x")) == message + ": x"
+
+
+def test_equal_values_hash_equal():
+    """Equal objects built in different ways hash equal and are one set entry:
+    a fan from its cones reversed, a multifan after a JSON round trip, and an
+    integral polynomial against a rational one with its terms in another order."""
+    cones = [fanpoly.Cone(2, c.generators) for c in p2().maximal_cones]
+    mf = fanpoly.hypertoric_multifan(3, HYPERTORIC_VECTORS[5])
+    lattice = ambient_lattice(2)
+    pairs = [
+        (fanpoly.Fan(2, cones), fanpoly.Fan(2, cones[::-1])),
+        (mf, multifan_from_json(multifan_to_json(mf))),
+        (
+            fanpoly.LocalPolynomial(lattice, {(2, 0): 3, (1, 1): -1, (0, 2): 5}),
+            fanpoly.RationalLocalPolynomial(
+                lattice, {(0, 2): Fraction(5), (2, 0): Fraction(3), (1, 1): Fraction(-1)}
+            ),
+        ),
+    ]
+    for a, b in pairs:
+        assert a is not b and a == b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1

@@ -91,6 +91,9 @@ def test_malformed_json_exits_3(tmp_path, capsys, content):
 def test_wrong_kind_exits_3(capsys):
     assert main(["pp-basis", fx("doubled_cone.multifan.json"), "--degree", "1"]) == 3
     capsys.readouterr()
+    # the two basis verbs share a handler; each reads with its own kind's reader
+    assert main(["mpp-basis", fx("p2.fan.json"), "--degree", "1"]) == 3
+    assert "expected kind 'multifan', got 'fan'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -30,7 +30,9 @@ ELEMENT = {
     },
 }
 
-VALUES = (None, -1, 1.5, "x", True, [], {}, [[1, 0]])
+# small values only: a huge integer as a multifan's ambient rank is unbounded
+# work on its empty zero-cone node, not an exit-code question (ROADMAP item 8)
+VALUES = (None, -1, 0, 2, -5, 1.5, "x", "1/2", True, [], {}, [0, 0], [[1, 0]], [[0, 0]], {"a": 1})
 TRIALS = 200
 
 

@@ -145,15 +145,19 @@ def test_lower_dimensional_cone_reads_its_span(monkeypatch):
 def test_multifan_document_builds_no_facet_normals(monkeypatch):
     """Reading a hypertoric multifan document checks its nodes on face keys: a
     lower-dimensional node takes one kernel, its annihilator, and no Hermite
-    step.  A full-dimensional cone holds its normals from construction."""
+    step.  No node holds its normals; a full-dimensional node's first read
+    returns its dual rays, with no kernel and no Hermite step."""
     doc = multifan_to_json(hypertoric_multifan(3, HYPERTORIC_VECTORS[5]))
     calls = count_eliminations(monkeypatch)
     mf = multifan_from_json(doc)
     lower = [c for c in mf.cones.values() if c.dim < 3]
-    assert len(lower) == 16 and len(mf.cones) == 24
+    full = [c for c in mf.cones.values() if c.dim == 3]
+    assert len(lower) == 16 and len(full) == 8 and len(mf.cones) == 24
     assert calls == {"hnf": 0, "kernel_lattice": len(lower)}
-    assert not any("facet_normals" in vars(c) for c in lower)
-    assert all("facet_normals" in vars(c) for c in mf.cones.values() if c.dim == 3)
+    assert not any("facet_normals" in vars(c) for c in mf.cones.values())
+    for cone in full:
+        assert cone.facet_normals is cone._dual_rays
+    assert calls == {"hnf": 0, "kernel_lattice": len(lower)}
 
 
 def test_facet_normals_do_not_depend_on_the_first_read():
