@@ -5,16 +5,16 @@ are made primitive, deduplicated, reduced to the extremal rays and sorted, so
 two descriptions of one cone give identical objects and string ids.  One exact
 double description (Fukuda and Prodon 1996) in Z^n on the generators finds the
 dual cone's rays, which generators lie on each (bit masks), and the lineality
-left, their annihilator; with some left, one kernel gives the canonical
-annihilator.  The facet normals, the rays on the saturated span lifted to Z^n
-(the rays themselves when the cone is full dimensional), are built on first
-read.  As many generators as the dimension are independent: the cone is
-simplicial and its face keys are every subset of them.  Otherwise pointedness,
-the extremal generators and the faces are read off the masks: every proper
-face of a pointed cone is the meet of the facets containing it, so the face
-masks are the full mask closed under meets with each facet mask.  Only face
-keys are kept, made at construction.  The meet of two cones is one double
-description in Z^n on their equations and facet normals, returned as a key.
+left, their annihilator: canonical as it stands for the zero cone (I_n) and,
+once signed, for one vector; two or more take one kernel.  The facet normals
+(the rays, lifted from the saturated span unless the cone is full dimensional)
+are built on first read.  As many generators as the dimension are independent:
+the cone is simplicial and its face keys are every subset of them.  Otherwise
+pointedness, the extremal generators and the faces are read off the masks:
+every proper face of a pointed cone is the meet of the facets containing it,
+so the face masks are the full mask closed under meets with each facet mask.
+Only face keys are kept, made at construction.  The meet of two cones is a key,
+from one double description in Z^n on their equations and facet normals.
 
 The quotient character lattice M_sigma = M / (sigma^perp cap M) is built on
 first read from sigma^perp alone, so equal spans give identical coordinates:
@@ -107,9 +107,9 @@ class Cone:
     """A pointed rational polyhedral cone, canonically presented.
 
     Set once: ``key`` = ``(ambient_rank, generators)``, its sorted primitive
-    extremal generators, and ``id_str`` = ``"x,y;..."`` (``"0"`` if zero).
-    Face keys are made at construction; ``quotient`` and ``facet_normals`` on
-    first read.
+    extremal generators, ``id_str`` = ``"x,y;..."`` (``"0"`` if zero), the
+    face keys and ``span_perp``, read off the lineality unless it has rank two
+    or more; ``quotient`` and ``facet_normals`` on first read.
     """
 
     def __init__(self, ambient_rank: int, generators):
@@ -123,7 +123,7 @@ class Cone:
             for x in v:
                 if isinstance(x, bool) or not isinstance(x, int):
                     raise TypeError("generators must be integer vectors")
-            if all(x == 0 for x in v):
+            if not any(v):
                 raise ZeroVector("zero generator in cone input")
             gens.append(primitive(v))
         gens = sorted(set(gens))
@@ -156,10 +156,11 @@ class Cone:
         self.id_str = ";".join(",".join(map(str, g)) for g in self.generators) or "0"
         self._face_keys = frozenset((ambient_rank, f) for f in faces)
 
-        if lin:  # the generators' annihilator is also their saturated span's
+        if gens and len(lin) > 1:  # the annihilator of the generators and of their span
             self.span_perp = kernel_lattice(IntMatrix._of(tuple(gens), ambient_rank))
-        else:
-            self.span_perp = IntMatrix._of((), ambient_rank)
+        else:  # I_n with no generators, else one primitive vector or none: Hermite once signed
+            signed = (tuple(-x for x in l) if next(filter(None, l)) < 0 else l for l in lin)
+            self.span_perp = IntMatrix._of(tuple(signed), ambient_rank)
         self._dual_rays = tuple(r for r, _ in normals)
         self._restrictions = {}
 

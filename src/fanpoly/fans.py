@@ -176,20 +176,24 @@ def is_complete(fan: Fan) -> bool:
 def _certified(cones, n) -> bool:
     """Are these distinct cones a complete fan of full-dimensional simplicial cones?
 
-    Yes if each facet lies in two cones (:func:`_covers`) whose other generators
-    lie on opposite sides of it, and the sum p of the first cone's generators lies
-    in no other (De Loera, Rambau and Santos, *Triangulations*, 2010).  Proof: off
-    W, the faces of dimension n - 2 and the meets of distinct facet hyperplanes,
-    R^n is connected, and a path crossing a facet leaves one cone and enters one;
-    so each point off W and the facets lies in one cone, as near p.  Near a point
-    of the relative interior of a face s, the cones with s as a face cover a ball,
-    as their facets through it contain s and pair up; so a cone holding the point
-    has s as a face, and two cones meet in the cone on their common generators.
-    For n = 1 these are the two opposite rays, for n = 0 the zero cone.
+    Yes if each facet lies in two cones (:func:`_covers`' rule, on facet owners
+    built once) whose other generators lie on opposite sides of it, and the sum p
+    of the first cone's generators lies in no other (De Loera, Rambau and Santos,
+    *Triangulations*, 2010).  Proof: off W, the faces of dimension n - 2 and the
+    meets of distinct facet hyperplanes, R^n is connected, and a path crossing a
+    facet leaves one cone and enters one; so each point off W and the facets lies
+    in one cone, as near p.  Near a point of the relative interior of a face s, the
+    cones with s as a face cover a ball, as their facets through it contain s and
+    pair up; so a cone holding the point has s as a face, and two cones meet in the
+    cone on their common generators.  For n = 1 these are the two opposite rays,
+    for n = 0 the zero cone.
     """
-    if not all(len(c.generators) == c.dim == n for c in cones) or not _covers(cones, n, ()):
+    if not cones or not all(len(c.generators) == c.dim == n for c in cones):
         return False
-    for facet, (i, j) in facet_owners(cones).items():
+    owners = facet_owners(cones)
+    if any(len(ij) != 2 for ij in owners.values()):
+        return False
+    for facet, (i, j) in owners.items():
         u = next(u for u in cones[i].facet_normals if not any(dot(u, g) for g in facet))
         if any(dot(u, g) >= 0 for g in cones[j].generators if g not in facet):
             return False

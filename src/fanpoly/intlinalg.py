@@ -390,8 +390,8 @@ def solve_left(a: IntMatrix, b: IntMatrix):
 
 
 def primitive(v):
-    """Divide an integer vector by the gcd of its entries, keeping direction."""
+    """An integer tuple divided by the gcd of its entries, or itself if that is 1."""
     g = gcd(*v)
     if g == 0:
         raise ValueError("zero vector has no primitive representative")
-    return tuple(x // g for x in v)
+    return v if g == 1 else tuple(x // g for x in v)

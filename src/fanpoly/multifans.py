@@ -113,12 +113,7 @@ class Multifan:
     def maximal_common_lower(self, a: str, b: str):
         """Nodes below both a and b that are maximal among those."""
         shared = self.lower[a] & self.lower[b]
-        out = [
-            c
-            for c in shared
-            if not any(d != c and c in self.lower[d] for d in shared)
-        ]
-        return tuple(sorted(out))
+        return tuple(sorted(shared - {c for d in shared for c in self.lower[d] if c != d}))
 
     @cached_property
     def incidences(self):

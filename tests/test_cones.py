@@ -28,16 +28,18 @@ from corpus import (
     random_unimodular,
     saturate,
 )
+from reference_intlinalg import reference_kernel_lattice
 
 import fanpoly.cones
 from fanpoly.cones import (
     Cone,
+    _extreme_rays,
     _left_inverse,
     intersect,
     restriction_matrix,
 )
 from fanpoly.errors import NotAFace, NotPointed, ZeroVector
-from fanpoly.intlinalg import IntMatrix, dot, kernel_lattice
+from fanpoly.intlinalg import IntMatrix, dot, kernel_lattice, primitive
 from fanpoly.jsonio import multifan_from_json, multifan_to_json
 from fanpoly.multifans import hypertoric_multifan
 
@@ -129,35 +131,76 @@ def test_full_dimensional_cones_take_no_elimination(monkeypatch):
 
 
 def test_lower_dimensional_cone_reads_its_span(monkeypatch):
-    """A 2-dimensional cone in Z^3 takes its annihilator at construction, and its
-    span and lift when the facet normals are first read, once."""
+    """A 2-dimensional cone in Z^3 reads its annihilator, of rank one, off the
+    double description, and takes its span and lift when the facet normals are
+    first read, once.  A ray in Z^3 takes one kernel for its annihilator."""
     calls = count_eliminations(monkeypatch)
     cone = Cone(3, [(1, 0, 0), (1, 1, 0)])
-    assert calls == {"hnf": 0, "kernel_lattice": 1}
+    assert calls == {"hnf": 0, "kernel_lattice": 0}
     normals = cone.facet_normals
-    assert calls == {"hnf": 1, "kernel_lattice": 2}
+    assert calls == {"hnf": 1, "kernel_lattice": 1}
     assert cone.facet_normals is normals
-    assert calls == {"hnf": 1, "kernel_lattice": 2}
+    assert calls == {"hnf": 1, "kernel_lattice": 1}
     assert cone.span_perp.entries == ((0, 0, 1),)
     assert normals == ((0, 1, 0), (1, -1, 0))
+    ray = Cone(3, [(1, 2, 3)])
+    assert calls == {"hnf": 1, "kernel_lattice": 2}
+    assert ray.span_perp.entries == ((1, 1, -1), (0, 3, -2))
+
+
+def test_rank_one_and_zero_annihilators_are_read_off(monkeypatch):
+    """The annihilator of a cone of codimension one, and of the zero cone, is
+    read off the double description's lineality with no kernel and no Hermite
+    step, and is the canonical kernel of the generators.  Cases: seeded cones
+    spanning a coordinate hyperplane of Z^2 to Z^6 (pointed, as positive on a
+    coordinate, some with redundant generators), their GL_n(Z) images, cones
+    whose lineality vector has a negative first entry, and the zero cone of
+    Z^0 to Z^8."""
+    rng = random.Random(39)
+    cases = [(3, [(0, 1, 0), (1, 0, 1)]), (2, [(1, -1)]), (3, [(1, 0, 0), (0, 1, -1)])]
+    cases += [(n, []) for n in range(9)]
+    for n in range(2, 7):
+        for _ in range(30):
+            gens = []
+            for _ in range(rng.randint(n - 1, n + 2)):
+                v = [rng.randint(-3, 3) for _ in range(n - 1)] + [0]
+                v[n - 2] = rng.randint(1, 3)
+                gens.append(v)
+            if reference_kernel_lattice(IntMatrix(gens, cols=n)).rows == 1:
+                g = random_unimodular(rng, n)
+                cases += [(n, gens), (n, [g.mul_vec(v) for v in gens])]
+    calls = count_eliminations(monkeypatch)
+    cones = [Cone(n, gens) for n, gens in cases]
+    assert calls == {"hnf": 0, "kernel_lattice": 0}
+    monkeypatch.undo()
+    flipped = 0
+    for cone, (n, gens) in zip(cones, cases):
+        assert cone.dim == (n - 1 if gens else 0)
+        assert cone.span_perp == reference_kernel_lattice(IntMatrix(gens, cols=n))
+        if gens:
+            (lin,) = _extreme_rays(sorted({primitive(tuple(v)) for v in gens}), n)[1]
+            flipped += next(filter(None, lin)) < 0
+    assert len(cones) > 200 and flipped >= 10
 
 
 def test_multifan_document_builds_no_facet_normals(monkeypatch):
     """Reading a hypertoric multifan document checks its nodes on face keys: a
-    lower-dimensional node takes one kernel, its annihilator, and no Hermite
-    step.  No node holds its normals; a full-dimensional node's first read
-    returns its dual rays, with no kernel and no Hermite step."""
+    ray takes one kernel, its annihilator, and no Hermite step; the other
+    lower-dimensional nodes read theirs off the double description.  No node
+    holds its normals; a full-dimensional node's first read returns its dual
+    rays, with no kernel and no Hermite step."""
     doc = multifan_to_json(hypertoric_multifan(3, HYPERTORIC_VECTORS[5]))
     calls = count_eliminations(monkeypatch)
     mf = multifan_from_json(doc)
     lower = [c for c in mf.cones.values() if c.dim < 3]
     full = [c for c in mf.cones.values() if c.dim == 3]
-    assert len(lower) == 16 and len(full) == 8 and len(mf.cones) == 24
-    assert calls == {"hnf": 0, "kernel_lattice": len(lower)}
+    rays = [c for c in lower if c.dim == 1]
+    assert len(lower) == 16 and len(rays) == 5 and len(full) == 8 and len(mf.cones) == 24
+    assert calls == {"hnf": 0, "kernel_lattice": len(rays)}
     assert not any("facet_normals" in vars(c) for c in mf.cones.values())
     for cone in full:
         assert cone.facet_normals is cone._dual_rays
-    assert calls == {"hnf": 0, "kernel_lattice": len(lower)}
+    assert calls == {"hnf": 0, "kernel_lattice": len(rays)}
 
 
 def test_facet_normals_do_not_depend_on_the_first_read():
