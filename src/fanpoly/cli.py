@@ -23,7 +23,7 @@ from functools import cache
 
 from .chern import bundle_validate, chern_class
 from .errors import FanPolyError, FormatError
-from .fans import Fan, is_complete, star_subdivision
+from .fans import Fan, star_subdivision
 from .gkm import gkm_compare
 from .jsonio import (
     bundle_characters_from_json,
@@ -65,10 +65,9 @@ def _cmd_validate(args):
         fan = fan_from_json(doc)
         # the maximal cones carry their face keys, whose union is the face_index keys
         faces = len(frozenset().union(*(c.face_keys() for c in fan.maximal_cones)))
-        complete = is_complete(fan)
         lines = [
             f"fan: {len(fan.maximal_cones)} maximal cones, {faces} cones in total",
-            f"complete: {'yes' if complete else 'no'}",
+            f"complete: {'yes' if fan.complete else 'no'}",
         ]
         return lines, lambda: {
             "kind": "validation",
@@ -76,7 +75,7 @@ def _cmd_validate(args):
             "ok": True,
             "maximal_cones": len(fan.maximal_cones),
             "cones": faces,
-            "complete": complete,
+            "complete": fan.complete,
         }
     if kind == "multifan":
         mf = multifan_from_json(doc)

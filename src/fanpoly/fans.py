@@ -14,9 +14,9 @@ meet is a face of both, and a face's extremal rays are the cone's extremal
 rays that lie in it; so every generator of the meet is one of both cones,
 and every common generator lies in the meet, where it stays extremal.
 
-Completeness, tiling and walls all rest on one rule, read off the facet
-masks by :func:`facet_owners`: a codimension-one face shared by exactly
-two cones.  A subdivision map keeps its tiles.
+One rule, each facet of a part in exactly two parts, settles completeness
+and tiling (:func:`_covers`).  A fan runs it once, when it is built, and
+keeps the verdict as ``Fan.complete``.  A subdivision map keeps its tiles.
 """
 
 from __future__ import annotations
@@ -40,15 +40,17 @@ class Fan:
     """A finite fan, presented by its maximal cones.
 
     ``parts`` pairs each maximal cone's id with the cone, in cone order.
-    Construction certifies a complete simplicial fan locally, else meets the
-    maximal cones pairwise on keys; it builds no face Cone.  Built on first
-    read: ``face_index``, one Cone per face with the maximal cones it sits in;
+    Construction reads the facet owners once (:func:`_covers`), certifies a
+    complete simplicial fan locally from them, else meets the maximal cones
+    pairwise on keys; it builds no face Cone.  ``complete`` keeps whether
+    that reading covered the ambient space.  Built on first read:
+    ``face_index``, one Cone per face with the maximal cones it sits in;
     ``incidences``, which lists ``(id a, id b, face id, face)`` for every pair
     of maximal cones in cone order, the face read off ``face_index`` at the
     pair's common generators; and ``gluing``, the incidences that form one
     spanning forest per shared face (:func:`spanning_gluing`), on a complete
-    simplicial fan one per wall.
-    ``pair_faces`` is a view of ``incidences`` keyed by cone positions.
+    simplicial fan one per wall.  ``pair_faces`` is a view of ``incidences``
+    keyed by cone positions.
     """
 
     def __init__(self, ambient_rank: int, maximal_cones):
@@ -63,7 +65,8 @@ class Fan:
             if a.key == b.key:
                 raise DuplicateCone(f"cone {a.id_str} listed twice")
 
-        if not _certified(cones, ambient_rank):
+        walls = _covers(cones, ambient_rank, ())
+        if walls is None or not _certified(cones, walls):
             for i, j in combinations(range(len(cones)), 2):
                 key, ok = intersect(cones[i], cones[j])
                 if not ok:
@@ -74,6 +77,7 @@ class Fan:
         self.ambient_rank = ambient_rank
         self.maximal_cones = tuple(cones)
         self.parts = tuple((c.id_str, c) for c in cones)
+        self.complete = walls is not None
 
     @cached_property
     def face_index(self):
@@ -167,18 +171,13 @@ def facet_owners(cones):
     return owners
 
 
-def is_complete(fan: Fan) -> bool:
-    """Does the support of the fan cover the whole ambient space?  A nonempty pure
-    fan of full-dimensional cones does when every ridge lies in two (:func:`_covers`)."""
-    return _covers(fan.maximal_cones, fan.ambient_rank, ())
+def _certified(cones, walls) -> bool:
+    """Are the cones a complete fan of full-dimensional simplicial cones?
+    ``walls`` are their facet owners from :func:`_covers`, two per facet.
 
-
-def _certified(cones, n) -> bool:
-    """Are these distinct cones a complete fan of full-dimensional simplicial cones?
-
-    Yes if each facet lies in two cones (:func:`_covers`' rule, on facet owners
-    built once) whose other generators lie on opposite sides of it, and the sum p
-    of the first cone's generators lies in no other (De Loera, Rambau and Santos,
+    Yes if they are simplicial, each facet's two cones have their other
+    generators on opposite sides of it, and the sum p of the first cone's
+    generators lies in no other (De Loera, Rambau and Santos,
     *Triangulations*, 2010).  Proof: off W, the faces of dimension n - 2 and the
     meets of distinct facet hyperplanes, R^n is connected, and a path crossing a
     facet leaves one cone and enters one; so each point off W and the facets lies
@@ -188,12 +187,9 @@ def _certified(cones, n) -> bool:
     cone on their common generators.  For n = 1 these are the two opposite rays,
     for n = 0 the zero cone.
     """
-    if not cones or not all(len(c.generators) == c.dim == n for c in cones):
+    if not all(len(c.generators) == c.dim for c in cones):
         return False
-    owners = facet_owners(cones)
-    if any(len(ij) != 2 for ij in owners.values()):
-        return False
-    for facet, (i, j) in owners.items():
+    for facet, (i, j) in walls.items():
         u = next(u for u in cones[i].facet_normals if not any(dot(u, g) for g in facet))
         if any(dot(u, g) >= 0 for g in cones[j].generators if g not in facet):
             return False
@@ -201,24 +197,26 @@ def _certified(cones, n) -> bool:
     return not any(c.contains(p) for c in cones[1:])
 
 
-def _covers(parts, dim, boundary_normals) -> bool:
-    """Do the given cones, from one fan and all of dimension ``dim``, cover
-    their region: R^n with no ``boundary_normals``, else the cone with
-    those facet normals, which holds every part?
+def _covers(parts, dim, boundary_normals):
+    """The facet owners of the given cones, from one fan and all of dimension
+    ``dim``, if they cover their region, else None: R^n with no
+    ``boundary_normals``, else the cone with those facet normals, which
+    holds every part.
 
     Every facet of a part (a ridge) must lie in exactly two parts, from
     :func:`facet_owners`, unless a boundary normal vanishes on it.  Parts of
     a fan cannot overlap, so the union is closed, and the pairing makes it
     open in the region away from codimension two, hence all of it.  A
-    single part other than the region has a facet off the boundary.
+    single part other than the region has a facet off the boundary.  Zero
+    cones have no facets: their map ``{}`` is a covering, not a failure.
     """
     if not parts or any(p.dim != dim for p in parts):
-        return False
-    return all(
-        len(owners) == 2
-        for facet, owners in facet_owners(parts).items()
-        if not any(all(dot(u, g) == 0 for g in facet) for u in boundary_normals)
-    )
+        return None
+    owners = facet_owners(parts)
+    for facet, ij in owners.items():
+        if len(ij) != 2 and not any(all(dot(u, g) == 0 for g in facet) for u in boundary_normals):
+            return None
+    return owners
 
 
 class SubdivisionMap:
@@ -254,7 +252,7 @@ class SubdivisionMap:
             by_target.setdefault(t.id_str, []).append(c)
 
         for t in target.maximal_cones:
-            if not _covers(by_target.get(t.id_str, []), t.dim, t.facet_normals):
+            if _covers(by_target.get(t.id_str, []), t.dim, t.facet_normals) is None:
                 raise NotASubdivision(
                     f"target cone {t.id_str} is not tiled by its assigned cones"
                 )

@@ -7,9 +7,10 @@ of the piecewise polynomial ring exactly when for every edge the two
 endpoint polynomials restrict equally to the wall's quotient coordinates.
 
 On every complete fan the fan's ``gluing``, which ``pp_basis`` assembles,
-is exactly this wall set.  :func:`beta_system` hands the ``parts`` and one
-incidence per wall, read off the facet owners, not picked by dimension
-(:func:`fanpoly.fans.facet_owners`), to the assembler of
+is exactly this wall set.  :func:`gkm_graph` reads completeness off
+``Fan.complete`` and its walls off one pass of the facet owners, not picked
+by dimension (:func:`fanpoly.fans.facet_owners`); :func:`beta_system` hands
+the ``parts`` and one incidence per wall to the assembler of
 :mod:`fanpoly.ppring`, so :func:`gkm_compare` checks those walls against
 the ones :func:`fanpoly.fans.spanning_gluing` keeps, as a lattice over one
 layout: the ``kernel_lattice`` of the wall system against the rows of
@@ -22,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotComplete
-from .fans import Fan, facet_owners, is_complete
+from .fans import Fan, facet_owners
 from .intlinalg import IntMatrix, kernel_lattice
 from .ppring import check_degree, constraint_matrix, pp_basis
 
@@ -40,7 +41,7 @@ class GKMGraph:
 
 
 def gkm_graph(fan: Fan) -> GKMGraph:
-    if not is_complete(fan):
+    if not fan.complete:
         raise NotComplete("the fixed-point graph is defined for complete fans")
     n = fan.ambient_rank
     # a wall of a complete fan is a facet of two cones; sorted, in face_index order

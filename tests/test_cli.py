@@ -109,6 +109,14 @@ def test_wrong_kind_exits_3(capsys):
             "does not have length 2",
         ),
         ({"kind": "multifan", "ambient_rank": -1, "nodes": {"o": []}, "covers": []}, "nonnegative"),
+        (
+            {"kind": "multifan", "ambient_rank": 1, "nodes": {"a": 5}, "covers": []},
+            "node a must be a list of vectors",
+        ),
+        (
+            {"kind": "multifan", "ambient_rank": 1, "nodes": {"a": []}, "covers": 3},
+            "covers must be a list of pairs",
+        ),
     ],
 )
 def test_malformed_cone_document_exits_3(tmp_path, capsys, doc, message):

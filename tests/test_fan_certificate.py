@@ -53,7 +53,14 @@ def sorted_cones(cones):
 
 def is_simplicial_cover(n, cones):
     """Full-dimensional simplicial cones whose every facet lies in two of them."""
-    return all(len(c.generators) == c.dim == n for c in cones) and fans._covers(cones, n, ())
+    simplicial = all(len(c.generators) == c.dim == n for c in cones)
+    return simplicial and fans._covers(cones, n, ()) is not None
+
+
+def certificate(n, cones):
+    """The certificate's verdict, on the walls ``Fan.__init__`` hands it."""
+    walls = fans._covers(cones, n, ())
+    return walls is not None and fans._certified(cones, walls)
 
 
 def corpus_fans():
@@ -67,7 +74,7 @@ def test_certificate_agrees_with_the_pairwise_loop(monkeypatch):
         n, cones = fan.ambient_rank, sorted_cones(fan.maximal_cones)
         assert pairwise_verdict(n, cones, monkeypatch) is None
         assert verdict(n, cones) is None
-        ok = fans._certified(cones, n)
+        ok = certificate(n, cones)
         assert ok == is_simplicial_cover(n, cones), fan
         certified += ok
     # 120 of the 155 corpus fans, the zero fan of rank 0 among them, and the 36
@@ -108,7 +115,7 @@ def test_non_fans_raise_the_pairwise_verdict(name, monkeypatch):
     n, gens, pair, detail = NON_FANS[name]
     cones = [Cone(n, g) for g in gens]
     want = (pair, f"cones {pair[0]} and {pair[1]} do not meet in a common face{detail}")
-    assert not fans._certified(sorted_cones(cones), n)
+    assert not certificate(n, sorted_cones(cones))
     assert verdict(n, cones) == want
     assert pairwise_verdict(n, cones, monkeypatch) == want
 
@@ -119,7 +126,7 @@ def test_each_certificate_test_rejects_a_non_fan():
     for name in ("pentagram", "folded"):
         n, gens, _, _ = NON_FANS[name]
         cones = sorted_cones(Cone(n, g) for g in gens)
-        assert fans._covers(cones, n, ())
+        assert fans._covers(cones, n, ()) is not None
         point = tuple(map(sum, zip(*cones[0].generators)))
         covered = sum(c.contains(point) for c in cones)
         assert covered == (2 if name == "pentagram" else 1)

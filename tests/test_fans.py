@@ -1,5 +1,6 @@
 """Fan validation, completeness and star subdivisions."""
 
+import json
 import random
 from functools import cached_property
 from pathlib import Path
@@ -23,7 +24,8 @@ from corpus import (
 from test_random_fans import BASES as RANDOM_BASES
 from test_random_fans import CASES as RANDOM_CASES
 
-from fanpoly import fans
+from fanpoly import fans, gkm
+from fanpoly.cli import main
 from fanpoly.cones import Cone, intersect
 from fanpoly.errors import (
     DuplicateCone,
@@ -35,7 +37,6 @@ from fanpoly.errors import (
 from fanpoly.fans import (
     Fan,
     SubdivisionMap,
-    is_complete,
     star_subdivision,
 )
 from fanpoly.jsonio import read_json_file, subdivision_from_json
@@ -45,7 +46,7 @@ def test_p1_structure():
     f = p1()
     assert len(f.maximal_cones) == 2
     assert len(f.face_index) == 3  # two rays and the origin
-    assert is_complete(f)
+    assert f.complete
 
 
 def test_p2_structure():
@@ -54,7 +55,7 @@ def test_p2_structure():
     rays = [r for r, _ in f.face_index.values() if r.dim == 1]
     assert len(rays) == 3
     assert {r.generators[0] for r in rays} == {(1, 0), (0, 1), (-1, -1)}
-    assert is_complete(f)
+    assert f.complete
     # each ray lies in exactly two maximal cones
     for r in rays:
         assert len(f.face_index[r.key][1]) == 2
@@ -85,7 +86,7 @@ def test_duplicate_cone():
 def test_fan_allows_mixed_dimensions():
     f = Fan(2, [Cone(2, [(1, 0), (0, 1)]), Cone(2, [(-1, -1)])])
     assert len(f.maximal_cones) == 2
-    assert not is_complete(f)
+    assert not f.complete
 
 
 def ridge_rule(fan):
@@ -101,9 +102,9 @@ def ridge_rule(fan):
 
 def test_completeness_reads_facet_owners_as_the_ridge_rule():
     cases = completeness_cases()
-    assert {is_complete(f) for f in cases} == {True, False}
+    assert {f.complete for f in cases} == {True, False}
     for fan in cases:
-        assert is_complete(fan) == ridge_rule(fan), fan.maximal_cones
+        assert fan.complete == ridge_rule(fan), fan.maximal_cones
 
 
 def test_derived_data_is_built_once_on_first_read():
@@ -122,6 +123,7 @@ def test_derived_data_is_built_once_on_first_read():
         "ambient_rank",
         "maximal_cones",
         "parts",
+        "complete",
         "face_index",
         "incidences",
         "gluing",
@@ -129,13 +131,50 @@ def test_derived_data_is_built_once_on_first_read():
 
 
 def test_completeness():
-    assert is_complete(p1())
-    assert is_complete(p1xp1())
-    assert is_complete(diamond())
-    assert is_complete(blp2())
-    assert is_complete(cube())
-    assert not is_complete(Fan(2, [Cone(2, [(1, 0), (0, 1)])]))
-    assert not is_complete(Fan(2, []))
+    assert p1().complete
+    assert p1xp1().complete
+    assert diamond().complete
+    assert blp2().complete
+    assert cube().complete
+    assert not Fan(2, [Cone(2, [(1, 0), (0, 1)])]).complete
+    assert not Fan(2, []).complete
+
+
+def test_zero_cones_cover_with_no_facets():
+    """The zero cone of Z^0 covers its space with an empty owner map, which
+    is a covering, not a failure; a zero cone in Z^2 covers nothing."""
+    zero = Fan(0, [Cone(0, [])])
+    assert zero.complete
+    assert not Fan(2, [Cone(2, [])]).complete
+    (cone,) = zero.maximal_cones
+    assert SubdivisionMap(zero, zero).tiles == {cone.id_str: (cone.id_str,)}
+
+
+def count_owner_passes(monkeypatch, run):
+    """Passes of ``fans.facet_owners`` while ``run`` runs, as ``count_meets``
+    counts ``intersect``; ``gkm`` reads it under its own name."""
+    calls = []
+    owners = fans.facet_owners
+
+    def counted(cones):
+        calls.append(cones)
+        return owners(cones)
+
+    with monkeypatch.context() as m:
+        m.setattr(fans, "facet_owners", counted)
+        m.setattr(gkm, "facet_owners", counted)
+        run()
+    return len(calls)
+
+
+def test_completeness_takes_one_owner_pass(monkeypatch, capsys):
+    """Construction reads the facet owners once and keeps ``complete``;
+    validation reads no more, and the fixed-point graph one more for its walls."""
+    p2_doc = str(Path(__file__).resolve().parent.parent / "fixtures" / "p2.fan.json")
+    assert count_owner_passes(monkeypatch, lambda: main(["validate", p2_doc, "--json"])) == 1
+    assert json.loads(capsys.readouterr().out)["complete"] is True
+    fan = p2()
+    assert count_owner_passes(monkeypatch, lambda: gkm.gkm_graph(fan)) == 1
 
 
 def test_cube_counts():
@@ -159,7 +198,7 @@ def test_star_subdivision_blowup():
         Cone(2, [(-1, -1), (1, 0)]).key,
     }
     assert {c.key for c in refined.maximal_cones} == expected
-    assert is_complete(refined)
+    assert refined.complete
     assert sub.source is refined and sub.target is base
     quad_id = Cone(2, [(1, 0), (0, 1)]).id_str
     for src_id, tgt_id in sub.assignment.items():
@@ -174,7 +213,7 @@ def test_star_subdivision_explicit_point():
     base = p2()
     refined, _ = star_subdivision(base, Cone(2, [(1, 0), (0, 1)]), point=(2, 1))
     assert any((2, 1) in c.generators for c in refined.maximal_cones)
-    assert is_complete(refined)
+    assert refined.complete
 
 
 def test_star_subdivision_identity():
@@ -189,7 +228,7 @@ def test_star_subdivision_cube():
     base = cube()
     top = next(c for c in base.maximal_cones if all(g[2] == 1 for g in c.generators))
     refined, _ = star_subdivision(base, top)
-    assert is_complete(refined)
+    assert refined.complete
     assert len(refined.maximal_cones) == 9  # top cone splits into four
 
 
@@ -323,7 +362,7 @@ def test_completeness_preserved_by_subdivision():
         (cube(), Cone(3, [(1, 1, 1)])),
     ]:
         refined, _ = star_subdivision(fan, target)
-        assert is_complete(refined)
+        assert refined.complete
 
 
 def random_fans():

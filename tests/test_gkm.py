@@ -21,7 +21,7 @@ from corpus import (
 
 from fanpoly.cones import Cone
 from fanpoly.errors import NotComplete
-from fanpoly.fans import Fan, is_complete
+from fanpoly.fans import Fan
 from fanpoly.gkm import GKMGraph, beta_system, gkm_compare, gkm_graph
 from fanpoly.intlinalg import IntMatrix, kernel_lattice
 from fanpoly.ppring import constraint_matrix, pp_basis
@@ -114,7 +114,7 @@ def test_walls_cut_out_every_incidence_and_are_the_gluing():
 
 def test_walls_are_the_faces_of_codimension_one():
     """gkm_graph's facet owners against the face index filtered by dimension."""
-    complete = [fan for fan in completeness_cases() if is_complete(fan)]
+    complete = [fan for fan in completeness_cases() if fan.complete]
     assert len(complete) > 100
     for fan in complete:
         wall_dim = fan.ambient_rank - 1

@@ -26,7 +26,7 @@ from fanpoly.cli import main
 from fanpoly.chern import bundle_validate
 from fanpoly.cones import Cone
 from fanpoly.errors import Incompatible, IncompatibleMultisets
-from fanpoly.fans import Fan, is_complete, star_subdivision
+from fanpoly.fans import Fan, star_subdivision
 from fanpoly.gkm import gkm_graph
 from fanpoly.intlinalg import kernel_lattice
 from fanpoly.jsonio import fan_to_json
@@ -74,7 +74,7 @@ def test_gluing_cuts_out_the_same_kernel(name, container):
 def is_complete_simplicial(container):
     return (
         isinstance(container, Fan)
-        and is_complete(container)
+        and container.complete
         and all(len(c.generators) == c.dim for c in container.maximal_cones)
     )
 

@@ -225,8 +225,19 @@ def _subdivision_with_assignment(assignment):
             lambda: subdivision_from_json(_subdivision_with_assignment([])),
             "assignment must be an object",
         ),
+        (
+            lambda: ppelement_parts_from_json(p2(), {"kind": "ppelement", "parts": []}),
+            "parts must be an object keyed by cone id",
+        ),
     ],
-    ids=["not_an_object", "bool_coefficient", "zero_denominator", "empty_nodes", "assignment_list"],
+    ids=[
+        "not_an_object",
+        "bool_coefficient",
+        "zero_denominator",
+        "empty_nodes",
+        "assignment_list",
+        "parts_list",
+    ],
 )
 def test_document_rejections(call, message):
     with pytest.raises(FormatError) as exc:

@@ -23,7 +23,6 @@ from corpus import (
     shuffled_image,
 )
 
-from fanpoly.fans import is_complete
 from fanpoly.gkm import gkm_compare
 from fanpoly.intlinalg import IntMatrix
 from fanpoly.mayer_vietoris import h3_torsion
@@ -49,7 +48,7 @@ def answers(fan):
     """Ranks, verdicts and rank-two torsion: what a change of coordinates keeps."""
     out = {
         "ranks": [pp_basis(fan, k).rank for k in range(3)],
-        "verdicts": (is_complete(fan), is_simplicial(fan), is_smooth(fan)),
+        "verdicts": (fan.complete, is_simplicial(fan), is_smooth(fan)),
         "gkm": [gkm_compare(fan, k) for k in range(3)],
     }
     if fan.ambient_rank == 2:
